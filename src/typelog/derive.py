@@ -1,16 +1,18 @@
-"""Structural derivation of per-type logic operations.
+"""Datatype declaration and validation.
 
 A datatype is described as a list of constructors with typed child
-positions.  From that description we derive the five operations the
-engine needs (unify a constructor application, occurs check, variable
-substitution, groundness, printing), so users never write them by hand.
-Recursive and mutually recursive types are supported: child positions
-refer to types by name and are resolved through a registry.
+positions.  The operations the engine needs (unification, occurs check,
+substitution, groundness, printing) are structural over `Compound.args`
+and live in `terms`, shared by every type.  Each descriptor is validated
+once, on first use, which also builds the constructor -> child-types
+table that `LogicType.make` checks against.  Recursive and mutually
+recursive types are supported: child positions refer to types by name
+and are resolved through a registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import terms
@@ -33,14 +35,13 @@ class DatatypeDescriptor:
     constructors: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogicCapability:
-    """The derived operations for one logical type.
-
-    `unify_step` only ever extends the store; on clash it returns None
-    and the caller keeps the original store.  `occurs`, `substitute` and
-    `is_ground` are purely syntactic on the given payload.
-    """
+    """The logic operations on constructor applications, the same for
+    every type: `STRUCTURAL` is the one instance.  `unify_step` only ever
+    extends the store; on clash it returns None and the caller keeps the
+    original store.  `occurs`, `substitute` and `is_ground` are purely
+    syntactic on the given payload."""
 
     unify_step: Callable
     occurs: Callable
@@ -49,8 +50,12 @@ class LogicCapability:
     pretty: Callable
 
 
+STRUCTURAL = LogicCapability(terms.unify_args, terms.occurs_syntactic, terms.substitute,
+                             terms.is_ground_syntactic, terms.pretty_prefix)
+
+
 class LogicType:
-    """A registered logical type: descriptor plus derived capability.
+    """A registered logical type: a descriptor, validated on first use.
 
     Identity matters: two LogicType objects are distinct types even if
     their descriptors coincide.  Instances are created through
@@ -60,8 +65,9 @@ class LogicType:
     def __init__(self, descriptor: DatatypeDescriptor, registry: "TypeRegistry"):
         self._descriptor = descriptor
         self._registry = registry
-        self._capability: Optional[LogicCapability] = None
-        # Installed by preludes: overrides the derived prefix printer.
+        # Constructor name -> child LogicTypes; built by validation.
+        self._children: Optional[dict] = None
+        # Installed by preludes: overrides the prefix printer.
         self.pretty_override: Optional[Callable[[Compound], str]] = None
         # Installed for types that have a numeral encoding (Peano nats).
         self.from_int: Optional[Callable[[int], Term]] = None
@@ -82,19 +88,20 @@ class LogicType:
 
     @property
     def capability(self) -> LogicCapability:
-        if self._capability is None:
-            self._capability = derive_capability(self._descriptor, self._registry)
-        return self._capability
+        """The shared structural operations, once the descriptor is valid."""
+        self._child_table()
+        return STRUCTURAL
 
-    def constructor(self, name: str) -> ConstructorSpec:
-        for c in self._descriptor.constructors:
-            if c.name == name:
-                return c
-        raise DeriveError(f"type {self.name} has no constructor {name!r}")
+    def _child_table(self) -> dict:
+        if self._children is None:
+            self._children = _validate(self._descriptor, self._registry)
+        return self._children
 
     def child_types(self, ctor: str) -> tuple:
-        spec = self.constructor(ctor)
-        return tuple(self._registry.get(n) for n in spec.children)
+        try:
+            return self._child_table()[ctor]
+        except KeyError:
+            raise DeriveError(f"type {self.name} has no constructor {ctor!r}") from None
 
     def var(self, name: str) -> Var:
         """A user-named variable of this type.  Names starting with "_"
@@ -126,61 +133,36 @@ class LogicType:
 
 
 def derive_capability(descriptor: DatatypeDescriptor, registry: "TypeRegistry") -> LogicCapability:
-    """Derive the capability for a descriptor, validating it first.
+    """Validate a descriptor; every valid type's capability is `STRUCTURAL`."""
+    _validate(descriptor, registry)
+    return STRUCTURAL
 
-    Rejects duplicate constructor names and child references to types
-    the registry does not know about.
-    """
-    seen = set()
+
+def _validate(descriptor: DatatypeDescriptor, registry: "TypeRegistry") -> dict:
+    """Map each constructor to its child types, rejecting duplicate
+    constructor names and child types the registry does not know."""
+    table: dict = {}
     for spec in descriptor.constructors:
-        if spec.name in seen:
+        if spec.name in table:
             raise DeriveError(
                 f"type {descriptor.type_name}: duplicate constructor {spec.name!r}"
             )
-        seen.add(spec.name)
         for child in spec.children:
             if not registry.knows(child):
                 raise DeriveError(
                     f"type {descriptor.type_name}, constructor {spec.name}: "
                     f"unresolved child type {child!r}"
                 )
-
-    def unify_step(p: Compound, q: Compound, store):
-        if p.ctor != q.ctor:
-            return None
-        for x, y in zip(p.args, q.args):
-            store = terms.unify(x, y, store)
-            if store is None:
-                return None
-        return store
-
-    def occurs(vid: VarId, p: Compound) -> bool:
-        return any(terms.occurs_syntactic(vid, child) for child in p.args)
-
-    def substitute(vid: VarId, replacement: Term, p: Compound) -> Compound:
-        return Compound(
-            p.ltype,
-            p.ctor,
-            tuple(terms.substitute(vid, replacement, child) for child in p.args),
-        )
-
-    def is_ground(p: Compound) -> bool:
-        return all(terms.is_ground_syntactic(child) for child in p.args)
-
-    def pretty(p: Compound) -> str:
-        if not p.args:
-            return p.ctor
-        return f"{p.ctor}({', '.join(terms.pretty(a) for a in p.args)})"
-
-    return LogicCapability(unify_step, occurs, substitute, is_ground, pretty)
+        table[spec.name] = tuple(registry.get(child) for child in spec.children)
+    return table
 
 
 class TypeRegistry:
     """Name-to-type table letting descriptors reference each other.
 
     Declaring only records the descriptor; validation happens when the
-    capability is first derived, so mutually recursive types can be
-    declared in any order.
+    type is first used (its first `make`, `child_types` or `capability`),
+    so mutually recursive types can be declared in any order.
     """
 
     def __init__(self):

@@ -177,11 +177,9 @@ class _QueryParser:
             raise QueryParseError(f"expected a predicate name, found {shown!r}", tok.pos)
         self.take()
         args: List[Term] = []
-        arg_starts: List[int] = []
         if self.peek().kind == "punct" and self.peek().text == "(":
             self.take()
             while True:
-                arg_starts.append(self.peek().pos)
                 args.append(self._parse_raw_term())
                 nxt = self.peek()
                 if nxt.kind == "punct" and nxt.text == ",":
@@ -252,12 +250,11 @@ class _QueryParser:
         if kind == "list":
             if ltype.list_shape is None:
                 raise QueryTypeError(f"expected {ltype.name}, got a list")
-            elem_type = ltype.list_shape[0]
             _, elems, tail, _pos = raw
-            out = prelude.nil(ltype) if tail is None else self._build_term(tail, ltype)
-            for e in reversed(elems):
-                out = ltype.make("cons", self._build_term(e, elem_type), out)
-            return out
+            # Elements left to right, then the tail: first-occurrence order.
+            built = [self._build_term(e, ltype.list_shape[0]) for e in elems]
+            tail_term = None if tail is None else self._build_term(tail, ltype)
+            return prelude.make_list(built, ltype, tail_term)
         raise QueryTypeError(f"cannot type term {raw!r} as {ltype.name}")
 
 

@@ -4,7 +4,8 @@ A term is either a variable or a constructor application whose children
 are themselves terms.  Every term belongs to exactly one logical type;
 variables of the same name but different types are distinct.  Binding
 stores are immutable: extending a store returns a new one, so
-backtracking is just "keep the old reference".
+backtracking is just "keep the old reference".  The structural
+operations recurse over `Compound.args`: one definition for every type.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def occurs_syntactic(vid: VarId, t: Term) -> bool:
     """True iff `vid` appears in `t` as written, ignoring any store."""
     if isinstance(t, Var):
         return t.vid == vid
-    return term_type(t).capability.occurs(vid, t)
+    return any(occurs_syntactic(vid, child) for child in t.args)
 
 
 def occurs_in(vid: VarId, t: Term, store: BindingStore) -> bool:
@@ -157,7 +158,7 @@ def occurs_in(vid: VarId, t: Term, store: BindingStore) -> bool:
 def is_ground_syntactic(t: Term) -> bool:
     if isinstance(t, Var):
         return False
-    return term_type(t).capability.is_ground(t)
+    return all(is_ground_syntactic(child) for child in t.args)
 
 
 def is_ground_term(t: Term, store: BindingStore) -> bool:
@@ -169,7 +170,7 @@ def substitute(vid: VarId, replacement: Term, t: Term) -> Term:
     """Syntactically replace every occurrence of `vid` in `t`."""
     if isinstance(t, Var):
         return replacement if t.vid == vid else t
-    return term_type(t).capability.substitute(vid, replacement, t)
+    return Compound(t.ltype, t.ctor, tuple(substitute(vid, replacement, a) for a in t.args))
 
 
 def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
@@ -193,7 +194,18 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
         return _bind_checked(a.vid, b, store)
     if isinstance(b, Var):
         return _bind_checked(b.vid, a, store)
-    return term_type(a).capability.unify_step(a, b, store)
+    return unify_args(a, b, store)
+
+
+def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[BindingStore]:
+    """Constructor match: same constructor, children unified pairwise."""
+    if p.ctor != q.ctor:
+        return None
+    for x, y in zip(p.args, q.args):
+        store = unify(x, y, store)
+        if store is None:
+            return None
+    return store
 
 
 def _bind_checked(vid: VarId, t: Term, store: BindingStore) -> Optional[BindingStore]:
@@ -210,4 +222,11 @@ def pretty(t: Term) -> str:
     override = getattr(t.ltype, "pretty_override", None)
     if override is not None:
         return override(t)
-    return t.ltype.capability.pretty(t)
+    return pretty_prefix(t)
+
+
+def pretty_prefix(p: Compound) -> str:
+    """``ctor(child, ...)``, each child rendered by `pretty`."""
+    if not p.args:
+        return p.ctor
+    return f"{p.ctor}({', '.join(pretty(a) for a in p.args)})"

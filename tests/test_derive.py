@@ -25,6 +25,12 @@ class TestDescriptorValidation:
         with pytest.raises(DeriveError, match="duplicate constructor"):
             reg.get("color").capability
 
+    def test_duplicate_constructor_rejected_before_unify(self):
+        reg = TypeRegistry()
+        color = reg.declare("color", [("red", []), ("red", [])])
+        with pytest.raises(DeriveError):
+            unify(color.make("red"), color.make("red"), EMPTY_STORE)
+
     def test_unresolved_child_rejected(self):
         reg = TypeRegistry()
         bad = make_descriptor("tree", [("leaf", []), ("node", ["tree", "missing"])])
@@ -72,6 +78,9 @@ class TestDerivedBehaviour:
         v = NAT.var("v")
         assert NAT_LIST.capability.occurs(v.vid, cons(suc(v), nil(NAT_LIST)))
         assert not NAT_LIST.capability.occurs(v.vid, cons(zero(), nil(NAT_LIST)))
+
+    def test_capability_shared_by_all_types(self):
+        assert NAT.capability is NAT_LIST.capability
 
     def test_derivation_deterministic(self):
         reg = TypeRegistry()

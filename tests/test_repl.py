@@ -29,6 +29,12 @@ class TestParser:
         _, qvars = compile_query("plus(A, B, 3).", REG)
         assert [v.name for v in qvars] == ["A", "B"]
 
+    def test_variables_in_list_literal_collected_in_order(self):
+        query = "append([A, B | T], C, [1, 2, 3, 4])."
+        _, qvars = compile_query(query, REG)
+        assert [v.name for v in qvars] == ["A", "B", "T", "C"]
+        assert script(query) == (0, "A = 1, B = 2, T = [], C = [3, 4]\n")
+
     def test_repeated_variable_collected_once(self):
         _, qvars = compile_query("plus(X, X, 4).", REG)
         assert [v.name for v in qvars] == ["X"]
