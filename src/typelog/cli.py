@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse/type error, 2 step budget exhausted,
-3 I/O error.
+3 I/O error, 4 search nested deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -31,17 +31,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     registry = default_registry()
-    if args.script is not None:
-        budget = args.max_steps if args.max_steps is not None else DEFAULT_SCRIPT_BUDGET
-        try:
-            return run_script(args.script, registry, max_steps=budget)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 3
     try:
-        repl(registry, max_steps=args.max_steps, quiet=args.quiet)
-    except KeyboardInterrupt:
-        pass
+        if args.script is not None:
+            budget = args.max_steps if args.max_steps is not None else DEFAULT_SCRIPT_BUDGET
+            try:
+                return run_script(args.script, registry, max_steps=budget)
+            except OSError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 3
+        try:
+            repl(registry, max_steps=args.max_steps, quiet=args.quiet)
+        except KeyboardInterrupt:
+            pass
+    except RecursionError:
+        print("error: search nested deeper than the Python recursion limit",
+              file=sys.stderr)
+        return 4
     return 0
 
 

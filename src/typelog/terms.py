@@ -6,11 +6,21 @@ variables of the same name but different types are distinct.  Binding
 stores are immutable: extending a store returns a new one, so
 backtracking is just "keep the old reference".  The structural
 operations recurse over `Compound.args`: one definition for every type.
+
+Groundness invariant: every `Compound` carries a `ground` flag, computed
+once at construction from its children's flags (O(arity), no recursion),
+and true iff the term contains no variable as written.  A ground term
+cannot change under any store, so `resolve`, `occurs_in`,
+`is_ground_term` and `substitute` return at a ground subterm without
+entering it, and their cost is linear in the part of the term that is
+not yet ground.  `occurs_in` and `is_ground_term` walk the store with an
+explicit stack (`_free_vids`) instead of building `resolve(t, store)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
 
@@ -50,6 +60,16 @@ class Compound:
     ltype: Any
     ctor: str
     args: tuple
+    # True iff no variable occurs in the term; not part of equality.
+    ground: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ground = True
+        for a in self.args:
+            if not (isinstance(a, Compound) and a.ground):
+                ground = False
+                break
+        object.__setattr__(self, "ground", ground)
 
     def __repr__(self):
         if not self.args:
@@ -134,42 +154,57 @@ def walk(t: Term, store: BindingStore) -> Term:
 
 def resolve(t: Term, store: BindingStore) -> Term:
     """Replace every bound variable in `t` by its fully resolved binding,
-    recursively through compound children.  Idempotent."""
+    recursively through compound children.  Idempotent.  Ground subterms,
+    and nodes none of whose children change, are returned as they are."""
     t = walk(t, store)
-    if isinstance(t, Var):
+    if isinstance(t, Var) or t.ground:
         return t
-    if not t.args:
+    args = tuple(resolve(a, store) for a in t.args)
+    if all(map(operator.is_, args, t.args)):
         return t
-    return Compound(t.ltype, t.ctor, tuple(resolve(a, store) for a in t.args))
+    return Compound(t.ltype, t.ctor, args)
 
 
 def occurs_syntactic(vid: VarId, t: Term) -> bool:
     """True iff `vid` appears in `t` as written, ignoring any store."""
     if isinstance(t, Var):
         return t.vid == vid
-    return any(occurs_syntactic(vid, child) for child in t.args)
+    return not t.ground and any(occurs_syntactic(vid, child) for child in t.args)
+
+
+def _free_vids(t: Term, store: BindingStore) -> Iterator[VarId]:
+    """The variables of resolve(t, store), with repeats, found by walking
+    the store from `t` over an explicit stack; ground subterms are
+    skipped and nothing is built."""
+    stack = [t]
+    while stack:
+        t = walk(stack.pop(), store)
+        if isinstance(t, Var):
+            yield t.vid
+        elif not t.ground:
+            stack.extend(t.args)
 
 
 def occurs_in(vid: VarId, t: Term, store: BindingStore) -> bool:
     """True iff `vid` occurs anywhere in resolve(t, store)."""
-    return occurs_syntactic(vid, resolve(t, store))
+    return vid in _free_vids(t, store)
 
 
 def is_ground_syntactic(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground_syntactic(child) for child in t.args)
+    return isinstance(t, Compound) and t.ground
 
 
 def is_ground_term(t: Term, store: BindingStore) -> bool:
     """True iff resolve(t, store) contains no variables."""
-    return is_ground_syntactic(resolve(t, store))
+    return next(_free_vids(t, store), None) is None
 
 
 def substitute(vid: VarId, replacement: Term, t: Term) -> Term:
     """Syntactically replace every occurrence of `vid` in `t`."""
     if isinstance(t, Var):
         return replacement if t.vid == vid else t
+    if t.ground:
+        return t
     return Compound(t.ltype, t.ctor, tuple(substitute(vid, replacement, a) for a in t.args))
 
 

@@ -1,12 +1,14 @@
 """Property-based checks of the unification algebra over randomly
 generated natural-number and list terms."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from typelog.prelude import NAT, NAT_LIST, cons, nil, suc, zero
 from typelog.terms import (
     EMPTY_STORE,
+    BindingStore,
+    Var,
     is_ground_term,
     occurs_in,
     resolve,
@@ -67,12 +69,25 @@ def test_term_unifies_with_itself(t):
     assert unify(t, t, EMPTY_STORE) is not None
 
 
+def two_pairs():
+    """A variable and a term, then a pair of terms, all of one type:
+    unify the first pair, then the second in the store it produced."""
+    def of(ltype, names, terms):
+        first = st.tuples(st.sampled_from(names).map(ltype.var), terms)
+        return st.tuples(first, st.tuples(terms, terms))
+    return st.one_of(of(NAT, NAT_VARS, nat_terms()), of(NAT_LIST, LIST_VARS, list_terms()))
+
+
 @settings(max_examples=200)
-@given(either_pair())
-def test_failure_leaves_store_unusable_but_unchanged(pair):
-    t1, t2 = pair
-    if unify(t1, t2, EMPTY_STORE) is None:
-        assert EMPTY_STORE == EMPTY_STORE.__class__()
+@given(two_pairs())
+def test_failure_leaves_store_unusable_but_unchanged(pairs):
+    earlier, (t1, t2) = pairs
+    store = unify(*earlier, EMPTY_STORE)
+    assume(store is not None and len(store) > 0)
+    snapshot = BindingStore(dict(store.items()))
+    if unify(t1, t2, store) is None:
+        assert store == snapshot
+        assert len(store) == len(snapshot)
 
 
 @settings(max_examples=300)
@@ -93,3 +108,66 @@ def test_ground_results_are_variable_free(pair):
     if store is not None and is_ground_term(t1, store):
         assert is_ground_term(t2, store)
         assert resolve(t1, store) == resolve(t2, store)
+
+
+# The recursive definitions the term layer used before groundness was
+# cached and the occurs check walked the store; kept as the oracle.
+
+def is_ground_syntactic(t):
+    if isinstance(t, Var):
+        return False
+    return all(is_ground_syntactic(child) for child in t.args)
+
+
+def occurs_syntactic(vid, t):
+    if isinstance(t, Var):
+        return t.vid == vid
+    return any(occurs_syntactic(vid, child) for child in t.args)
+
+
+def subterms(t):
+    yield t
+    if not isinstance(t, Var):
+        for child in t.args:
+            yield from subterms(child)
+
+
+def unified_cases(pair):
+    """(terms, store) for the pair and the store `unify` gives it; the
+    terms are the pair, every bound value and their resolved forms."""
+    t1, t2 = pair
+    store = unify(t1, t2, EMPTY_STORE)
+    if store is None:
+        store = EMPTY_STORE
+    terms = [t1, t2] + [store.lookup(vid) for vid in store]
+    return terms + [resolve(t, store) for t in terms], store
+
+
+@settings(max_examples=300)
+@given(either_pair())
+def test_ground_flag_matches_recursive_definition(pair):
+    terms, _ = unified_cases(pair)
+    for t in terms:
+        for sub in subterms(t):
+            if not isinstance(sub, Var):
+                assert sub.ground == is_ground_syntactic(sub)
+
+
+@settings(max_examples=300)
+@given(either_pair())
+def test_occurs_in_matches_occurs_in_resolved_term(pair):
+    terms, store = unified_cases(pair)
+    vids = {sub.vid for t in terms for sub in subterms(t) if isinstance(sub, Var)}
+    vids |= {NAT.var("fresh").vid, NAT_LIST.var("fresh").vid}
+    for t in terms:
+        for vid in vids:
+            assert occurs_in(vid, t, store) == occurs_syntactic(vid, resolve(t, store))
+
+
+@settings(max_examples=300)
+@given(either_pair())
+def test_is_ground_term_matches_groundness_of_resolved_term(pair):
+    terms, store = unified_cases(pair)
+    for t in terms:
+        for sub in subterms(t):
+            assert is_ground_term(sub, store) == is_ground_syntactic(resolve(sub, store))

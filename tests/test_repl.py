@@ -192,6 +192,13 @@ class TestCli:
         f.write_text("plus(A, 1, C), fail.\n")
         assert main(["--script", str(f), "--max-steps", "200"]) == 2
 
+    def test_search_deeper_than_recursion_limit_exit_4(self, tmp_path, capsys):
+        f = tmp_path / "queries.txt"
+        f.write_text("plus(400, X, 800).\n")
+        assert main(["--script", str(f)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestInteractive:
     def run(self, input_text, **kwargs):

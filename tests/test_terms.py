@@ -63,6 +63,14 @@ class TestResolve:
         once = resolve(suc(X), s)
         assert resolve(once, s) == once
 
+    def test_ground_and_unchanged_terms_returned_as_is(self):
+        s = store_of((X, zero()))
+        t = nat(3)
+        assert resolve(t, s) is t
+        u = suc(Y)
+        assert resolve(u, s) is u
+        assert resolve(suc(X), s).ground
+
 
 class TestUnify:
     def test_var_against_ground(self):
@@ -146,6 +154,27 @@ class TestOccursAndGround:
     def test_substitute_syntactic(self):
         assert substitute(X.vid, nat(2), suc(X)) == suc(nat(2))
         assert substitute(X.vid, nat(2), suc(Y)) == suc(Y)
+
+
+class TestDeepTerms:
+    """Terms far deeper than Python's recursion limit."""
+
+    DEPTH = 5000
+
+    def test_unify_variable_with_deep_ground_term(self):
+        t = nat(self.DEPTH)
+        s = unify(t, NAT.var("X"), EMPTY_STORE)
+        assert s is not None and s.lookup(NAT.var("X").vid) is t
+
+    def test_deep_ground_term_is_ground(self):
+        assert is_ground_term(nat(self.DEPTH), EMPTY_STORE)
+
+    def test_occurs_over_long_binding_chain(self):
+        chain = [NAT.var(f"v{i}") for i in range(self.DEPTH)]
+        bindings = {v.vid: w for v, w in zip(chain, chain[1:])}
+        bindings[chain[-1].vid] = nat(self.DEPTH)
+        s = BindingStore(bindings)
+        assert not occurs_in(NAT.var("fresh").vid, chain[0], s)
 
 
 class TestBindingStore:
