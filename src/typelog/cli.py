@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse/type error, 2 step budget exhausted,
-3 I/O error, 4 search nested deeper than Python's recursion limit.
+3 I/O error, 4 a term nested deeper than Python's recursion limit
+(search depth itself is bounded only by memory and the step budget).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:
             pass
     except RecursionError:
-        print("error: search nested deeper than the Python recursion limit",
+        print("error: term nested deeper than the Python recursion limit",
               file=sys.stderr)
         return 4
     return 0

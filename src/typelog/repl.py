@@ -11,6 +11,7 @@ wildcard, and decimal integers are Peano numerals.  Example::
 
 from __future__ import annotations
 
+import io
 import re
 import sys
 from dataclasses import dataclass
@@ -300,7 +301,7 @@ def _rename_hidden_vars(terms_shown: List[Term], avoid: set) -> List[Term]:
             if t.vid not in mapping:
                 mapping[t.vid] = Var(VarId(fresh_name(), t.vid.ltype))
             return mapping[t.vid]
-        if not t.args:
+        if t.ground:
             return t
         return Compound(t.ltype, t.ctor, tuple(rewrite(a) for a in t.args))
 
@@ -363,15 +364,16 @@ def _run_query(goal: Goal, qvars: List[VarId], want_next: Callable[[], bool],
 # --- script mode ----------------------------------------------------------
 
 
-def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
-                    max_steps: Optional[int] = DEFAULT_SCRIPT_BUDGET) -> Tuple[int, str]:
-    """Run a transcript: one query per line, a "NEXT" line requests the
-    next solution of the preceding query.  Returns (exit_code, output).
-    Exit codes: 0 clean, 1 parse/type error, 2 budget exhausted."""
+def _run_transcript(text: str, registry: Optional[PredicateRegistry],
+                    max_steps: Optional[int], out: TextIO) -> int:
+    """Run a transcript, writing each output line to `out` as it is
+    produced; returns the exit code."""
     registry = registry or default_registry()
     lines = [ln.strip() for ln in text.splitlines()]
-    out: List[str] = []
-    emit = out.append
+
+    def emit(line: str) -> None:
+        out.write(line + "\n")
+
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -382,7 +384,7 @@ def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
             goal, qvars = compile_query(line, registry)
         except (QueryParseError, QueryTypeError) as err:
             emit(str(err))
-            return 1, "\n".join(out) + "\n"
+            return 1
 
         def want_next() -> bool:
             nonlocal i
@@ -393,18 +395,29 @@ def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
 
         status = _run_query(goal, qvars, want_next, emit, max_steps)
         if status == _BUDGET:
-            return 2, "\n".join(out) + "\n"
-    return 0, ("\n".join(out) + "\n") if out else ""
+            return 2
+    return 0
+
+
+def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
+                    max_steps: Optional[int] = DEFAULT_SCRIPT_BUDGET) -> Tuple[int, str]:
+    """Run a transcript: one query per line, a "NEXT" line requests the
+    next solution of the preceding query.  Returns (exit_code, output).
+    Exit codes: 0 clean, 1 parse/type error, 2 budget exhausted."""
+    out = io.StringIO()
+    code = _run_transcript(text, registry, max_steps, out)
+    return code, out.getvalue()
 
 
 def run_script(path: str, registry: Optional[PredicateRegistry] = None,
                max_steps: Optional[int] = DEFAULT_SCRIPT_BUDGET,
                stdout: Optional[TextIO] = None) -> int:
+    """Run the transcript in file `path`, writing each line to `stdout`
+    as it is produced, so an error that escapes a later query leaves the
+    answers of the earlier ones in place.  Returns the exit code."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    code, output = run_script_text(text, registry, max_steps)
-    (stdout or sys.stdout).write(output)
-    return code
+    return _run_transcript(text, registry, max_steps, stdout or sys.stdout)
 
 
 # --- interactive mode -----------------------------------------------------

@@ -1,10 +1,15 @@
 """Goal evaluation: lazy depth-first search with chronological
-backtracking and scoped cut propagation.
+backtracking and scoped cut.
 
-Evaluation of a goal produces a stream of binding stores.  A cut that
-fires travels upward as a terminal marker on the stream: enclosing
-disjunctions and conjunctions stop exploring alternatives when they see
-it, and a Scope node strips it.  The stream is demand-driven, so taking
+One loop runs every query.  It keeps a continuation, a linked list of
+(goal, barrier) frames still to prove after the current goal, and a
+choicepoint stack of (goal, barrier, store, continuation) entries to
+resume on failure.  A conjunction pushes its right goal onto the
+continuation, a disjunction pushes its right goal as a choicepoint, and
+failure resumes the newest choicepoint.  A Scope sets the barrier to the
+height of the choicepoint stack; a cut truncates the stack to the
+barrier of its scope, discarding every alternative opened since the
+scope was entered.  Answers are yielded as they are found, so taking
 the first n solutions performs only the search needed to find them.
 """
 
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from . import goals as g
 from .terms import (
@@ -32,16 +37,6 @@ class StepBudgetExceeded(LogicError):
     """Raised when a solver step budget runs out mid-search."""
 
 
-class _Cut:
-    """Terminal stream marker: a cut escaped the goal that produced it."""
-
-    def __repr__(self):
-        return "<cut>"
-
-
-CUT = _Cut()
-
-
 @dataclass(frozen=True)
 class Solution:
     """One answer: bindings of user-named variables, fully resolved,
@@ -51,97 +46,74 @@ class Solution:
     counter_at_yield: int
 
 
-class _Engine:
-    """Per-query evaluation state: fresh-variable counter and optional
-    step budget.  One engine drives exactly one query."""
+def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingStore, int]]:
+    """Yield (store, fresh-variable counter) for each solution of `goal`.
 
-    def __init__(self, max_steps: Optional[int] = None):
-        self.counter = 0
-        self.steps = 0
-        self.max_steps = max_steps
-
-    def fresh(self, ltype) -> Var:
-        vid = VarId(f"_{self.counter}", ltype)
-        self.counter += 1
-        return Var(vid)
-
-    def _tick(self):
-        self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise StepBudgetExceeded(f"step budget of {self.max_steps} exhausted")
-
-    def run(self, goal: g.Goal, store: BindingStore) -> Iterator:
-        """Yield binding stores; may end with the CUT marker."""
-        self._tick()
-        if isinstance(goal, g.Succeed):
-            yield store
-        elif isinstance(goal, g.Fail):
-            return
-        elif isinstance(goal, g.Unify):
-            extended = unify(goal.left, goal.right, store)
-            if extended is not None:
-                yield extended
-        elif isinstance(goal, g.Conj):
-            for item in self.run(goal.g1, store):
-                if item is CUT:
-                    yield CUT
-                    return
-                for inner in self.run(goal.g2, item):
-                    if inner is CUT:
-                        # A cut in the right conjunct also discards the
-                        # remaining alternatives of the left one.
-                        yield CUT
-                        return
-                    yield inner
-        elif isinstance(goal, g.Disj):
-            for item in self.run(goal.g1, store):
-                if item is CUT:
-                    yield CUT
-                    return
-                yield item
-            yield from self.run(goal.g2, store)
-        elif isinstance(goal, g.CutThen):
-            first = None
-            committed = False
-            for item in self.run(goal.g1, store):
-                if item is CUT:
-                    yield CUT
-                    return
-                first = item
-                committed = True
-                break
-            if not committed:
-                # Left side never succeeded: the node fails, no cut fires.
-                return
-            for item in self.run(goal.g2, first):
-                if item is CUT:
-                    yield CUT
-                    return
-                yield item
-            yield CUT
-        elif isinstance(goal, g.Scope):
-            for item in self.run(goal.g, store):
-                if item is CUT:
-                    return
-                yield item
-        elif isinstance(goal, g.Exists):
-            fresh = self.fresh(goal.ltype)
-            yield from self.run(goal.body(fresh), store)
-        elif isinstance(goal, g.IsGround):
-            if is_ground_term(goal.term, store):
-                yield store
+    Every goal node evaluated is one step against `max_steps`.  A
+    continuation frame whose goal is None is the cut of a CutThen; it
+    costs no step.
+    """
+    counter = steps = 0
+    store = EMPTY_STORE
+    barrier = 0
+    cont = None  # (goal, barrier, rest) or None
+    choices: list = []  # (goal, barrier, store, cont)
+    while True:
+        if goal is None:
+            del choices[barrier:]
+            ok = True
         else:
-            raise LogicError(f"not a goal: {goal!r}")
+            steps += 1
+            if max_steps is not None and steps > max_steps:
+                raise StepBudgetExceeded(f"step budget of {max_steps} exhausted")
+            if isinstance(goal, g.Conj):
+                cont = (goal.g2, barrier, cont)
+                goal = goal.g1
+                continue
+            if isinstance(goal, g.Disj):
+                choices.append((goal.g2, barrier, store, cont))
+                goal = goal.g1
+                continue
+            if isinstance(goal, g.CutThen):
+                cont = (None, barrier, (goal.g2, barrier, cont))
+                goal = goal.g1
+                continue
+            if isinstance(goal, g.Scope):
+                barrier = len(choices)
+                goal = goal.g
+                continue
+            if isinstance(goal, g.Exists):
+                fresh = Var(VarId(f"_{counter}", goal.ltype))
+                counter += 1
+                goal = goal.body(fresh)
+                continue
+            if isinstance(goal, g.Unify):
+                extended = unify(goal.left, goal.right, store)
+                ok = extended is not None
+                if ok:
+                    store = extended
+            elif isinstance(goal, g.Succeed):
+                ok = True
+            elif isinstance(goal, g.Fail):
+                ok = False
+            elif isinstance(goal, g.IsGround):
+                ok = is_ground_term(goal.term, store)
+            else:
+                raise LogicError(f"not a goal: {goal!r}")
+        if ok:
+            if cont is not None:
+                goal, barrier, cont = cont
+                continue
+            yield store, counter
+        if not choices:
+            return
+        goal, barrier, store, cont = choices.pop()
 
 
 def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[BindingStore]:
     """Lazy stream of raw binding stores for `goal`, starting from the
     empty store.  A top-level cut simply ends the stream."""
-    engine = _Engine(max_steps)
-    for item in engine.run(goal, EMPTY_STORE):
-        if item is CUT:
-            return
-        yield item
+    yield from (store for store, _ in _search(goal, max_steps))
 
 
 def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:
@@ -152,11 +124,7 @@ def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:
     resolved.  Diverges when the search tree has an infinite leftmost
     path, like Prolog.
     """
-    engine = _Engine(max_steps)
-    for item in engine.run(goal, EMPTY_STORE):
-        if item is CUT:
-            return
-        yield _project(item, engine.counter)
+    yield from (_project(store, counter) for store, counter in _search(goal, max_steps))
 
 
 def _project(store: BindingStore, counter: int) -> Solution:

@@ -4,7 +4,9 @@ generated natural-number and list terms."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from typelog.prelude import NAT, NAT_LIST, cons, nil, suc, zero
+from typelog.goals import eq, exists, fail_goal, is_ground, neg, scope, succeed
+from typelog.prelude import NAT, NAT_LIST, cons, nat, nil, suc, zero
+from typelog.solve import solve
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
@@ -14,6 +16,8 @@ from typelog.terms import (
     resolve,
     unify,
 )
+
+from reference import eager_answers
 
 NAT_VARS = ("x", "y", "z")
 LIST_VARS = ("xs", "ys")
@@ -171,3 +175,38 @@ def test_is_ground_term_matches_groundness_of_resolved_term(pair):
     for t in terms:
         for sub in subterms(t):
             assert is_ground_term(sub, store) == is_ground_syntactic(resolve(sub, store))
+
+
+# Random goal trees over every connective: the lazy solver must give the
+# eager reference interpreter's answers in the same order.
+
+GOAL_VARS = st.sampled_from([NAT.var(n) for n in "XYZ"])
+GOAL_TERMS = st.one_of(GOAL_VARS, st.sampled_from([nat(0), nat(1), nat(2), suc(NAT.var("X"))]))
+
+
+def goal_trees():
+    leaf = st.one_of(
+        st.tuples(GOAL_VARS, GOAL_TERMS).map(lambda p: eq(*p)),
+        st.sampled_from([succeed(), fail_goal()]),
+        GOAL_TERMS.map(is_ground),
+    )
+
+    def extend(sub):
+        pair = st.tuples(sub, sub)
+        return st.one_of(
+            pair.map(lambda p: p[0] & p[1]),
+            pair.map(lambda p: p[0] | p[1]),
+            pair.map(lambda p: p[0] ^ p[1]),
+            sub.map(scope),
+            sub.map(neg),
+            st.tuples(GOAL_TERMS, sub).map(
+                lambda p: exists(NAT, lambda v: eq(v, p[0]) & p[1])),
+        )
+    return st.recursive(leaf, extend, max_leaves=12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(goal_trees())
+def test_solver_matches_eager_reference_on_goal_trees(goal):
+    lazy = [{vid.name: t for vid, t in s.bindings.items()} for s in solve(goal)]
+    assert lazy == eager_answers(goal)

@@ -8,6 +8,7 @@ from typelog.prelude import (
     is_tail,
     member,
     nat,
+    not_member,
     nat_list,
     nat_value,
     plus,
@@ -114,6 +115,30 @@ class TestLaziness:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(StepBudgetExceeded):
             list(solve(plus("A", 1, "C"), max_steps=200))
+
+    @pytest.mark.parametrize("goal, steps", [
+        (remainder(7, 3, "R"), 202),
+        (member("X", [1, 2, 3]), 28),
+        (not_member(4, [1, 2, 3]), 32),
+        (plus("A", "B", 4), 50),
+        (remainder(3, 0, "R"), 6),
+    ])
+    def test_smallest_budget_that_completes(self, goal, steps):
+        # Every goal node evaluated is one step; the cut itself is none.
+        assert len(list(solve(goal, max_steps=steps))) == len(list(solve(goal)))
+        with pytest.raises(StepBudgetExceeded):
+            list(solve(goal, max_steps=steps - 1))
+
+
+class TestDeepSearch:
+    # Search depth is bounded by memory and the step budget, not by
+    # Python's recursion limit.
+    def test_deep_subtraction(self):
+        assert holds(plus(3000, "B", 6000))
+
+    def test_long_member_enumeration(self):
+        values = find_all(X, member(X, [i % 10 for i in range(2000)]))
+        assert [nat_value(t) for t in values] == [i % 10 for i in range(2000)]
 
 
 class TestCutContainment:
