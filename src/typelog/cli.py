@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse/type error, 2 step budget exhausted,
-3 I/O error, 4 a term nested deeper than Python's recursion limit
-(search depth itself is bounded only by memory and the step budget).
+3 script unreadable (I/O error or not UTF-8), 4 a term nested deeper
+than the recursion limit (search depth is bounded by memory and budget).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
             budget = args.max_steps if args.max_steps is not None else DEFAULT_SCRIPT_BUDGET
             try:
                 return run_script(args.script, registry, max_steps=budget)
-            except OSError as err:
+            except (OSError, UnicodeDecodeError) as err:
                 print(f"error: {err}", file=sys.stderr)
                 return 3
         try:

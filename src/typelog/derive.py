@@ -5,18 +5,20 @@ positions.  The operations the engine needs (unification, occurs check,
 substitution, groundness, printing) are structural over `Compound.args`
 and live in `terms`, shared by every type.  Each descriptor is validated
 once, on first use, which also builds the constructor -> child-types
-table that `LogicType.make` checks against.  Recursive and mutually
-recursive types are supported: child positions refer to types by name
-and are resolved through a registry.
+table that `LogicType.make` checks against; `LogicType.element` is
+derived from it, and `declare` takes the printer and numeral encoding.
+Recursive and mutually recursive types are supported: child positions
+refer to types by name and are resolved through a registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from . import terms
-from .terms import Compound, LogicError, Term, TypeMismatchError, Var, VarId
+from .terms import EMPTY_STORE, Compound, LogicError, Term, TypeMismatchError, Var, VarId
 
 
 class DeriveError(LogicError):
@@ -50,8 +52,9 @@ class LogicCapability:
     pretty: Callable
 
 
-STRUCTURAL = LogicCapability(terms.unify_args, terms.occurs_syntactic, terms.substitute,
-                             terms.is_ground_syntactic, terms.pretty_prefix)
+STRUCTURAL = LogicCapability(terms.unify_args, partial(terms.occurs_in, store=EMPTY_STORE),
+                             terms.substitute, partial(terms.is_ground_term, store=EMPTY_STORE),
+                             terms.pretty_prefix)
 
 
 class LogicType:
@@ -62,17 +65,14 @@ class LogicType:
     TypeRegistry.declare.
     """
 
-    def __init__(self, descriptor: DatatypeDescriptor, registry: "TypeRegistry"):
+    def __init__(self, descriptor: DatatypeDescriptor, registry: "TypeRegistry",
+                 pretty_override=None, from_int=None):
         self._descriptor = descriptor
         self._registry = registry
         # Constructor name -> child LogicTypes; built by validation.
         self._children: Optional[dict] = None
-        # Installed by preludes: overrides the prefix printer.
-        self.pretty_override: Optional[Callable[[Compound], str]] = None
-        # Installed for types that have a numeral encoding (Peano nats).
-        self.from_int: Optional[Callable[[int], Term]] = None
-        # Installed for list-like types: (element_type, nil_ctor, cons_ctor).
-        self.list_shape: Optional[tuple] = None
+        self.pretty_override = pretty_override
+        self.from_int = from_int
 
     @property
     def name(self) -> str:
@@ -91,6 +91,14 @@ class LogicType:
         """The shared structural operations, once the descriptor is valid."""
         self._child_table()
         return STRUCTURAL
+
+    @property
+    def element(self) -> Optional["LogicType"]:
+        """E when the constructors are exactly ``nil()`` and ``cons(E, <this type>)``."""
+        table = self._child_table()
+        if len(table) == 2 and table.get("nil") == () and table.get("cons", ())[1:] == (self,):
+            return table["cons"][0]
+        return None
 
     def _child_table(self) -> dict:
         if self._children is None:
@@ -168,13 +176,15 @@ class TypeRegistry:
     def __init__(self):
         self._types: dict = {}
 
-    def declare(self, name: str, constructors) -> LogicType:
+    def declare(self, name: str, constructors, *, pretty_override: Optional[Callable] = None,
+                from_int: Optional[Callable] = None) -> LogicType:
         """Register a datatype.  `constructors` is a sequence of
-        (constructor_name, [child_type_name, ...]) pairs."""
+        (constructor_name, [child_type_name, ...]) pairs.  `pretty_override`
+        replaces the prefix printer; `from_int` encodes Python ints."""
         if name in self._types:
             raise DeriveError(f"type {name!r} is already declared")
         specs = tuple(ConstructorSpec(c, tuple(children)) for c, children in constructors)
-        ltype = LogicType(DatatypeDescriptor(name, specs), self)
+        ltype = LogicType(DatatypeDescriptor(name, specs), self, pretty_override, from_int)
         self._types[name] = ltype
         return ltype
 

@@ -10,15 +10,12 @@ terms.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence, Union
 
-from .derive import LogicType, TypeRegistry
+from .derive import DeriveError, LogicType, TypeRegistry
 from .goals import Goal, eq, exists, fail_goal, neg, scope
 from .terms import Compound, Term, TypeMismatchError, Var, pretty, term_type
-
-REGISTRY = TypeRegistry()
-
-NAT = REGISTRY.declare("nat", [("zero", []), ("suc", ["nat"])])
 
 TermLike = Union[Term, int, str, Sequence]
 
@@ -32,13 +29,13 @@ def suc(t: TermLike) -> Compound:
 
 
 def nat(n: int) -> Compound:
-    """The ground Peano numeral for n >= 0."""
+    """The ground Peano numeral for n >= 0; its child is nat(n - 1)."""
     if n < 0:
         raise ValueError("Peano numerals are nonnegative")
-    t = zero()
-    for _ in range(n):
-        t = NAT.make("suc", t)
-    return t
+    with _NUMERALS_LOCK:
+        while n >= len(_NUMERALS):
+            _NUMERALS.append(NAT.make("suc", _NUMERALS[-1]))
+    return _NUMERALS[n]
 
 
 def nat_value(t: Term) -> int:
@@ -72,23 +69,27 @@ def _pretty_list(t: Compound) -> str:
     return "[" + ", ".join(elems) + "]"
 
 
-NAT.pretty_override = _pretty_nat
-NAT.from_int = nat
+REGISTRY = TypeRegistry()
 
-_LIST_TYPES: dict = {}
+NAT = REGISTRY.declare("nat", [("zero", []), ("suc", ["nat"])],
+                       pretty_override=_pretty_nat, from_int=nat)
+
+# nat(0..k) for the largest k asked for so far, each the child of the next.
+_NUMERALS = [NAT.make("zero")]
+_NUMERALS_LOCK = threading.Lock()
 
 
 def list_of(elem: LogicType) -> LogicType:
-    """The list type over a given element type, declared on demand and
-    memoized, so lists over any registered type need no extra code."""
-    cached = _LIST_TYPES.get(elem)
-    if cached is not None:
-        return cached
+    """The list type ``list(<elem>)`` over a given element type, declared
+    in `elem`'s registry on first use, so lists over any registered type
+    need no extra code."""
     name = f"list({elem.name})"
-    ltype = elem.registry.declare(name, [("nil", []), ("cons", [elem.name, name])])
-    ltype.list_shape = (elem, "nil", "cons")
-    ltype.pretty_override = _pretty_list
-    _LIST_TYPES[elem] = ltype
+    if not elem.registry.knows(name):
+        return elem.registry.declare(name, [("nil", []), ("cons", [elem.name, name])],
+                                     pretty_override=_pretty_list)
+    ltype = elem.registry.get(name)
+    if ltype.element is not elem:
+        raise DeriveError(f"type {name!r} is already declared and is not a list of {elem.name}")
     return ltype
 
 
@@ -100,19 +101,16 @@ def nil(ltype: LogicType) -> Compound:
 
 
 def cons(head: Term, tail: Term) -> Compound:
-    ltype = term_type(tail)
-    if ltype.list_shape is None:
-        raise TypeMismatchError(f"cons: {ltype.name} is not a list type")
-    return ltype.make("cons", head, tail)
+    return _list_type(tail).make("cons", head, tail)
 
 
 def make_list(elems: Sequence[TermLike], ltype: LogicType,
               tail: Optional[TermLike] = None) -> Term:
     """A right-nested cons chain over `elems`, ending in nil or in the
     given tail (a list-typed term or variable name)."""
-    if ltype.list_shape is None:
+    elem_type = ltype.element
+    if elem_type is None:
         raise TypeMismatchError(f"{ltype.name} is not a list type")
-    elem_type = ltype.list_shape[0]
     out = nil(ltype) if tail is None else as_term(tail, ltype)
     for e in reversed(list(elems)):
         out = ltype.make("cons", as_term(e, elem_type), out)
@@ -148,14 +146,17 @@ def as_nat(x: TermLike) -> Term:
     return as_term(x, NAT)
 
 
-def _infer_list_type(xs: TermLike, elem_hint: TermLike = None) -> LogicType:
-    if isinstance(xs, (Var, Compound)):
-        ltype = term_type(xs)
-        if ltype.list_shape is None:
-            raise TypeMismatchError(f"{ltype.name} is not a list type")
-        return ltype
-    if isinstance(elem_hint, (Var, Compound)):
-        return list_of(term_type(elem_hint))
+def _list_type(*lists: TermLike, elem: TermLike = None) -> LogicType:
+    """The type of the first term among `lists` (a list type), else the
+    list type over `elem`'s type if `elem` is a term, else NAT_LIST."""
+    for xs in lists:
+        if isinstance(xs, (Var, Compound)):
+            ltype = term_type(xs)
+            if ltype.element is None:
+                raise TypeMismatchError(f"{ltype.name} is not a list type")
+            return ltype
+    if isinstance(elem, (Var, Compound)):
+        return list_of(term_type(elem))
     return NAT_LIST
 
 
@@ -188,24 +189,24 @@ def lt(x: TermLike, y: TermLike) -> Goal:
 
 def is_head(xs: TermLike, y: TermLike) -> Goal:
     """y is the first element of xs."""
-    ltype = _infer_list_type(xs, y)
+    ltype = _list_type(xs, elem=y)
     xs = as_term(xs, ltype)
-    y = as_term(y, ltype.list_shape[0])
+    y = as_term(y, ltype.element)
     return exists(ltype, lambda tl: eq(xs, cons(y, tl)))
 
 
 def is_tail(xs: TermLike, ys: TermLike) -> Goal:
     """ys is xs without its first element."""
-    ltype = _infer_list_type(xs) if isinstance(xs, (Var, Compound)) else _infer_list_type(ys)
+    ltype = _list_type(xs, ys)
     xs = as_term(xs, ltype)
     ys = as_term(ys, ltype)
-    return exists(ltype.list_shape[0], lambda h: eq(xs, cons(h, ys)))
+    return exists(ltype.element, lambda h: eq(xs, cons(h, ys)))
 
 
 def member(x: TermLike, xs: TermLike) -> Goal:
     """x occurs in xs; enumerates elements in list order."""
-    ltype = _infer_list_type(xs, x)
-    elem_type = ltype.list_shape[0]
+    ltype = _list_type(xs, elem=x)
+    elem_type = ltype.element
     x = as_term(x, elem_type)
     xs = as_term(xs, ltype)
     return exists(ltype, lambda tl: eq(xs, cons(x, tl))) | exists(
@@ -215,14 +216,13 @@ def member(x: TermLike, xs: TermLike) -> Goal:
 
 def not_member(x: TermLike, xs: TermLike) -> Goal:
     """Negation-as-failure of member: weak when x or xs is unbound."""
-    ltype = _infer_list_type(xs, x)
-    return neg(member(as_term(x, ltype.list_shape[0]), as_term(xs, ltype)))
+    return neg(member(x, xs))
 
 
 def sorted_with(compare: Callable[[Term, Term], Goal], v: TermLike) -> Goal:
     """The list v is ordered under the given comparison predicate."""
-    ltype = _infer_list_type(v)
-    elem_type = ltype.list_shape[0]
+    ltype = _list_type(v)
+    elem_type = ltype.element
     v = as_term(v, ltype)
     return (
         eq(v, nil(ltype))
@@ -243,11 +243,11 @@ def sorted_nat(v: TermLike) -> Goal:
 def map_p(f: Callable[[Term, Term], Goal], l1: TermLike, l2: TermLike) -> Goal:
     """Elementwise relation: f holds between corresponding elements of
     two equal-length lists.  Relational in both lists."""
-    lt1 = _infer_list_type(l1)
-    lt2 = _infer_list_type(l2)
+    lt1 = _list_type(l1)
+    lt2 = _list_type(l2)
     l1 = as_term(l1, lt1)
     l2 = as_term(l2, lt2)
-    et1, et2 = lt1.list_shape[0], lt2.list_shape[0]
+    et1, et2 = lt1.element, lt2.element
     return (eq(l1, nil(lt1)) & eq(l2, nil(lt2))) | exists(et1, lambda h1: exists(
         lt1, lambda t1: exists(et2, lambda h2: exists(lt2, lambda t2: (
             eq(l1, cons(h1, t1))
@@ -277,15 +277,9 @@ def remainder(n: TermLike, q: TermLike, r: TermLike) -> Goal:
 
 def append_list(xs: TermLike, ys: TermLike, zs: TermLike) -> Goal:
     """zs is xs followed by ys; relational in all three arguments."""
-    ltype = None
-    for cand in (xs, ys, zs):
-        if isinstance(cand, (Var, Compound)):
-            ltype = _infer_list_type(cand)
-            break
-    if ltype is None:
-        ltype = NAT_LIST
+    ltype = _list_type(xs, ys, zs)
     xs, ys, zs = (as_term(t, ltype) for t in (xs, ys, zs))
-    elem_type = ltype.list_shape[0]
+    elem_type = ltype.element
     return (eq(xs, nil(ltype)) & eq(ys, zs)) | exists(elem_type, lambda h: exists(
         ltype, lambda t: exists(ltype, lambda zt: (
             eq(xs, cons(h, t)) & eq(zs, cons(h, zt)) & append_list(t, ys, zt)))))

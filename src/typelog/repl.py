@@ -249,11 +249,11 @@ class _QueryParser:
                 raise QueryTypeError(f"expected {ltype.name}, got integer {raw[1]}")
             return ltype.from_int(raw[1])
         if kind == "list":
-            if ltype.list_shape is None:
+            if ltype.element is None:
                 raise QueryTypeError(f"expected {ltype.name}, got a list")
             _, elems, tail, _pos = raw
             # Elements left to right, then the tail: first-occurrence order.
-            built = [self._build_term(e, ltype.list_shape[0]) for e in elems]
+            built = [self._build_term(e, ltype.element) for e in elems]
             tail_term = None if tail is None else self._build_term(tail, ltype)
             return prelude.make_list(built, ltype, tail_term)
         raise QueryTypeError(f"cannot type term {raw!r} as {ltype.name}")

@@ -165,33 +165,24 @@ def resolve(t: Term, store: BindingStore) -> Term:
     return Compound(t.ltype, t.ctor, args)
 
 
-def occurs_syntactic(vid: VarId, t: Term) -> bool:
-    """True iff `vid` appears in `t` as written, ignoring any store."""
-    if isinstance(t, Var):
-        return t.vid == vid
-    return not t.ground and any(occurs_syntactic(vid, child) for child in t.args)
-
-
 def _free_vids(t: Term, store: BindingStore) -> Iterator[VarId]:
-    """The variables of resolve(t, store), with repeats, found by walking
-    the store from `t` over an explicit stack; ground subterms are
-    skipped and nothing is built."""
+    """The variables of resolve(t, store), found over an explicit stack
+    without building anything; skips ground subterms and compounds
+    already entered (by `id`: all stay reachable during the walk)."""
     stack = [t]
+    entered = set()
     while stack:
         t = walk(stack.pop(), store)
         if isinstance(t, Var):
             yield t.vid
-        elif not t.ground:
+        elif not t.ground and id(t) not in entered:
+            entered.add(id(t))
             stack.extend(t.args)
 
 
 def occurs_in(vid: VarId, t: Term, store: BindingStore) -> bool:
     """True iff `vid` occurs anywhere in resolve(t, store)."""
     return vid in _free_vids(t, store)
-
-
-def is_ground_syntactic(t: Term) -> bool:
-    return isinstance(t, Compound) and t.ground
 
 
 def is_ground_term(t: Term, store: BindingStore) -> bool:

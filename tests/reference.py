@@ -20,7 +20,6 @@ from typelog.terms import (
     Var,
     VarId,
     is_ground_term,
-    occurs_syntactic,
     resolve,
     substitute,
     unify,
@@ -103,6 +102,13 @@ def eager_answers(goal) -> list:
 
 
 # --- hand-written capabilities for naturals and lists ---------------------
+
+
+def occurs_syntactic(vid: VarId, t: Term) -> bool:
+    """True iff `vid` appears in `t` as written, ignoring any store."""
+    if isinstance(t, Var):
+        return t.vid == vid
+    return any(occurs_syntactic(vid, child) for child in t.args)
 
 
 def nat_unify_step(p: Compound, q: Compound, store):

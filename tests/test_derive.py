@@ -10,8 +10,21 @@ from typelog.derive import (
     TypeRegistry,
     derive_capability,
 )
-from typelog.prelude import NAT, NAT_LIST, cons, list_of, nat, nat_list, nil, suc, zero
-from typelog.terms import EMPTY_STORE, TypeMismatchError, unify
+from typelog.prelude import (
+    NAT,
+    NAT_LIST,
+    as_term,
+    cons,
+    list_of,
+    member,
+    nat,
+    nat_list,
+    nil,
+    suc,
+    zero,
+)
+from typelog.solve import find_all
+from typelog.terms import EMPTY_STORE, TypeMismatchError, pretty, unify
 
 
 def make_descriptor(name, ctors):
@@ -100,6 +113,51 @@ class TestDerivedBehaviour:
         v = nested.var("w")
         s = unify(v, term, EMPTY_STORE)
         assert s.lookup(v.vid) == term
+
+
+class TestDeclaredMetadata:
+    def test_pretty_override_from_declaration(self):
+        reg = TypeRegistry()
+        color = reg.declare("color", [("red", [])], pretty_override=lambda c: c.ctor.upper())
+        assert pretty(color.make("red")) == "RED"
+
+    def test_user_type_with_nil_and_cons_is_a_list(self):
+        reg = TypeRegistry()
+        color = reg.declare("color", [("red", []), ("green", [])])
+        clist = reg.declare("clist", [("nil", []), ("cons", ["color", "clist"])])
+        assert clist.element is color
+        red, green = color.make("red"), color.make("green")
+        term = as_term([red, green], clist)
+        assert term == clist.make("cons", red, clist.make("cons", green, clist.make("nil")))
+        x = color.var("x")
+        assert find_all(x, member(x, term)) == [red, green]
+
+    def test_cons_tail_of_another_type_is_not_a_list(self):
+        reg = TypeRegistry()
+        reg.declare("color", [("red", [])])
+        reg.declare("clist", [("nil", []), ("cons", ["color", "clist"])])
+        half = reg.declare("half", [("nil", []), ("cons", ["color", "clist"])])
+        assert half.element is None
+        with pytest.raises(TypeMismatchError, match="not a list type"):
+            as_term([], half)
+
+    def test_list_of_is_declared_once(self):
+        assert list_of(NAT) is list_of(NAT) is NAT_LIST
+
+    def test_list_of_per_registry(self):
+        t1 = TypeRegistry().declare("t", [("a", [])])
+        t2 = TypeRegistry().declare("t", [("a", [])])
+        l1, l2 = list_of(t1), list_of(t2)
+        assert l1 is not l2
+        assert l1.make("cons", t1.make("a"), nil(l1)) != l2.make("cons", t2.make("a"), nil(l2))
+        assert l1.registry is t1.registry and l2.registry is t2.registry
+
+    def test_list_of_name_clash_rejected(self):
+        reg = TypeRegistry()
+        t = reg.declare("t", [("a", [])])
+        reg.declare("list(t)", [("a", [])])
+        with pytest.raises(DeriveError):
+            list_of(t)
 
 
 def _pairs(terms):

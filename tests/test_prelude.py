@@ -49,6 +49,9 @@ class TestNumerals:
         for n in range(10):
             assert nat_value(nat(n)) == n
 
+    def test_numerals_share_structure(self):
+        assert nat(6).args[0] is nat(5)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             nat(-1)

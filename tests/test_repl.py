@@ -190,6 +190,13 @@ class TestCli:
         assert main(["--script", str(tmp_path / "absent.txt")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_script_not_utf8_exit_3(self, tmp_path, capsys):
+        f = tmp_path / "queries.txt"
+        f.write_bytes(b"plus(1, X, 5).\n\xff\n")
+        assert main(["--script", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_max_steps_flag(self, tmp_path, capsys):
         f = tmp_path / "queries.txt"
         f.write_text("plus(A, 1, C), fail.\n")

@@ -140,6 +140,10 @@ class TestDeepSearch:
         values = find_all(X, member(X, [i % 10 for i in range(2000)]))
         assert [nat_value(t) for t in values] == [i % 10 for i in range(2000)]
 
+    def test_member_over_distinct_numerals(self):
+        values = find_all(X, member(X, list(range(2000))))
+        assert [nat_value(t) for t in values] == list(range(2000))
+
 
 class TestCutContainment:
     def test_scoped_predicate_is_transparent(self):

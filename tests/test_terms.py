@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from typelog.derive import TypeRegistry
 from typelog.prelude import NAT, NAT_LIST, cons, nat, nat_list, nil, suc, zero
 from typelog.terms import (
     EMPTY_STORE,
@@ -175,6 +176,41 @@ class TestDeepTerms:
         bindings[chain[-1].vid] = nat(self.DEPTH)
         s = BindingStore(bindings)
         assert not occurs_in(NAT.var("fresh").vid, chain[0], s)
+
+
+class _CountingStore(BindingStore):
+    def __init__(self, bindings):
+        super().__init__(bindings)
+        self.lookups = 0
+
+    def lookup(self, vid):
+        self.lookups += 1
+        return super().lookup(vid)
+
+
+class TestSharedBindings:
+    """v0 = node(v1, v1), v1 = node(v2, v2), ..., vn = leaf: resolving v0
+    gives a tree of 2^n leaves, but the store holds only n + 1 bindings."""
+
+    N = 16
+
+    def chain_store(self):
+        reg = TypeRegistry()
+        tree = reg.declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+        vs = [tree.var(f"v{i}") for i in range(self.N + 1)]
+        bindings = {v.vid: tree.make("node", w, w) for v, w in zip(vs, vs[1:])}
+        bindings[vs[-1].vid] = tree.make("leaf")
+        return tree, vs[0], _CountingStore(bindings)
+
+    def test_occurs_in_enters_each_binding_once(self):
+        tree, v0, store = self.chain_store()
+        assert not occurs_in(tree.var("fresh").vid, v0, store)
+        assert store.lookups <= 2 * self.N + 1
+
+    def test_is_ground_term_enters_each_binding_once(self):
+        _, v0, store = self.chain_store()
+        assert is_ground_term(v0, store)
+        assert store.lookups <= 2 * self.N + 1
 
 
 class TestBindingStore:
