@@ -10,6 +10,12 @@ logic connectives with Python's own precedence doing the right thing:
 
 so ``eq(a, b) ^ fail_goal() | c & d`` groups as
 ``(eq(a, b) ^ fail_goal()) | (c & d)``.
+
+Immutability is kept by contract, not enforced: the nodes are slotted
+dataclasses, compared and hashed by value, but not frozen, because a
+frozen node pays a guarded `__setattr__` per field and the solver builds
+nodes on every unfolding of a predicate.  No code assigns a field after
+construction.
 """
 
 from __future__ import annotations
@@ -35,35 +41,35 @@ class Goal:
         return CutThen(self, other)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Succeed(Goal):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fail(Goal):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unify(Goal):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Conj(Goal):
     g1: Goal
     g2: Goal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Disj(Goal):
     g1: Goal
     g2: Goal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Exists(Goal):
     """Introduce a fresh variable of `ltype` at evaluation time and
     evaluate `body(fresh_var)`.  Bodies must be pure: the engine may
@@ -73,20 +79,20 @@ class Exists(Goal):
     body: Callable[[Term], Goal]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Scope(Goal):
     """Delimits how far a cut fired inside `g` prunes alternatives."""
 
     g: Goal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CutThen(Goal):
     g1: Goal
     g2: Goal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IsGround(Goal):
     """Succeeds once, binding nothing, iff `term` is ground under the
     store at evaluation time."""

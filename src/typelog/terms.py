@@ -5,7 +5,18 @@ are themselves terms.  Every term belongs to exactly one logical type;
 variables of the same name but different types are distinct.  Binding
 stores are immutable: extending a store returns a new one, so
 backtracking is just "keep the old reference".  The structural
-operations recurse over `Compound.args`: one definition for every type.
+operations work over `Compound.args`: one definition for every type.
+`unify` and `Compound` equality and hashing run over explicit stacks, so
+they accept terms of any depth; `resolve`, `substitute` and `pretty`
+still recurse per level.
+
+Terms are immutable by contract: `VarId` is a tuple, and `Var` and
+`Compound` are slotted classes whose attributes no code assigns after
+`__init__`.  This is not enforced by a `__setattr__` guard, because the
+engine allocates a variable per `Exists` and compounds per unfolding,
+and a guarded (frozen) constructor costs more than twice as much.
+Code that mutates a term breaks sharing between search branches, the
+`ground` flag and hashing.
 
 Groundness invariant: every `Compound` carries a `ground` flag, computed
 once at construction from its children's flags (O(arity), no recursion),
@@ -20,8 +31,7 @@ explicit stack (`_free_vids`) instead of building `resolve(t, store)`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
 
 
 class LogicError(Exception):
@@ -32,44 +42,100 @@ class TypeMismatchError(LogicError):
     """Terms of different logical types were combined."""
 
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(NamedTuple):
     """Identity of a logic variable: a name plus its logical type.
 
     The same name at two different types denotes two distinct variables.
-    Engine-generated names start with "_"; user names must not.
+    Engine-generated names start with "_"; user names must not.  A tuple,
+    so the binding store hashes it in C, but never equal to a plain tuple.
     """
 
     name: str
     ltype: Any  # a LogicType; compared and hashed by identity
 
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is VarId and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
     def __repr__(self):
         return f"{self.name}:{getattr(self.ltype, 'name', self.ltype)}"
 
 
-@dataclass(frozen=True)
 class Var:
-    vid: VarId
+    """A logic variable term, identified by its `vid`."""
+
+    __slots__ = ("vid",)
+
+    def __init__(self, vid: VarId):
+        self.vid = vid
+
+    def __eq__(self, other):
+        if type(other) is not Var:
+            return NotImplemented
+        return self.vid == other.vid
+
+    def __hash__(self):
+        return hash(self.vid)
 
     def __repr__(self):
         return f"Var({self.vid!r})"
 
 
-@dataclass(frozen=True)
 class Compound:
-    ltype: Any
-    ctor: str
-    args: tuple
-    # True iff no variable occurs in the term; not part of equality.
-    ground: bool = field(init=False, repr=False, compare=False)
+    """A constructor application: `ctor` of type `ltype` over `args`.
 
-    def __post_init__(self):
-        ground = True
-        for a in self.args:
-            if not (isinstance(a, Compound) and a.ground):
-                ground = False
+    `ground` is true iff no variable occurs in the term; it is set here
+    from the children's flags and is not part of equality.  Equality and
+    hashing are structural and walk the term over an explicit stack, so
+    terms of any depth compare and hash.
+    """
+
+    __slots__ = ("ltype", "ctor", "args", "ground")
+
+    def __init__(self, ltype, ctor: str, args: tuple):
+        self.ltype = ltype
+        self.ctor = ctor
+        self.args = args
+        for a in args:
+            if type(a) is not Compound or not a.ground:
+                self.ground = False
                 break
-        object.__setattr__(self, "ground", ground)
+        else:
+            self.ground = True
+
+    def __eq__(self, other):
+        if type(other) is not Compound:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            p, q = pairs.pop()
+            if p is q:
+                continue
+            if type(p) is not Compound or type(q) is not Compound:
+                if p != q:
+                    return False
+            elif p.ltype != q.ltype or p.ctor != q.ctor or len(p.args) != len(q.args):
+                return False
+            else:
+                pairs.extend(zip(p.args, q.args))
+        return True
+
+    def __hash__(self):
+        # Nodes in pre-order with their arities: equal terms list equal nodes.
+        nodes = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is Compound:
+                nodes.append((t.ltype, t.ctor, len(t.args)))
+                stack.extend(t.args)
+            else:
+                nodes.append(t)
+        return hash(tuple(nodes))
 
     def __repr__(self):
         if not self.args:
@@ -205,33 +271,44 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
     Returns None on clash (constructor mismatch or occurs-check
     violation); the caller keeps the original store.  After walking both
     sides, a left-side variable is bound to the right, then a right-side
-    variable to the left, then constructor payloads are matched.
+    variable to the left, then constructor payloads are matched, children
+    left to right and depth first, over an explicit stack of pairs.  Types
+    are checked here, once: the children of matching constructors of one
+    type have matching types by construction.
     """
     if term_type(a) is not term_type(b):
         raise TypeMismatchError(
             f"cannot unify terms of types {getattr(term_type(a), 'name', '?')} "
             f"and {getattr(term_type(b), 'name', '?')}"
         )
-    a = walk(a, store)
-    b = walk(b, store)
-    if isinstance(a, Var) and isinstance(b, Var) and a.vid == b.vid:
-        return store
-    if isinstance(a, Var):
-        return _bind_checked(a.vid, b, store)
-    if isinstance(b, Var):
-        return _bind_checked(b.vid, a, store)
-    return unify_args(a, b, store)
-
-
-def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[BindingStore]:
-    """Constructor match: same constructor, children unified pairwise."""
-    if p.ctor != q.ctor:
-        return None
-    for x, y in zip(p.args, q.args):
-        store = unify(x, y, store)
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        a = walk(a, store)
+        b = walk(b, store)
+        if a is b:
+            continue
+        if type(a) is Var:
+            if type(b) is Var and a.vid == b.vid:
+                continue
+            store = _bind_checked(a.vid, b, store)
+        elif type(b) is Var:
+            store = _bind_checked(b.vid, a, store)
+        elif a.ctor != b.ctor:
+            return None
+        else:
+            # Reversed, so that children are popped left to right.
+            pairs.extend(zip(reversed(a.args), reversed(b.args)))
+            continue
         if store is None:
             return None
     return store
+
+
+def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[BindingStore]:
+    """Constructor match: same constructor, then `unify`, which checks
+    that `p` and `q` are of one type and unifies the children pairwise."""
+    return unify(p, q, store) if p.ctor == q.ctor else None
 
 
 def _bind_checked(vid: VarId, t: Term, store: BindingStore) -> Optional[BindingStore]:

@@ -102,6 +102,21 @@ class TestExists:
         assert g.body(X) == g.body(X)
 
 
+class TestGoalNodes:
+    def test_structural_equality_and_hash(self):
+        a = eq(X, zero()) & succeed() | fail_goal()
+        b = eq(NAT.var("x"), zero()) & succeed() | fail_goal()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert Conj(succeed(), fail_goal()) != Disj(succeed(), fail_goal())
+        assert eq(X, zero()) != eq(X, suc(zero()))
+
+    def test_repr_names_the_fields(self):
+        assert repr(eq(X, zero())) == "Unify(left=Var(x:nat), right=zero)"
+
+    def test_no_instance_dict(self):
+        assert not hasattr(eq(X, zero()) & succeed(), "__dict__")
+
+
 class TestCutAndScope:
     def test_cut_confined_by_scope(self):
         assert answers(scope(cut_then(succeed(), fail_goal())) | succeed()) == [{}]

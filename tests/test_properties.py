@@ -4,13 +4,16 @@ generated natural-number and list terms."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from typelog.derive import TypeRegistry
 from typelog.goals import eq, exists, fail_goal, is_ground, neg, scope, succeed
 from typelog.prelude import NAT, NAT_LIST, cons, nat, nil, suc, zero
 from typelog.solve import solve
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
+    Compound,
     Var,
+    VarId,
     is_ground_term,
     occurs_in,
     resolve,
@@ -175,6 +178,50 @@ def test_is_ground_term_matches_groundness_of_resolved_term(pair):
     for t in terms:
         for sub in subterms(t):
             assert is_ground_term(sub, store) == is_ground_syntactic(resolve(sub, store))
+
+
+# The recursive structural equality of the frozen-dataclass terms, kept
+# as the oracle for the iterative `Compound.__eq__` and `__hash__`.
+
+def equal_syntactic(a, b):
+    if isinstance(a, Var) or isinstance(b, Var):
+        return isinstance(a, Var) and isinstance(b, Var) and a.vid == b.vid
+    return (a.ltype is b.ltype and a.ctor == b.ctor and len(a.args) == len(b.args)
+            and all(map(equal_syntactic, a.args, b.args)))
+
+
+def rebuilt(t):
+    """A copy of `t` that shares no node with it."""
+    if isinstance(t, Var):
+        return Var(VarId(t.vid.name, t.vid.ltype))
+    return Compound(t.ltype, t.ctor, tuple(rebuilt(a) for a in t.args))
+
+
+# Two constructors of each arity, so terms can differ in constructor alone.
+_SHADES = TypeRegistry()
+SHADE = _SHADES.declare("shade", [("red", []), ("blue", []), ("light", ["shade"]),
+                                  ("dark", ["shade"]), ("mix", ["shade", "shade"]),
+                                  ("layer", ["shade", "shade"])])
+
+
+def shade_terms():
+    base = st.sampled_from([SHADE.var("s"), SHADE.var("t"), SHADE.make("red"), SHADE.make("blue")])
+    return st.recursive(base, lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["light", "dark"]), sub).map(lambda p: SHADE.make(*p)),
+        st.tuples(st.sampled_from(["mix", "layer"]), sub, sub).map(lambda p: SHADE.make(*p)),
+    ), max_leaves=4)
+
+
+@settings(max_examples=300)
+@given(st.one_of(either_pair(), st.tuples(nat_terms(3), nat_terms(3)),
+                 st.tuples(shade_terms(), shade_terms())))
+def test_equality_and_hash_match_recursive_definition(pair):
+    t1, t2 = pair
+    for a, b in [(t1, t2), (t2, t1), (t1, rebuilt(t1)), (rebuilt(t2), t2)]:
+        assert (a == b) == equal_syntactic(a, b)
+        assert (a != b) == (not equal_syntactic(a, b))
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 # Random goal trees over every connective: the lazy solver must give the

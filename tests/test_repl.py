@@ -159,6 +159,9 @@ class TestScriptMode:
     def test_deep_search_answers(self):
         assert script("plus(1000, X, 2000).") == (0, "X = 1000.\n")
 
+    def test_deep_unification_answers(self):
+        assert script("isSuc(5000, 5001).") == (0, "true.\n")
+
     def test_reruns_byte_identical(self):
         text = "plus(A, B, 3).\nNEXT\nNEXT\nleq(X, 1).\nNEXT\nsorted([2, 1])."
         assert script(text) == script(text)
@@ -204,14 +207,14 @@ class TestCli:
 
     def test_search_deeper_than_recursion_limit_exit_4(self, tmp_path, capsys):
         f = tmp_path / "queries.txt"
-        f.write_text("isSuc(5000, 5001).\n")
+        f.write_text("plus(2000, A, C).\n")
         assert main(["--script", str(f)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_answers_before_exit_4_are_printed(self, tmp_path, capsys):
         f = tmp_path / "queries.txt"
-        f.write_text("plus(1, X, 5).\nisSuc(5000, 5001).\n")
+        f.write_text("plus(1, X, 5).\nplus(2000, A, C).\n")
         assert main(["--script", str(f)]) == 4
         assert capsys.readouterr().out == "X = 4.\n"
 

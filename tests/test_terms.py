@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -7,14 +8,17 @@ from typelog.prelude import NAT, NAT_LIST, cons, nat, nat_list, nil, suc, zero
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
+    Compound,
     LogicError,
     TypeMismatchError,
     Var,
+    VarId,
     is_ground_term,
     occurs_in,
     resolve,
     substitute,
     unify,
+    unify_args,
     walk,
 )
 
@@ -92,6 +96,18 @@ class TestUnify:
     def test_left_variable_bound_first(self):
         s = unify(X, Y, EMPTY_STORE)
         assert s.lookup(X.vid) == Y
+
+    def test_children_unified_left_to_right_depth_first(self):
+        s = unify(nat_list([X, Y]), nat_list([Y, X]), EMPTY_STORE)
+        assert list(s.items()) == [(X.vid, Y)]
+        s = unify(nat_list([suc(X), Z]), nat_list([suc(Y), X]), EMPTY_STORE)
+        assert list(s.items()) == [(X.vid, Y), (Z.vid, Y)]
+
+    def test_unify_args_checks_constructor_then_type(self):
+        assert unify_args(suc(X), suc(zero()), EMPTY_STORE).lookup(X.vid) == zero()
+        assert unify_args(zero(), nil(NAT_LIST), EMPTY_STORE) is None
+        with pytest.raises(TypeMismatchError):
+            unify_args(Compound(NAT_LIST, "zero", ()), zero(), EMPTY_STORE)
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(TypeMismatchError):
@@ -176,6 +192,81 @@ class TestDeepTerms:
         bindings[chain[-1].vid] = nat(self.DEPTH)
         s = BindingStore(bindings)
         assert not occurs_in(NAT.var("fresh").vid, chain[0], s)
+
+    def chain(self, bottom):
+        """A numeral-shaped chain built node by node, sharing nothing with
+        `nat`'s table."""
+        t = bottom
+        for _ in range(self.DEPTH):
+            t = NAT.make("suc", t)
+        return t
+
+    def test_unify_deep_ground_terms(self):
+        assert unify(nat(self.DEPTH), nat(self.DEPTH), EMPTY_STORE) is EMPTY_STORE
+        assert unify(self.chain(zero()), nat(self.DEPTH), EMPTY_STORE) is EMPTY_STORE
+        assert unify(self.chain(zero()), nat(self.DEPTH - 1), EMPTY_STORE) is None
+
+    def test_unify_binds_variable_at_the_bottom(self):
+        s = unify(self.chain(X), self.chain(zero()), EMPTY_STORE)
+        assert s is not None and s.lookup(X.vid) == zero()
+        s = unify(self.chain(zero()), self.chain(X), EMPTY_STORE)
+        assert s is not None and s.lookup(X.vid) == zero()
+
+    def test_equality_and_hash_of_distinct_deep_terms(self):
+        a, b = self.chain(X), self.chain(X)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != self.chain(Y)
+        assert self.chain(zero()) == nat(self.DEPTH)
+        assert hash(self.chain(zero())) == hash(nat(self.DEPTH))
+
+
+class TestFootprint:
+    def test_terms_have_no_instance_dict(self):
+        assert not hasattr(zero(), "__dict__")
+        assert not hasattr(X, "__dict__")
+
+    def test_numeral_chain_bytes_per_node(self):
+        n = 20000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = zero()
+            for _ in range(n):
+                t = NAT.make("suc", t)
+            per_node = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert per_node <= 125
+
+
+class TestEquality:
+    def test_var_id_never_equals_a_plain_tuple(self):
+        assert VarId("X", NAT) != ("X", NAT)
+        assert ("X", NAT) != VarId("X", NAT)
+        assert not VarId("X", NAT) == ("X", NAT)
+        assert VarId("X", NAT) in {VarId("X", NAT)}
+        assert ("X", NAT) not in {VarId("X", NAT): 1}
+
+    def test_equal_var_ids_and_vars_hash_equal(self):
+        assert VarId("X", NAT) == VarId("X", NAT)
+        assert hash(VarId("X", NAT)) == hash(VarId("X", NAT))
+        assert Var(VarId("X", NAT)) == Var(VarId("X", NAT))
+        assert hash(Var(VarId("X", NAT))) == hash(Var(VarId("X", NAT)))
+        assert repr(VarId("X", NAT)) == "X:nat"
+
+    def test_var_never_equals_a_compound(self):
+        c = Compound(NAT, "x", ())
+        assert X != c and c != X
+        assert not X == c and not c == X
+        assert X != X.vid
+
+    def test_compound_equality_is_structural(self):
+        assert Compound(NAT, "a", (X,)) != Compound(NAT, "b", (X,))
+        assert suc(X) == suc(NAT.var("x"))
+        assert suc(X) != suc(Y)
+        assert Compound(NAT, "zero", ()) == zero()
+        assert Compound(NAT_LIST, "zero", ()) != zero()
+        assert repr(suc(suc(X))) == "suc(suc(Var(x:nat)))"
 
 
 class _CountingStore(BindingStore):
