@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse/type error, 2 step budget exhausted,
-3 script unreadable (I/O error or not UTF-8), 4 a term nested deeper
-than the recursion limit (search depth is bounded by memory and budget).
+3 script unreadable (I/O error or not UTF-8).  Term size and search
+depth are bounded only by memory and the step budget.
 """
 
 from __future__ import annotations
@@ -32,22 +32,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     registry = default_registry()
-    try:
-        if args.script is not None:
-            budget = args.max_steps if args.max_steps is not None else DEFAULT_SCRIPT_BUDGET
-            try:
-                return run_script(args.script, registry, max_steps=budget)
-            except (OSError, UnicodeDecodeError) as err:
-                print(f"error: {err}", file=sys.stderr)
-                return 3
+    if args.script is not None:
+        budget = args.max_steps if args.max_steps is not None else DEFAULT_SCRIPT_BUDGET
         try:
-            repl(registry, max_steps=args.max_steps, quiet=args.quiet)
-        except KeyboardInterrupt:
-            pass
-    except RecursionError:
-        print("error: term nested deeper than the Python recursion limit",
-              file=sys.stderr)
-        return 4
+            return run_script(args.script, registry, max_steps=budget)
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 3
+    try:
+        repl(registry, max_steps=args.max_steps, quiet=args.quiet)
+    except KeyboardInterrupt:
+        pass
     return 0
 
 

@@ -21,7 +21,7 @@ from . import prelude
 from .derive import LogicType
 from .goals import Goal, fail_goal, neg, succeed
 from .solve import Solution, StepBudgetExceeded, solve
-from .terms import Compound, LogicError, Term, Var, VarId, pretty
+from .terms import EMPTY_STORE, LogicError, Term, Var, VarId, _rebuild, pretty
 
 DEFAULT_SCRIPT_BUDGET = 1_000_000
 
@@ -139,10 +139,14 @@ class _QueryParser:
         self.i += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def at(self, text: str) -> bool:
         tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
+        return tok.kind == "punct" and tok.text == text
+
+    def expect(self, text: str) -> _Token:
+        if self.at(text):
             return self.take()
+        tok = self.peek()
         shown = tok.text if tok.kind != "end" else "end of input"
         raise QueryParseError(f"expected {text!r}, found {shown!r}", tok.pos)
 
@@ -156,34 +160,34 @@ class _QueryParser:
 
     def parse_disj(self) -> Goal:
         goal = self.parse_conj()
-        while self.peek().kind == "punct" and self.peek().text == ";":
+        while self.at(";"):
             self.take()
             goal = goal | self.parse_conj()
         return goal
 
     def parse_conj(self) -> Goal:
         goal = self.parse_atom()
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        while self.at(","):
             self.take()
             goal = goal & self.parse_atom()
         return goal
 
     def parse_atom(self) -> Goal:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "\\+":
+        negations = 0
+        while self.at("\\+"):
             self.take()
-            return neg(self.parse_atom())
+            negations += 1
+        tok = self.peek()
         if tok.kind != "name":
             shown = tok.text if tok.kind != "end" else "end of input"
             raise QueryParseError(f"expected a predicate name, found {shown!r}", tok.pos)
         self.take()
         args: List[Term] = []
-        if self.peek().kind == "punct" and self.peek().text == "(":
+        if self.at("("):
             self.take()
             while True:
                 args.append(self._parse_raw_term())
-                nxt = self.peek()
-                if nxt.kind == "punct" and nxt.text == ",":
+                if self.at(","):
                     self.take()
                     continue
                 self.expect(")")
@@ -195,35 +199,60 @@ class _QueryParser:
             self._type_arg(raw, spec, idx)
             for idx, raw in enumerate(args)
         ]
-        return spec.impl(*typed)
+        goal = spec.impl(*typed)
+        for _ in range(negations):
+            goal = neg(goal)
+        return goal
 
     # Terms are parsed shape-first and typed against the signature, so a
     # raw parse tree is kept until the expected type is known.
 
     def _parse_raw_term(self):
-        tok = self.peek()
-        if tok.kind == "var":
-            self.take()
-            return ("var", tok.text, tok.pos)
-        if tok.kind == "int":
-            self.take()
-            return ("int", int(tok.text), tok.pos)
-        if tok.kind == "punct" and tok.text == "[":
-            self.take()
-            elems = []
-            tail = None
-            if not (self.peek().kind == "punct" and self.peek().text == "]"):
-                elems.append(self._parse_raw_term())
-                while self.peek().kind == "punct" and self.peek().text == ",":
+        # Lists nest over an explicit stack of open lists, each an
+        # [elements, in the tail, position] frame.
+        open_lists = []
+        while True:
+            tok = self.take()
+            if tok.kind == "var":
+                term = ("var", tok.text, tok.pos)
+            elif tok.kind == "int":
+                try:
+                    term = ("int", int(tok.text), tok.pos)
+                except ValueError:
+                    raise QueryParseError(
+                        f"integer literal of {len(tok.text)} digits is too long", tok.pos
+                    ) from None
+            elif tok.kind == "punct" and tok.text == "[":
+                if not self.at("]"):
+                    open_lists.append([[], False, tok.pos])
+                    continue
+                self.take()
+                term = ("list", [], None, tok.pos)
+            else:
+                shown = tok.text if tok.kind != "end" else "end of input"
+                raise QueryParseError(f"expected a term, found {shown!r}", tok.pos)
+            # `term` is complete: it ends elements and tails of open lists
+            # until one of them continues with "," or "|".
+            while open_lists:
+                elems, in_tail, pos = open_lists[-1]
+                if in_tail:
+                    self.expect("]")
+                    open_lists.pop()
+                    term = ("list", elems, term, pos)
+                    continue
+                elems.append(term)
+                if self.at(","):
                     self.take()
-                    elems.append(self._parse_raw_term())
-                if self.peek().kind == "punct" and self.peek().text == "|":
+                    break
+                if self.at("|"):
                     self.take()
-                    tail = self._parse_raw_term()
-            self.expect("]")
-            return ("list", elems, tail, tok.pos)
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise QueryParseError(f"expected a term, found {shown!r}", tok.pos)
+                    open_lists[-1][1] = True
+                    break
+                self.expect("]")
+                open_lists.pop()
+                term = ("list", elems, None, pos)
+            else:
+                return term
 
     def _type_arg(self, raw, spec: PredicateSpec, idx: int) -> Term:
         try:
@@ -251,9 +280,15 @@ class _QueryParser:
         if kind == "list":
             if ltype.element is None:
                 raise QueryTypeError(f"expected {ltype.name}, got a list")
-            _, elems, tail, _pos = raw
             # Elements left to right, then the tail: first-occurrence order.
-            built = [self._build_term(e, ltype.element) for e in elems]
+            # A tail that is a list literal continues the same cons chain.
+            built = []
+            while True:
+                _, elems, tail, _pos = raw
+                built.extend(self._build_term(e, ltype.element) for e in elems)
+                if tail is None or tail[0] != "list":
+                    break
+                raw = tail
             tail_term = None if tail is None else self._build_term(tail, ltype)
             return prelude.make_list(built, ltype, tail_term)
         raise QueryTypeError(f"cannot type term {raw!r} as {ltype.name}")
@@ -294,18 +329,14 @@ def _rename_hidden_vars(terms_shown: List[Term], avoid: set) -> List[Term]:
             if name not in avoid:
                 return name
 
-    def rewrite(t: Term) -> Term:
-        if isinstance(t, Var):
-            if not t.vid.name.startswith("_"):
-                return t
-            if t.vid not in mapping:
-                mapping[t.vid] = Var(VarId(fresh_name(), t.vid.ltype))
-            return mapping[t.vid]
-        if t.ground:
-            return t
-        return Compound(t.ltype, t.ctor, tuple(rewrite(a) for a in t.args))
+    def rename(v: Var) -> Var:
+        if not v.vid.name.startswith("_"):
+            return v
+        if v.vid not in mapping:
+            mapping[v.vid] = Var(VarId(fresh_name(), v.vid.ltype))
+        return mapping[v.vid]
 
-    return [rewrite(t) for t in terms_shown]
+    return [_rebuild(t, EMPTY_STORE, rename) for t in terms_shown]
 
 
 def format_solution(sol: Solution, qvars: List[VarId]) -> Optional[str]:

@@ -6,9 +6,11 @@ variables of the same name but different types are distinct.  Binding
 stores are immutable: extending a store returns a new one, so
 backtracking is just "keep the old reference".  The structural
 operations work over `Compound.args`: one definition for every type.
-`unify` and `Compound` equality and hashing run over explicit stacks, so
-they accept terms of any depth; `resolve`, `substitute` and `pretty`
-still recurse per level.
+Every walk over a term runs over an explicit stack, so terms of any depth
+are accepted: `unify`, `Compound` equality and hashing, the
+occurs/groundness walk (`_free_vids`), the rebuild behind `resolve` and
+`substitute` (`_rebuild`), and the prefix renderer behind `repr` and
+`pretty` (`_render`).
 
 Terms are immutable by contract: `VarId` is a tuple, and `Var` and
 `Compound` are slotted classes whose attributes no code assigns after
@@ -138,9 +140,7 @@ class Compound:
         return hash(tuple(nodes))
 
     def __repr__(self):
-        if not self.args:
-            return self.ctor
-        return f"{self.ctor}({', '.join(map(repr, self.args))})"
+        return _render(self, repr, overrides=False)
 
 
 Term = Union[Var, Compound]
@@ -220,15 +220,68 @@ def walk(t: Term, store: BindingStore) -> Term:
 
 def resolve(t: Term, store: BindingStore) -> Term:
     """Replace every bound variable in `t` by its fully resolved binding,
-    recursively through compound children.  Idempotent.  Ground subterms,
-    and nodes none of whose children change, are returned as they are."""
+    through compound children.  Idempotent.  Ground subterms, and nodes
+    none of whose children change, are returned as they are."""
     t = walk(t, store)
-    if isinstance(t, Var) or t.ground:
+    if type(t) is Var or t.ground:
         return t
-    args = tuple(resolve(a, store) for a in t.args)
-    if all(map(operator.is_, args, t.args)):
+    return _rebuild(t, store, _same)
+
+
+def _same(v: Var) -> Term:
+    return v
+
+
+def _rebuild(t: Term, store: BindingStore, leaf) -> Term:
+    """`t` with each position walked through `store` and each unbound
+    variable `v` replaced by `leaf(v)`, called left to right, depth first.
+
+    Post-order over an explicit stack.  What `leaf` returns is not
+    entered.  Ground subterms, and nodes none of whose children change,
+    are kept as they are.  Each entered compound is rebuilt once, keyed
+    by `id` (all stay reachable during the walk), so bindings that share
+    a variable cost time linear in the store and the result keeps their
+    sharing."""
+    bindings = store._bindings
+    while type(t) is Var:
+        bound = bindings.get(t.vid)
+        if bound is None:
+            return leaf(t)
+        t = bound
+    if t.ground:
         return t
-    return Compound(t.ltype, t.ctor, args)
+    built = {}
+    frames = []  # (node, next child index, children rebuilt so far)
+    node, i, out = t, 0, []
+    while True:
+        args = node.args
+        if i < len(args):
+            a = args[i]
+            i += 1
+            while type(a) is Var:
+                bound = bindings.get(a.vid)
+                if bound is None:
+                    break
+                a = bound
+            if type(a) is Var:
+                out.append(leaf(a))
+            elif a.ground:
+                out.append(a)
+            elif id(a) in built:
+                out.append(built[id(a)])
+            else:
+                frames.append((node, i, out))
+                node, i, out = a, 0, []
+            continue
+        if all(map(operator.is_, out, args)):
+            new = node
+        else:
+            new = Compound(node.ltype, node.ctor, tuple(out))
+        built[id(node)] = new
+        if not frames:
+            return new
+        node, i, out = frames.pop()
+        out.append(new)
 
 
 def _free_vids(t: Term, store: BindingStore) -> Iterator[VarId]:
@@ -257,12 +310,9 @@ def is_ground_term(t: Term, store: BindingStore) -> bool:
 
 
 def substitute(vid: VarId, replacement: Term, t: Term) -> Term:
-    """Syntactically replace every occurrence of `vid` in `t`."""
-    if isinstance(t, Var):
-        return replacement if t.vid == vid else t
-    if t.ground:
-        return t
-    return Compound(t.ltype, t.ctor, tuple(substitute(vid, replacement, a) for a in t.args))
+    """Syntactically replace every occurrence of `vid` in `t`, in one
+    pass: `replacement` is not entered."""
+    return _rebuild(t, EMPTY_STORE, lambda v: replacement if v.vid == vid else v)
 
 
 def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
@@ -330,6 +380,34 @@ def pretty(t: Term) -> str:
 
 def pretty_prefix(p: Compound) -> str:
     """``ctor(child, ...)``, each child rendered by `pretty`."""
-    if not p.args:
-        return p.ctor
-    return f"{p.ctor}({', '.join(pretty(a) for a in p.args)})"
+    return _render(p, _var_name, overrides=True)
+
+
+def _var_name(v: Var) -> str:
+    return v.vid.name
+
+
+def _render(p: Compound, leaf, overrides: bool) -> str:
+    """`p` in prefix form, ``ctor(child, ...)``, over an explicit stack.
+    A variable renders as `leaf(v)`.  With `overrides`, a child compound
+    whose type has a pretty override renders through it; the root always
+    renders in prefix form."""
+    out = []
+    stack = [p]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+        elif type(t) is Var:
+            out.append(leaf(t))
+        elif overrides and t is not p and (override := getattr(t.ltype, "pretty_override", None)):
+            out.append(override(t))
+        elif not t.args:
+            out.append(t.ctor)
+        else:
+            out.append(t.ctor + "(")
+            stack.append(")")
+            for a in reversed(t.args):
+                stack += (a, ", ")
+            stack.pop()
+    return "".join(out)

@@ -18,6 +18,7 @@ from typelog.terms import (
     occurs_in,
     resolve,
     unify,
+    walk,
 )
 
 from reference import eager_answers
@@ -180,6 +181,16 @@ def test_is_ground_term_matches_groundness_of_resolved_term(pair):
             assert is_ground_term(sub, store) == is_ground_syntactic(resolve(sub, store))
 
 
+# The recursive `resolve` the term layer had before it rebuilt terms over
+# an explicit stack; kept as the oracle.
+
+def resolve_recursive(t, store):
+    t = walk(t, store)
+    if isinstance(t, Var):
+        return t
+    return Compound(t.ltype, t.ctor, tuple(resolve_recursive(a, store) for a in t.args))
+
+
 # The recursive structural equality of the frozen-dataclass terms, kept
 # as the oracle for the iterative `Compound.__eq__` and `__hash__`.
 
@@ -222,6 +233,15 @@ def test_equality_and_hash_match_recursive_definition(pair):
         assert (a != b) == (not equal_syntactic(a, b))
         if a == b:
             assert hash(a) == hash(b)
+
+
+@settings(max_examples=300)
+@given(st.one_of(either_pair(), st.tuples(shade_terms(), shade_terms())))
+def test_resolve_matches_recursive_definition(pair):
+    terms, store = unified_cases(pair)
+    for t in terms:
+        for sub in subterms(t):
+            assert equal_syntactic(resolve(sub, store), resolve_recursive(sub, store))
 
 
 # Random goal trees over every connective: the lazy solver must give the

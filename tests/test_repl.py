@@ -83,6 +83,13 @@ class TestParser:
         with pytest.raises(QueryTypeError, match="plus/3 argument 2: .*expected nat"):
             compile_query("plus(1, [2], 3).", REG)
 
+    def test_over_long_integer_literal_is_parse_error(self):
+        with pytest.raises(QueryParseError) as err:
+            compile_query("isSuc(" + "7" * 5000 + ", X).", REG)
+        assert err.value.position == 7
+        assert script("isSuc(" + "7" * 5000 + ", X).") == (
+            1, "parse error at column 7: integer literal of 5000 digits is too long\n")
+
 
 class TestParseTerm:
     def test_integer(self):
@@ -97,6 +104,11 @@ class TestParseTerm:
     def test_trailing_junk_rejected(self):
         with pytest.raises(QueryParseError):
             parse_term("3 4", NAT)
+
+    def test_list_nested_in_tails_deeper_than_recursion_limit(self):
+        depth = 2000
+        text = "[1 | " * depth + "[]" + "]" * depth
+        assert parse_term(text, NAT_LIST) == nat_list([1] * depth)
 
 
 class TestScriptMode:
@@ -162,6 +174,19 @@ class TestScriptMode:
     def test_deep_unification_answers(self):
         assert script("isSuc(5000, 5001).") == (0, "true.\n")
 
+    def test_long_list_answer(self):
+        n = 3000
+        text = f"listPlusOne([{', '.join(['1'] * n)}], M)."
+        assert script(text) == (0, f"M = [{', '.join(['2'] * n)}].\n")
+
+    def test_long_run_of_negations(self):
+        assert script("\\+ " * 2000 + "fail.") == (0, "false.\n")
+
+    def test_deeply_nested_list_is_type_error(self):
+        text = "member(X, " + "[" * 2000 + "]" * 2000 + ")."
+        assert script(text) == (
+            1, "type error: member/2 argument 2: expected nat, got a list\n")
+
     def test_reruns_byte_identical(self):
         text = "plus(A, B, 3).\nNEXT\nNEXT\nleq(X, 1).\nNEXT\nsorted([2, 1])."
         assert script(text) == script(text)
@@ -180,6 +205,12 @@ class TestResidualVariables:
         assert code == 0
         assert "_" not in out
         assert out == "A = V1, B = 1 : V1.\n"
+
+    def test_several_engine_vars_numbered_in_first_occurrence_order(self):
+        assert script("append(X, Y, Z).\nNEXT\nNEXT") == (0, (
+            "X = [], Y = Z ;\n"
+            "X = [V1], Y = V2, Z = V1 : V2 ;\n"
+            "X = [V1, V2], Y = V3, Z = V1 : V2 : V3\n"))
 
 
 class TestCli:
@@ -205,18 +236,17 @@ class TestCli:
         f.write_text("plus(A, 1, C), fail.\n")
         assert main(["--script", str(f), "--max-steps", "200"]) == 2
 
-    def test_search_deeper_than_recursion_limit_exit_4(self, tmp_path, capsys):
+    def test_answer_deeper_than_recursion_limit(self, tmp_path, capsys):
         f = tmp_path / "queries.txt"
         f.write_text("plus(2000, A, C).\n")
-        assert main(["--script", str(f)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert main(["--script", str(f)]) == 0
+        assert capsys.readouterr().out == "A = V1, C = 2000 + V1.\n"
 
-    def test_answers_before_exit_4_are_printed(self, tmp_path, capsys):
+    def test_answers_before_and_after_a_deep_answer(self, tmp_path, capsys):
         f = tmp_path / "queries.txt"
         f.write_text("plus(1, X, 5).\nplus(2000, A, C).\n")
-        assert main(["--script", str(f)]) == 4
-        assert capsys.readouterr().out == "X = 4.\n"
+        assert main(["--script", str(f)]) == 0
+        assert capsys.readouterr().out == "X = 4.\nA = V1, C = 2000 + V1.\n"
 
 
 class TestInteractive:

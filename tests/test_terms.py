@@ -15,6 +15,7 @@ from typelog.terms import (
     VarId,
     is_ground_term,
     occurs_in,
+    pretty,
     resolve,
     substitute,
     unify,
@@ -220,6 +221,25 @@ class TestDeepTerms:
         assert hash(self.chain(zero())) == hash(nat(self.DEPTH))
 
 
+    def test_resolve_deep_term(self):
+        assert resolve(self.chain(X), store_of((X, zero()))) == nat(self.DEPTH)
+
+    def test_substitute_deep_chain(self):
+        t = X
+        for _ in range(4 * self.DEPTH):
+            t = NAT.make("suc", t)
+        assert substitute(X.vid, zero(), t) == nat(4 * self.DEPTH)
+
+    def test_repr_of_deep_term(self):
+        assert repr(nat(self.DEPTH)) == "suc(" * self.DEPTH + "zero" + ")" * self.DEPTH
+
+    def test_pretty_of_deep_term_without_override(self):
+        tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+        t = tree.make("leaf")
+        for _ in range(self.DEPTH):
+            t = tree.make("node", t, tree.make("leaf"))
+        assert pretty(t) == "node(" * self.DEPTH + "leaf" + ", leaf)" * self.DEPTH
+
 class TestFootprint:
     def test_terms_have_no_instance_dict(self):
         assert not hasattr(zero(), "__dict__")
@@ -297,6 +317,14 @@ class TestSharedBindings:
         tree, v0, store = self.chain_store()
         assert not occurs_in(tree.var("fresh").vid, v0, store)
         assert store.lookups <= 2 * self.N + 1
+
+    def test_resolve_rebuilds_each_binding_once(self):
+        tree, v0, store = self.chain_store()
+        r = resolve(v0, store)
+        for _ in range(self.N):
+            assert r.ctor == "node" and r.args[0] is r.args[1]
+            r = r.args[0]
+        assert r == tree.make("leaf")
 
     def test_is_ground_term_enters_each_binding_once(self):
         _, v0, store = self.chain_store()
