@@ -5,8 +5,9 @@ positions.  The operations the engine needs (unification, occurs check,
 substitution, groundness, printing) are structural over `Compound.args`
 and live in `terms`, shared by every type.  Each descriptor is validated
 once, on first use, which also builds the constructor -> child-types
-table that `LogicType.make` checks against; `LogicType.element` is
-derived from it, and `declare` takes the printer and numeral encoding.
+table that `LogicType.make` checks against; the shared term of each
+nullary constructor and `LogicType.element` are derived from it then,
+once, and `declare` takes the printer and numeral encoding.
 Recursive and mutually recursive types are supported: child positions
 refer to types by name and are resolved through a registry.
 """
@@ -69,8 +70,12 @@ class LogicType:
                  pretty_override=None, from_int=None):
         self._descriptor = descriptor
         self._registry = registry
-        # Constructor name -> child LogicTypes; built by validation.
+        # Built by validation: constructor name -> child LogicTypes, the
+        # one shared term of each nullary constructor, and the list
+        # element type (see `element`).
         self._children: Optional[dict] = None
+        self._nullaries: dict = {}
+        self._element: Optional[LogicType] = None
         self.pretty_override = pretty_override
         self.from_int = from_int
 
@@ -95,14 +100,17 @@ class LogicType:
     @property
     def element(self) -> Optional["LogicType"]:
         """E when the constructors are exactly ``nil()`` and ``cons(E, <this type>)``."""
-        table = self._child_table()
-        if len(table) == 2 and table.get("nil") == () and table.get("cons", ())[1:] == (self,):
-            return table["cons"][0]
-        return None
+        self._child_table()
+        return self._element
 
     def _child_table(self) -> dict:
         if self._children is None:
-            self._children = _validate(self._descriptor, self._registry)
+            table = _validate(self._descriptor, self._registry)
+            self._nullaries = {c: Compound(self, c, ()) for c, kids in table.items() if not kids}
+            if len(table) == 2 and table.get("nil") == () and table.get("cons", ())[1:] == (self,):
+                self._element = table["cons"][0]
+            # Set last: a reader that sees the table sees the rest.
+            self._children = table
         return self._children
 
     def child_types(self, ctor: str) -> tuple:
@@ -122,19 +130,26 @@ class LogicType:
 
     def make(self, ctor: str, *args: Term) -> Compound:
         """Build a constructor application, checking arity and the
-        logical type of every child."""
-        expected = self.child_types(ctor)
+        logical type of every child.  A nullary constructor gives the
+        same shared term on every call."""
+        table = self._children
+        expected = None if table is None else table.get(ctor)
+        if expected is None:
+            expected = self.child_types(ctor)  # validates, or raises
         if len(args) != len(expected):
             raise TypeMismatchError(
                 f"{self.name}.{ctor} takes {len(expected)} argument(s), got {len(args)}"
             )
-        for i, (arg, want) in enumerate(zip(args, expected)):
-            if terms.term_type(arg) is not want:
+        if not args:
+            return self._nullaries[ctor]
+        for i, arg in enumerate(args):
+            got = arg.vid.ltype if type(arg) is Var else arg.ltype
+            if got is not expected[i]:
                 raise TypeMismatchError(
-                    f"{self.name}.{ctor} argument {i + 1}: expected {want.name}, "
-                    f"got {getattr(terms.term_type(arg), 'name', '?')}"
+                    f"{self.name}.{ctor} argument {i + 1}: expected {expected[i].name}, "
+                    f"got {getattr(got, 'name', '?')}"
                 )
-        return Compound(self, ctor, tuple(args))
+        return Compound(self, ctor, args)
 
     def __repr__(self):
         return f"LogicType({self.name})"

@@ -123,7 +123,7 @@ def nat_list(elems: Sequence[TermLike], tail: Optional[TermLike] = None) -> Term
 
 def as_term(x: TermLike, ltype: LogicType) -> Term:
     """Boundary conversion of Python values into terms of `ltype`."""
-    if isinstance(x, (Var, Compound)):
+    if type(x) is Var or type(x) is Compound:
         if term_type(x) is not ltype:
             raise TypeMismatchError(
                 f"expected a {ltype.name} term, got {term_type(x).name}"
@@ -150,12 +150,12 @@ def _list_type(*lists: TermLike, elem: TermLike = None) -> LogicType:
     """The type of the first term among `lists` (a list type), else the
     list type over `elem`'s type if `elem` is a term, else NAT_LIST."""
     for xs in lists:
-        if isinstance(xs, (Var, Compound)):
+        if type(xs) is Var or type(xs) is Compound:
             ltype = term_type(xs)
             if ltype.element is None:
                 raise TypeMismatchError(f"{ltype.name} is not a list type")
             return ltype
-    if isinstance(elem, (Var, Compound)):
+    if type(elem) is Var or type(elem) is Compound:
         return list_of(term_type(elem))
     return NAT_LIST
 

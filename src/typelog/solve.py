@@ -11,6 +11,9 @@ height of the choicepoint stack; a cut truncates the stack to the
 barrier of its scope, discarding every alternative opened since the
 scope was entered.  Answers are yielded as they are found, so taking
 the first n solutions performs only the search needed to find them.
+Each step dispatches on the exact type of its goal node (`type(goal)
+is ...`), not on `isinstance`: the node classes of `goals` are the whole
+goal language, and an instance of a subclass of one is not a goal.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingSto
 
     Every goal node evaluated is one step against `max_steps`.  A
     continuation frame whose goal is None is the cut of a CutThen; it
-    costs no step.
+    costs no step.  The frequent node types are tested first.
     """
+    Conj, Unify, Disj, Exists = g.Conj, g.Unify, g.Disj, g.Exists
     counter = steps = 0
     store = EMPTY_STORE
     barrier = 0
@@ -66,37 +70,38 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingSto
             steps += 1
             if max_steps is not None and steps > max_steps:
                 raise StepBudgetExceeded(f"step budget of {max_steps} exhausted")
-            if isinstance(goal, g.Conj):
+            t = type(goal)
+            if t is Conj:
                 cont = (goal.g2, barrier, cont)
                 goal = goal.g1
                 continue
-            if isinstance(goal, g.Disj):
-                choices.append((goal.g2, barrier, store, cont))
-                goal = goal.g1
-                continue
-            if isinstance(goal, g.CutThen):
-                cont = (None, barrier, (goal.g2, barrier, cont))
-                goal = goal.g1
-                continue
-            if isinstance(goal, g.Scope):
-                barrier = len(choices)
-                goal = goal.g
-                continue
-            if isinstance(goal, g.Exists):
-                fresh = Var(VarId(f"_{counter}", goal.ltype))
-                counter += 1
-                goal = goal.body(fresh)
-                continue
-            if isinstance(goal, g.Unify):
+            if t is Unify:
                 extended = unify(goal.left, goal.right, store)
                 ok = extended is not None
                 if ok:
                     store = extended
-            elif isinstance(goal, g.Succeed):
+            elif t is Disj:
+                choices.append((goal.g2, barrier, store, cont))
+                goal = goal.g1
+                continue
+            elif t is Exists:
+                fresh = Var(VarId(f"_{counter}", goal.ltype))
+                counter += 1
+                goal = goal.body(fresh)
+                continue
+            elif t is g.CutThen:
+                cont = (None, barrier, (goal.g2, barrier, cont))
+                goal = goal.g1
+                continue
+            elif t is g.Scope:
+                barrier = len(choices)
+                goal = goal.g
+                continue
+            elif t is g.Succeed:
                 ok = True
-            elif isinstance(goal, g.Fail):
+            elif t is g.Fail:
                 ok = False
-            elif isinstance(goal, g.IsGround):
+            elif t is g.IsGround:
                 ok = is_ground_term(goal.term, store)
             else:
                 raise LogicError(f"not a goal: {goal!r}")

@@ -28,6 +28,9 @@ cannot change under any store, so `resolve`, `occurs_in`,
 entering it, and their cost is linear in the part of the term that is
 not yet ground.  `occurs_in` and `is_ground_term` walk the store with an
 explicit stack (`_free_vids`) instead of building `resolve(t, store)`.
+The occurs check in `unify` walks only a non-ground compound: a ground
+one holds no variable, and an unbound variable distinct from the one
+being bound cannot contain it.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ Term = Union[Var, Compound]
 
 def term_type(t: Term):
     """The logical type a term belongs to."""
-    if isinstance(t, Var):
+    if type(t) is Var:
         return t.vid.ltype
     return t.ltype
 
@@ -210,8 +213,9 @@ EMPTY_STORE = BindingStore()
 def walk(t: Term, store: BindingStore) -> Term:
     """Follow variable bindings until hitting an unbound variable or a
     compound.  Shallow: does not descend into compound children."""
-    while isinstance(t, Var):
-        bound = store.lookup(t.vid)
+    bindings = store._bindings
+    while type(t) is Var:
+        bound = bindings.get(t.vid)
         if bound is None:
             return t
         t = bound
@@ -288,11 +292,17 @@ def _free_vids(t: Term, store: BindingStore) -> Iterator[VarId]:
     """The variables of resolve(t, store), found over an explicit stack
     without building anything; skips ground subterms and compounds
     already entered (by `id`: all stay reachable during the walk)."""
+    bindings = store._bindings
     stack = [t]
     entered = set()
     while stack:
-        t = walk(stack.pop(), store)
-        if isinstance(t, Var):
+        t = stack.pop()
+        while type(t) is Var:
+            bound = bindings.get(t.vid)
+            if bound is None:
+                break
+            t = bound
+        if type(t) is Var:
             yield t.vid
         elif not t.ground and id(t) not in entered:
             entered.add(id(t))
@@ -319,23 +329,36 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
     """Compute the least extension of `store` making `a` and `b` equal.
 
     Returns None on clash (constructor mismatch or occurs-check
-    violation); the caller keeps the original store.  After walking both
-    sides, a left-side variable is bound to the right, then a right-side
-    variable to the left, then constructor payloads are matched, children
-    left to right and depth first, over an explicit stack of pairs.  Types
-    are checked here, once: the children of matching constructors of one
-    type have matching types by construction.
+    violation); the caller keeps the original store.  After following
+    both sides' bindings, a left-side variable is bound to the right, then
+    a right-side variable to the left, then constructor payloads are
+    matched, children left to right and depth first, over an explicit
+    stack of pairs.  Bindings are followed in the store's dict directly,
+    as `walk` would, and the dict is re-read after each bind.  Types are
+    checked here, at entry, once: the children of matching constructors
+    of one type have matching types by construction (`LogicType.make`).
     """
-    if term_type(a) is not term_type(b):
+    ta = a.vid.ltype if type(a) is Var else a.ltype
+    tb = b.vid.ltype if type(b) is Var else b.ltype
+    if ta is not tb:
         raise TypeMismatchError(
-            f"cannot unify terms of types {getattr(term_type(a), 'name', '?')} "
-            f"and {getattr(term_type(b), 'name', '?')}"
+            f"cannot unify terms of types {getattr(ta, 'name', '?')} "
+            f"and {getattr(tb, 'name', '?')}"
         )
+    bindings = store._bindings
     pairs = [(a, b)]
     while pairs:
         a, b = pairs.pop()
-        a = walk(a, store)
-        b = walk(b, store)
+        while type(a) is Var:
+            bound = bindings.get(a.vid)
+            if bound is None:
+                break
+            a = bound
+        while type(b) is Var:
+            bound = bindings.get(b.vid)
+            if bound is None:
+                break
+            b = bound
         if a is b:
             continue
         if type(a) is Var:
@@ -352,6 +375,7 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
             continue
         if store is None:
             return None
+        bindings = store._bindings
     return store
 
 
@@ -362,7 +386,9 @@ def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[Bindin
 
 
 def _bind_checked(vid: VarId, t: Term, store: BindingStore) -> Optional[BindingStore]:
-    if occurs_in(vid, t, store):
+    # `t` is walked, and an unbound `t` is not `vid`: `unify` has
+    # returned on equal vids.
+    if type(t) is Compound and not t.ground and occurs_in(vid, t, store):
         return None
     return store.bind(vid, t)
 

@@ -73,6 +73,16 @@ class TestConstruction:
         with pytest.raises(TypeMismatchError, match="expected nat"):
             NAT.make("suc", nil(NAT_LIST))
 
+    def test_nullary_terms_are_shared(self):
+        assert NAT.make("zero") is zero()
+        assert nil(NAT_LIST) is nil(NAT_LIST)
+        reg = TypeRegistry()
+        a = reg.declare("a", [("none", [])])
+        b = reg.declare("b", [("none", [])])
+        assert a.make("none") is a.make("none")
+        assert a.make("none") != b.make("none")
+        assert a.make("none") is not b.make("none")
+
     def test_unknown_constructor(self):
         with pytest.raises(DeriveError, match="no constructor"):
             NAT.make("pred", zero())

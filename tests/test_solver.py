@@ -5,7 +5,11 @@ import pytest
 from typelog.goals import eq, fail_goal, scope, succeed
 from typelog.prelude import (
     NAT,
+    append_list,
     is_tail,
+    leq,
+    list_plus_one,
+    lt,
     member,
     nat,
     not_member,
@@ -13,6 +17,7 @@ from typelog.prelude import (
     nat_value,
     plus,
     remainder,
+    sorted_nat,
     zero,
 )
 from typelog.solve import (
@@ -122,6 +127,12 @@ class TestLaziness:
         (not_member(4, [1, 2, 3]), 32),
         (plus("A", "B", 4), 50),
         (remainder(3, 0, "R"), 6),
+        (sorted_nat([1, 2, 2, 5]), 105),
+        (list_plus_one("X", [1, 2, 3]), 55),
+        (leq(3, 1), 16),
+        (lt(2, 5), 31),
+        (append_list("X", "Y", [1, 2, 3]), 44),
+        (is_tail("X", [2, 3]), 2),
     ])
     def test_smallest_budget_that_completes(self, goal, steps):
         # Every goal node evaluated is one step; the cut itself is none.

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from typelog import terms
 from typelog.derive import TypeRegistry
 from typelog.prelude import NAT, NAT_LIST, cons, nat, nat_list, nil, suc, zero
 from typelog.terms import (
@@ -169,6 +170,33 @@ class TestOccursAndGround:
                 t = suc(t)
             assert unify(X, t, EMPTY_STORE) is None
 
+    def test_occurs_through_a_binding_of_the_other_side(self):
+        s = store_of((Y, suc(X)))
+        assert unify(X, suc(Y), s) is None
+
+    def test_list_tail_chain_bound_back_to_itself_clashes(self):
+        xs, ys = NAT_LIST.var("xs"), NAT_LIST.var("ys")
+        s = store_of((ys, cons(nat(2), xs)))
+        assert unify(xs, cons(nat(1), ys), s) is None
+        assert unify(cons(nat(1), ys), xs, s) is None
+
+    def test_occurs_walk_only_for_non_ground_compounds(self, monkeypatch):
+        walked = []
+        free_vids = terms._free_vids
+
+        def counting(t, store):
+            walked.append(t)
+            return free_vids(t, store)
+
+        monkeypatch.setattr(terms, "_free_vids", counting)
+        assert unify(X, nat(3), EMPTY_STORE) is not None
+        assert unify(nat(3), X, EMPTY_STORE) is not None
+        assert unify(X, Y, EMPTY_STORE) is not None
+        assert unify(nat_list([X, Y]), nat_list([nat(1), Z]), EMPTY_STORE) is not None
+        assert walked == []
+        assert unify(X, suc(Y), EMPTY_STORE) is not None
+        assert walked == [suc(Y)]
+
     def test_substitute_syntactic(self):
         assert substitute(X.vid, nat(2), suc(X)) == suc(nat(2))
         assert substitute(X.vid, nat(2), suc(Y)) == suc(Y)
@@ -289,14 +317,23 @@ class TestEquality:
         assert repr(suc(suc(X))) == "suc(suc(Var(x:nat)))"
 
 
-class _CountingStore(BindingStore):
-    def __init__(self, bindings):
-        super().__init__(bindings)
-        self.lookups = 0
+class _CountingDict(dict):
+    lookups = 0
 
-    def lookup(self, vid):
+    def get(self, key, default=None):
         self.lookups += 1
-        return super().lookup(vid)
+        return dict.get(self, key, default)
+
+
+class _CountingStore(BindingStore):
+    """Counts the lookups made in its dict, which the walks read directly."""
+
+    def __init__(self, bindings):
+        super().__init__(_CountingDict(bindings))
+
+    @property
+    def lookups(self):
+        return self._bindings.lookups
 
 
 class TestSharedBindings:
