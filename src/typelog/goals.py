@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .terms import Term, TypeMismatchError, term_type
+from .terms import Term, TypeMismatchError, Var
 
 
 class Goal:
@@ -129,11 +129,12 @@ def cut_then(g1: Goal, g2: Goal) -> Goal:
 def eq(a: Term, b: Term) -> Goal:
     """Unification constraint.  Both terms must have the same logical
     type; that is checked here, at construction."""
-    if term_type(a) is not term_type(b):
+    ta = a.vid.ltype if type(a) is Var else a.ltype
+    tb = b.vid.ltype if type(b) is Var else b.ltype
+    if ta is not tb:
         raise TypeMismatchError(
             f"eq: terms have different logical types "
-            f"({getattr(term_type(a), 'name', '?')} vs "
-            f"{getattr(term_type(b), 'name', '?')})"
+            f"({getattr(ta, 'name', '?')} vs {getattr(tb, 'name', '?')})"
         )
     return Unify(a, b)
 

@@ -123,11 +123,11 @@ def nat_list(elems: Sequence[TermLike], tail: Optional[TermLike] = None) -> Term
 
 def as_term(x: TermLike, ltype: LogicType) -> Term:
     """Boundary conversion of Python values into terms of `ltype`."""
-    if type(x) is Var or type(x) is Compound:
-        if term_type(x) is not ltype:
-            raise TypeMismatchError(
-                f"expected a {ltype.name} term, got {term_type(x).name}"
-            )
+    tx = type(x)
+    if tx is Var or tx is Compound:
+        xtype = x.vid.ltype if tx is Var else x.ltype
+        if xtype is not ltype:
+            raise TypeMismatchError(f"expected a {ltype.name} term, got {xtype.name}")
         return x
     if isinstance(x, str):
         return ltype.var(x)

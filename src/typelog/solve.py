@@ -3,7 +3,7 @@ backtracking and scoped cut.
 
 One loop runs every query.  It keeps a continuation, a linked list of
 (goal, barrier) frames still to prove after the current goal, and a
-choicepoint stack of (goal, barrier, store, continuation) entries to
+choicepoint stack of (goal, barrier, mark, continuation) entries to
 resume on failure.  A conjunction pushes its right goal onto the
 continuation, a disjunction pushes its right goal as a choicepoint, and
 failure resumes the newest choicepoint.  A Scope sets the barrier to the
@@ -14,6 +14,15 @@ the first n solutions performs only the search needed to find them.
 Each step dispatches on the exact type of its goal node (`type(goal)
 is ...`), not on `isinstance`: the node classes of `goals` are the whole
 goal language, and an instance of a subclass of one is not a goal.
+
+Each search binds in one store of its own, in place, so a bind costs
+O(1) however long the store: `_SearchStore.bind` sets the entry and
+appends the variable to a trail, a choicepoint's mark is the trail's
+length when it was pushed, and resuming it unbinds every variable
+trailed since.  That also undoes the bindings a clashing `unify` made
+before it failed.  The live store never leaves the search:
+`solve_stores` yields a copy of each answer's store, and `solve`
+projects each answer before the search resumes.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 
 from . import goals as g
 from .terms import (
-    EMPTY_STORE,
     BindingStore,
     LogicError,
     Term,
@@ -49,19 +57,42 @@ class Solution:
     counter_at_yield: int
 
 
+class _SearchStore(BindingStore):
+    """The store of one search, bound in place and undone from `trail`.
+
+    `bind` skips the public store's checks: `unify`, its only caller,
+    binds a variable only while it is unbound and checks types at entry.
+    Mutable, so not hashable; it is never handed out.
+    """
+
+    __slots__ = ("trail",)
+    __hash__ = None
+
+    def __init__(self):
+        super().__init__()
+        self.trail = []
+
+    def bind(self, vid: VarId, term: Term) -> "_SearchStore":
+        self._bindings[vid] = term
+        self.trail.append(vid)
+        return self
+
+
 def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingStore, int]]:
     """Yield (store, fresh-variable counter) for each solution of `goal`.
 
-    Every goal node evaluated is one step against `max_steps`.  A
-    continuation frame whose goal is None is the cut of a CutThen; it
-    costs no step.  The frequent node types are tested first.
+    The store yielded is the live search store: read it before resuming
+    the search.  Every goal node evaluated is one step against
+    `max_steps`.  A continuation frame whose goal is None is the cut of a
+    CutThen; it costs no step.  The frequent node types are tested first.
     """
     Conj, Unify, Disj, Exists = g.Conj, g.Unify, g.Disj, g.Exists
     counter = steps = 0
-    store = EMPTY_STORE
+    store = _SearchStore()
+    bindings, trail = store._bindings, store.trail
     barrier = 0
     cont = None  # (goal, barrier, rest) or None
-    choices: list = []  # (goal, barrier, store, cont)
+    choices: list = []  # (goal, barrier, trail mark, cont)
     while True:
         if goal is None:
             del choices[barrier:]
@@ -76,12 +107,9 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingSto
                 goal = goal.g1
                 continue
             if t is Unify:
-                extended = unify(goal.left, goal.right, store)
-                ok = extended is not None
-                if ok:
-                    store = extended
+                ok = unify(goal.left, goal.right, store) is not None
             elif t is Disj:
-                choices.append((goal.g2, barrier, store, cont))
+                choices.append((goal.g2, barrier, len(trail), cont))
                 goal = goal.g1
                 continue
             elif t is Exists:
@@ -112,13 +140,17 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingSto
             yield store, counter
         if not choices:
             return
-        goal, barrier, store, cont = choices.pop()
+        goal, barrier, mark, cont = choices.pop()
+        while len(trail) > mark:
+            del bindings[trail.pop()]
 
 
 def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[BindingStore]:
     """Lazy stream of raw binding stores for `goal`, starting from the
-    empty store.  A top-level cut simply ends the stream."""
-    yield from (store for store, _ in _search(goal, max_steps))
+    empty store.  Each is a copy of the search store at that answer, an
+    immutable `BindingStore` that later answers do not change.  A
+    top-level cut simply ends the stream."""
+    yield from (BindingStore(dict(store._bindings)) for store, _ in _search(goal, max_steps))
 
 
 def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:

@@ -2,10 +2,17 @@
 
 A term is either a variable or a constructor application whose children
 are themselves terms.  Every term belongs to exactly one logical type;
-variables of the same name but different types are distinct.  Binding
-stores are immutable: extending a store returns a new one, so
-backtracking is just "keep the old reference".  The structural
-operations work over `Compound.args`: one definition for every type.
+variables of the same name but different types are distinct.  A public
+`BindingStore` is an immutable value: extending it returns a new one, and
+any number of holders may share it.  The solver does not extend such
+values: each search owns one store (`solve._SearchStore`) whose `bind`
+sets the entry in place and records the variable on a trail, and
+backtracking unbinds the variables recorded since the choicepoint's mark
+(Warren, "An abstract Prolog instruction set", SRI TN 309, 1983), so a
+bind costs O(1) however long the store.  `unify` is written once for
+both kinds: it binds through `store.bind` and continues from the store
+that returns.  The structural operations work over `Compound.args`: one
+definition for every type.
 Every walk over a term runs over an explicit stack, so terms of any depth
 are accepted: `unify`, `Compound` equality and hashing, the
 occurs/groundness walk (`_free_vids`), the rebuild behind `resolve` and
@@ -160,14 +167,15 @@ class BindingStore:
     """Immutable map from VarId to Term: the accumulated substitution.
 
     A variable is bound at most once; `bind` on an already-bound variable
-    is a programming error.  Because stores are never mutated, any number
-    of search branches may share one safely.
+    is a programming error.  `bind` copies, so a store is never mutated
+    and any number of holders may share one safely.  The store keeps the
+    dict it is given, without copying it.
     """
 
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Optional[dict] = None):
-        self._bindings = bindings or {}
+        self._bindings = {} if bindings is None else bindings
 
     def lookup(self, vid: VarId) -> Optional[Term]:
         return self._bindings.get(vid)
@@ -329,14 +337,18 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
     """Compute the least extension of `store` making `a` and `b` equal.
 
     Returns None on clash (constructor mismatch or occurs-check
-    violation); the caller keeps the original store.  After following
-    both sides' bindings, a left-side variable is bound to the right, then
-    a right-side variable to the left, then constructor payloads are
+    violation).  A public store is unchanged by a clash, since its `bind`
+    copies; the solver's search store binds in place and undoes a failed
+    branch's bindings from its trail.  After following both sides'
+    bindings, a left-side variable is bound to the right, then a
+    right-side variable to the left, then constructor payloads are
     matched, children left to right and depth first, over an explicit
     stack of pairs.  Bindings are followed in the store's dict directly,
     as `walk` would, and the dict is re-read after each bind.  Types are
     checked here, at entry, once: the children of matching constructors
     of one type have matching types by construction (`LogicType.make`).
+    A variable is bound only while unbound, since both sides are followed
+    first, and only after the occurs check.
     """
     ta = a.vid.ltype if type(a) is Var else a.ltype
     tb = b.vid.ltype if type(b) is Var else b.ltype
@@ -362,19 +374,22 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
         if a is b:
             continue
         if type(a) is Var:
-            if type(b) is Var and a.vid == b.vid:
-                continue
-            store = _bind_checked(a.vid, b, store)
+            if type(b) is Var:
+                if a.vid == b.vid:
+                    continue
+            elif not b.ground and occurs_in(a.vid, b, store):
+                return None
+            store = store.bind(a.vid, b)
         elif type(b) is Var:
-            store = _bind_checked(b.vid, a, store)
+            if not a.ground and occurs_in(b.vid, a, store):
+                return None
+            store = store.bind(b.vid, a)
         elif a.ctor != b.ctor:
             return None
         else:
             # Reversed, so that children are popped left to right.
             pairs.extend(zip(reversed(a.args), reversed(b.args)))
             continue
-        if store is None:
-            return None
         bindings = store._bindings
     return store
 
@@ -383,14 +398,6 @@ def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[Bindin
     """Constructor match: same constructor, then `unify`, which checks
     that `p` and `q` are of one type and unifies the children pairwise."""
     return unify(p, q, store) if p.ctor == q.ctor else None
-
-
-def _bind_checked(vid: VarId, t: Term, store: BindingStore) -> Optional[BindingStore]:
-    # `t` is walked, and an unbound `t` is not `vid`: `unify` has
-    # returned on equal vids.
-    if type(t) is Compound and not t.ground and occurs_in(vid, t, store):
-        return None
-    return store.bind(vid, t)
 
 
 def pretty(t: Term) -> str:

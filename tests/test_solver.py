@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from typelog.goals import eq, fail_goal, scope, succeed
+from typelog.goals import eq, fail_goal, neg, scope, succeed
 from typelog.prelude import (
     NAT,
     append_list,
@@ -28,11 +28,12 @@ from typelog.solve import (
     solve,
     solve_stores,
 )
-from typelog.terms import resolve
+from typelog.terms import EMPTY_STORE, BindingStore, resolve
 
 from reference import eager_answers
 
 X = NAT.var("x")
+Y = NAT.var("y")
 
 
 def answers(goal, limit=None):
@@ -171,3 +172,58 @@ class TestCutContainment:
     def test_toplevel_cut_prunes_to_query_root(self):
         g = (eq(X, nat(0)) ^ succeed()) | eq(X, nat(1))
         assert answers(g) == [{"x": nat(0)}]
+
+
+class TestSearchStore:
+    """The search binds in one store in place and undoes on backtracking;
+    none of that may show outside the search."""
+
+    def test_answer_store_outlives_the_stream(self):
+        stream = solve_stores(append_list("X", "Y", [1, 2, 3]))
+        first = next(stream)
+        items, size, value = dict(first.items()), len(first), hash(first)
+        copy = BindingStore(dict(items))
+        for after in (lambda: next(stream), stream.close):
+            after()
+            assert first == copy and len(first) == size and dict(first.items()) == items
+            assert hash(first) == value
+
+    def test_interleaved_streams_answer_as_alone(self):
+        # One stream runs two answers ahead, so each search backtracks
+        # past bindings the other still holds.
+        goal = append_list("X", "Y", [1, 2, 3, 4])
+        alone = answers(goal)
+        a, b = solve(goal), solve(goal)
+        got = {a: [], b: []}
+        for stream in [a, a] + [b, a] * (len(alone) - 2) + [b, b]:
+            got[stream].append(next(stream))
+        for stream in (a, b):
+            assert [{v.name: t for v, t in s.bindings.items()} for s in got[stream]] == alone
+            assert next(stream, None) is None
+
+    @pytest.mark.parametrize("goal", [
+        # x = 2 is bound before 1 = 3 clashes.
+        eq(nat_list([X, 1]), nat_list([2, 3])) | eq(X, nat(5)),
+        neg(eq(nat_list([X, 1]), nat_list([2, 3]))) & eq(X, nat(5)),
+        (eq(nat_list([X, 1]), nat_list([2, 3])) ^ succeed()) | eq(X, nat(5)),
+        # The cut commits to x = 2; then y = 3 is bound before 1 = 4 clashes.
+        scope(eq(X, nat(2)) ^ eq(nat_list([Y, 1]), nat_list([3, 4]))) | eq(X, nat(5)),
+    ])
+    def test_clash_mid_unify_leaves_no_binding(self, goal):
+        assert answers(goal) == [{"x": nat(5)}]
+
+    def test_search_makes_no_public_bind(self, monkeypatch):
+        # The public bind copies the store; the search must not use it.
+        calls = []
+        bind = BindingStore.bind
+
+        def counting(store, vid, term):
+            calls.append(vid)
+            return bind(store, vid, term)
+
+        monkeypatch.setattr(BindingStore, "bind", counting)
+        assert holds(plus(2000, "B", 4000))
+        assert find_all(X, plus(2000, X, 4000)) == [nat(2000)]
+        assert calls == []
+        EMPTY_STORE.bind(X.vid, nat(1))
+        assert calls == [X.vid]
