@@ -20,9 +20,18 @@ O(1) however long the store: `_SearchStore.bind` sets the entry and
 appends the variable to a trail, a choicepoint's mark is the trail's
 length when it was pushed, and resuming it unbinds every variable
 trailed since.  That also undoes the bindings a clashing `unify` made
-before it failed.  The live store never leaves the search:
-`solve_stores` yields a copy of each answer's store, and `solve`
-projects each answer before the search resumes.
+before it failed.  The live store never leaves the search: `solve`,
+`find_all` and `find_all_n` read each answer from it before the search
+resumes, and `solve_stores` yields a copy of each answer's store.
+
+An answer costs what changed since the previous one, not the whole
+store.  With each answer the search reports the lowest trail length it
+resumed since the previous answer: the trail below that mark is as it
+was then.  `solve` keeps the trail positions of the bound user-named
+variables and reads only the trail above the mark for new ones, so an
+answer from `solve` or `find_all` costs O(bindings since the last answer
++ answer size).  `solve_stores` pays an O(store) copy per answer, the
+price of its immutable stores.
 """
 
 from __future__ import annotations
@@ -78,8 +87,11 @@ class _SearchStore(BindingStore):
         return self
 
 
-def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingStore, int]]:
-    """Yield (store, fresh-variable counter) for each solution of `goal`.
+def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchStore, int, int]]:
+    """Yield (store, fresh-variable counter, low) for each solution of
+    `goal`, where `low` is the lowest trail length resumed since the
+    previous solution (0 for the first): `store.trail[:low]` is as it was
+    at the previous solution.
 
     The store yielded is the live search store: read it before resuming
     the search.  Every goal node evaluated is one step against
@@ -90,7 +102,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingSto
     counter = steps = 0
     store = _SearchStore()
     bindings, trail = store._bindings, store.trail
-    barrier = 0
+    barrier = low = 0
     cont = None  # (goal, barrier, rest) or None
     choices: list = []  # (goal, barrier, trail mark, cont)
     while True:
@@ -137,10 +149,13 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingSto
             if cont is not None:
                 goal, barrier, cont = cont
                 continue
-            yield store, counter
+            yield store, counter, low
+            low = len(trail)
         if not choices:
             return
         goal, barrier, mark, cont = choices.pop()
+        if mark < low:
+            low = mark
         while len(trail) > mark:
             del bindings[trail.pop()]
 
@@ -148,9 +163,10 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[BindingSto
 def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[BindingStore]:
     """Lazy stream of raw binding stores for `goal`, starting from the
     empty store.  Each is a copy of the search store at that answer, an
-    immutable `BindingStore` that later answers do not change.  A
-    top-level cut simply ends the stream."""
-    yield from (BindingStore(dict(store._bindings)) for store, _ in _search(goal, max_steps))
+    immutable `BindingStore` that later answers do not change, so each
+    answer costs O(store).  A top-level cut simply ends the stream."""
+    for store, _, _ in _search(goal, max_steps):
+        yield BindingStore(dict(store._bindings))
 
 
 def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:
@@ -158,18 +174,21 @@ def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:
 
     Each solution restricts the final store to user-named variables
     (engine-generated "_" names are dropped) with all values fully
-    resolved.  Diverges when the search tree has an infinite leftmost
-    path, like Prolog.
+    resolved, in the order they were bound.  An answer costs O(bindings
+    since the last answer + answer size): the trail positions of the
+    bound user-named variables are kept between answers, and only the
+    trail above the search's low mark is read for new ones.  Diverges
+    when the search tree has an infinite leftmost path, like Prolog.
     """
-    yield from (_project(store, counter) for store, counter in _search(goal, max_steps))
-
-
-def _project(store: BindingStore, counter: int) -> Solution:
-    visible = {}
-    for vid in store:
-        if not vid.name.startswith("_"):
-            visible[vid] = resolve(Var(vid), store)
-    return Solution(visible, counter)
+    shown = []  # (trail position, vid) of each bound user-named variable
+    for store, counter, low in _search(goal, max_steps):
+        while shown and shown[-1][0] >= low:
+            shown.pop()
+        for pos, vid in enumerate(store.trail[low:], low):
+            if not vid.name.startswith("_"):
+                shown.append((pos, vid))
+        bindings = store._bindings
+        yield Solution({vid: resolve(bindings[vid], store) for _, vid in shown}, counter)
 
 
 def find_all(v: Var, goal: g.Goal, max_steps: Optional[int] = None) -> List[Term]:
@@ -178,20 +197,21 @@ def find_all(v: Var, goal: g.Goal, max_steps: Optional[int] = None) -> List[Term
     use find_all_n to truncate.  Values may be non-ground."""
     if not isinstance(v, Var):
         raise TypeError("find_all expects a variable term")
-    return [resolve(v, store) for store in solve_stores(goal, max_steps)]
+    return [resolve(v, store) for store, _, _ in _search(goal, max_steps)]
 
 
 def find_all_n(v: Var, goal: g.Goal, n: int, max_steps: Optional[int] = None) -> List[Term]:
     """Like find_all, truncated after the first `n` solutions."""
     if not isinstance(v, Var):
         raise TypeError("find_all_n expects a variable term")
-    stream = solve_stores(goal, max_steps)
-    return [resolve(v, store) for store in itertools.islice(stream, n)]
+    stream = _search(goal, max_steps)
+    return [resolve(v, store) for store, _, _ in itertools.islice(stream, n)]
 
 
 def holds(goal: g.Goal, max_steps: Optional[int] = None) -> bool:
     """True iff `goal` has at least one solution.  Only the first
-    solution is searched for."""
+    solution is searched for.  It is taken from `solve_stores`, so a
+    wrapper of the public streams sees it, at the cost of one copy."""
     for _ in solve_stores(goal, max_steps):
         return True
     return False

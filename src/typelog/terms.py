@@ -37,7 +37,10 @@ not yet ground.  `occurs_in` and `is_ground_term` walk the store with an
 explicit stack (`_free_vids`) instead of building `resolve(t, store)`.
 The occurs check in `unify` walks only a non-ground compound: a ground
 one holds no variable, and an unbound variable distinct from the one
-being bound cannot contain it.
+being bound cannot contain it.  Before walking, it looks one level down
+(`_may_occur`): a compound whose children are all ground or unbound
+variables other than the one being bound, like `suc(_x)` with `_x`
+fresh, cannot contain it either, and is not walked.
 """
 
 from __future__ import annotations
@@ -333,6 +336,19 @@ def substitute(vid: VarId, replacement: Term, t: Term) -> Term:
     return _rebuild(t, EMPTY_STORE, lambda v: replacement if v.vid == vid else v)
 
 
+def _may_occur(vid: VarId, t: Compound, bindings: dict) -> bool:
+    """False when no child of `t` can contain `vid`: each is ground or an
+    unbound variable other than `vid`.  One level deep; True only means
+    that the full walk (`occurs_in`) must decide."""
+    for c in t.args:
+        if type(c) is Var:
+            if c.vid in bindings or c.vid == vid:
+                return True
+        elif not c.ground:
+            return True
+    return False
+
+
 def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
     """Compute the least extension of `store` making `a` and `b` equal.
 
@@ -377,11 +393,11 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
             if type(b) is Var:
                 if a.vid == b.vid:
                     continue
-            elif not b.ground and occurs_in(a.vid, b, store):
+            elif not b.ground and _may_occur(a.vid, b, bindings) and occurs_in(a.vid, b, store):
                 return None
             store = store.bind(a.vid, b)
         elif type(b) is Var:
-            if not a.ground and occurs_in(b.vid, a, store):
+            if not a.ground and _may_occur(b.vid, a, bindings) and occurs_in(b.vid, a, store):
                 return None
             store = store.bind(b.vid, a)
         elif a.ctor != b.ctor:

@@ -1,13 +1,16 @@
 """Property-based checks of the unification algebra over randomly
 generated natural-number and list terms."""
 
+import functools
+import operator
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from typelog.derive import TypeRegistry
 from typelog.goals import eq, exists, fail_goal, is_ground, neg, scope, succeed
 from typelog.prelude import NAT, NAT_LIST, cons, nat, nil, suc, zero
-from typelog.solve import solve
+from typelog.solve import Solution, _search, find_all, find_all_n, holds, solve, solve_stores
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
@@ -277,3 +280,70 @@ def goal_trees():
 def test_solver_matches_eager_reference_on_goal_trees(goal):
     lazy = [{vid.name: t for vid, t in s.bindings.items()} for s in solve(goal)]
     assert lazy == eager_answers(goal)
+
+
+# `solve` projects each answer from the part of the trail that changed
+# since the previous one.  The projection it had before, a scan of the
+# whole store, is kept as the oracle: same answers, same key order.
+
+def project_whole_store(store, counter):
+    visible = {}
+    for vid in store:
+        if not vid.name.startswith("_"):
+            visible[vid] = resolve(Var(vid), store)
+    return Solution(visible, counter)
+
+
+PROJECTION_VARS = [NAT.var(n) for n in NAT_VARS] + [NAT_LIST.var(n) for n in LIST_VARS]
+
+
+def projection_goal_trees():
+    """A conjunction of disjunctions of small goal trees over naturals and
+    lists, so that most goals have several answers and later answers
+    resume below the trail of earlier ones.  The trees use every
+    connective.  A list equation binds several variables in one `unify`
+    and may clash after binding some; `exists` adds engine variables,
+    bound between user-named ones."""
+    nat_vars = st.sampled_from([NAT.var(n) for n in NAT_VARS])
+    leaf = st.one_of(
+        st.tuples(nat_vars, st.one_of(nat_vars, nat_terms(2))).map(lambda p: eq(*p)),
+        st.tuples(list_terms(3), list_terms(3)).map(lambda p: eq(*p)),
+        st.sampled_from([succeed(), fail_goal()]),
+        nat_terms(2).map(is_ground),
+    )
+
+    def extend(sub):
+        pair = st.tuples(sub, sub)
+        return st.one_of(
+            pair.map(lambda p: p[0] & p[1]),
+            pair.map(lambda p: p[0] | p[1]),
+            pair.map(lambda p: p[0] ^ p[1]),
+            sub.map(scope),
+            sub.map(neg),
+            st.tuples(nat_terms(2), sub).map(
+                lambda p: exists(NAT, lambda v: eq(suc(v), suc(p[0])) & p[1])),
+        )
+    tree = st.recursive(leaf, extend, max_leaves=5)
+    choice = st.lists(tree, min_size=1, max_size=3).map(lambda ts: functools.reduce(operator.or_, ts))
+    return st.lists(choice, min_size=1, max_size=3).map(lambda cs: functools.reduce(operator.and_, cs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(projection_goal_trees())
+def test_solve_matches_a_whole_store_projection(goal):
+    expected = [project_whole_store(store, counter) for store, counter, _ in _search(goal, None)]
+    got = list(solve(goal))
+    assert got == expected
+    assert [list(s.bindings) for s in got] == [list(s.bindings) for s in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(projection_goal_trees())
+def test_find_all_and_holds_match_copied_stores(goal):
+    stores = list(solve_stores(goal))
+    assert holds(goal) == bool(stores)
+    for v in PROJECTION_VARS:
+        values = [resolve(v, store) for store in stores]
+        assert find_all(v, goal) == values
+        for n in (0, 1, 2, len(stores) + 1):
+            assert find_all_n(v, goal, n) == values[:n]

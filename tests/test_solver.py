@@ -188,6 +188,16 @@ class TestSearchStore:
             assert first == copy and len(first) == size and dict(first.items()) == items
             assert hash(first) == value
 
+    def test_answer_after_backtracking_below_an_earlier_answer(self):
+        # The third answer resumes below x's binding, so both variables
+        # are bound again, y first; keys keep the order of binding.
+        goal = (eq(X, nat(1)) & (eq(Y, nat(2)) | eq(Y, nat(3)))) | (eq(Y, nat(4)) & eq(X, nat(5)))
+        assert [list(s.bindings.items()) for s in solve(goal)] == [
+            [(X.vid, nat(1)), (Y.vid, nat(2))],
+            [(X.vid, nat(1)), (Y.vid, nat(3))],
+            [(Y.vid, nat(4)), (X.vid, nat(5))],
+        ]
+
     def test_interleaved_streams_answer_as_alone(self):
         # One stream runs two answers ahead, so each search backtracks
         # past bindings the other still holds.

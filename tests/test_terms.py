@@ -193,9 +193,22 @@ class TestOccursAndGround:
         assert unify(nat(3), X, EMPTY_STORE) is not None
         assert unify(X, Y, EMPTY_STORE) is not None
         assert unify(nat_list([X, Y]), nat_list([nat(1), Z]), EMPTY_STORE) is not None
-        assert walked == []
+        # A compound whose children are ground or other unbound variables
+        # cannot contain X: looked at one level down, not walked.
         assert unify(X, suc(Y), EMPTY_STORE) is not None
-        assert walked == [suc(Y)]
+        assert unify(suc(Y), X, EMPTY_STORE) is not None
+        assert unify(NAT_LIST.var("xs"), cons(Y, nil(NAT_LIST)), EMPTY_STORE) is not None
+        assert walked == []
+        # The variable being bound, a bound child, or a nested non-ground
+        # child sends the check to the full walk.
+        assert unify(X, suc(X), EMPTY_STORE) is None
+        assert walked == [suc(X)]
+        y_bound = store_of((Y, nat(2)))
+        assert unify(X, suc(Y), y_bound) is not None
+        assert unify(suc(Y), X, y_bound) is not None
+        assert walked == [suc(X), suc(Y), suc(Y)]
+        assert unify(X, suc(suc(Y)), EMPTY_STORE) is not None
+        assert walked == [suc(X), suc(Y), suc(Y), suc(suc(Y))]
 
     def test_substitute_syntactic(self):
         assert substitute(X.vid, nat(2), suc(X)) == suc(nat(2))
