@@ -2,8 +2,9 @@
 
 Terms over algebraic data types may contain logic variables at any
 position; goals combine unification constraints with conjunction,
-disjunction, fresh variables, scoped cuts, and negation as failure; a
-depth-first solver streams answers lazily, Prolog-style.
+disjunction, fresh variables, scoped cuts, and negation as failure;
+`@predicate` compiles a goal-building function once per argument type;
+a depth-first solver streams answers lazily, Prolog-style.
 """
 
 from .derive import (
@@ -26,6 +27,7 @@ from .goals import (
     is_ground,
     neg,
     neq,
+    predicate,
     scope,
     succeed,
 )
@@ -62,7 +64,7 @@ __all__ = [
     "LogicType", "Solution", "StepBudgetExceeded", "Term", "TypeMismatchError",
     "TypeRegistry", "Var", "VarId", "conj", "cut_then", "derive_capability",
     "disj", "eq", "exists", "fail_goal", "find_all", "find_all_n", "holds",
-    "is_ground", "is_ground_term", "neg", "neq", "occurs_in", "pretty",
+    "is_ground", "is_ground_term", "neg", "neq", "occurs_in", "predicate", "pretty",
     "resolve", "scope", "solve", "solve_stores", "substitute", "succeed",
     "unify", "walk",
 ]

@@ -1,4 +1,4 @@
-"""The goal tree and its combinators.
+"""The goal tree, its combinators, and compiled predicates.
 
 Goals are immutable descriptions; building one performs no search, no
 unification, and allocates no variables.  Operators mirror the usual
@@ -12,18 +12,40 @@ so ``eq(a, b) ^ fail_goal() | c & d`` groups as
 ``(eq(a, b) ^ fail_goal()) | (c & d)``.
 
 Immutability is kept by contract, not enforced: the nodes are slotted
-dataclasses, compared and hashed by value, but not frozen, because a
-frozen node pays a guarded `__setattr__` per field and the solver builds
-nodes on every unfolding of a predicate.  No code assigns a field after
-construction.
+classes, compared and hashed by value, but not frozen, because a frozen
+node pays a guarded `__setattr__` per field.  No code assigns a field
+after construction, except that a `Template` is filled in once, while
+it is compiled.
+
+A predicate defined with `@predicate` is compiled once per key (its
+arguments' types) into a `Template`: its body is run once on
+placeholders, each `exists` in it is expanded into a numbered slot of
+an environment, and each term that mentions a parameter or a slot
+becomes a pattern (see `instantiate`).  An argument that is not a term,
+such as a comparison function, is a slot too, and is called when the
+search reaches the call the body makes of it.  Calling the predicate
+converts the arguments and builds one `Call` node; the solver runs a
+`Call` by instantiating its argument patterns into a fresh environment
+and jumping to the template's root, so no goal node and no closure is
+built per unfolding (Warren, "An abstract Prolog instruction set", SRI
+TN 309, 1983, renames clause templates the same way).  The contract
+that makes this sound: a predicate's body may depend on its arguments'
+types, not on their values.  A body that cannot be compiled, such as
+one that calls a plain function recursing under `exists`, is run on
+each call instead.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from types import FunctionType
+from typing import Callable, Optional
 
-from .terms import Term, TypeMismatchError, Var
+from .terms import Compound, LogicError, Term, TypeMismatchError, Var, VarId, term_type
 
 
 class Goal:
@@ -53,6 +75,8 @@ class Fail(Goal):
 
 @dataclass(slots=True, unsafe_hash=True)
 class Unify(Goal):
+    """Unify two terms; in a template, two patterns."""
+
     left: Term
     right: Term
 
@@ -73,10 +97,14 @@ class Disj(Goal):
 class Exists(Goal):
     """Introduce a fresh variable of `ltype` at evaluation time and
     evaluate `body(fresh_var)`.  Bodies must be pure: the engine may
-    call them again during backtracking."""
+    call them again during backtracking.
+
+    In a template, `slot` is an index into the environment: the fresh
+    variable is stored there and `body` is the compiled goal itself."""
 
     ltype: object
     body: Callable[[Term], Goal]
+    slot: Optional[int] = None
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -98,6 +126,30 @@ class IsGround(Goal):
     store at evaluation time."""
 
     term: Term
+
+
+class Call(Goal):
+    """Run a compiled predicate: `template` on argument terms or, inside
+    a template, on argument patterns.  Inside a template, `template` may
+    instead be the environment index of a function argument, which is
+    called on the arguments.  Costs no solver step."""
+
+    __slots__ = ("template", "args")
+
+    def __init__(self, template, args: tuple):
+        self.template = template
+        self.args = args
+
+    def __eq__(self, other):
+        if type(other) is not Call:
+            return NotImplemented
+        return self.template == other.template and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.template, self.args))
+
+    def __repr__(self):
+        return f"Call({getattr(self.template, 'name', self.template)}, {self.args!r})"
 
 
 _SUCCEED = Succeed()
@@ -164,3 +216,301 @@ def neq(a: Term, b: Term) -> Goal:
 
 def is_ground(t: Term) -> Goal:
     return IsGround(t)
+
+
+# --- compiled predicates ------------------------------------------------------
+
+
+class Template:
+    """One predicate body compiled for one key.
+
+    The environment of a call holds the arguments at 0..n-1, then one
+    slot per `exists` of the body (`pad` is their initial value).  An
+    argument that is not a term, such as the relation of `map_p`, is
+    kept in the environment and called when the search reaches the call
+    the body makes of it, as a body built of closures would call it.
+    `root` stays None when the body cannot be compiled (see
+    `_translate`); a call then runs the body on its arguments when the
+    search reaches it, as a plain function would."""
+
+    __slots__ = ("name", "body", "root", "pad")
+
+    def __init__(self, body: Callable[..., Goal]):
+        self.name = body.__name__
+        self.body = body
+        self.root: Optional[Goal] = None
+        self.pad: list = []
+
+    def unfold(self, args: tuple) -> Goal:
+        """The goal the undecorated body builds on these arguments: what
+        `Call(self, args)` means."""
+        return self.body(*args)
+
+    def compile(self, args: tuple) -> None:
+        slots = {}
+        params = []
+        for a in args:
+            if type(a) is Var or type(a) is Compound:
+                p = _placeholder(term_type(a))
+                slots[p.vid] = len(slots)
+            else:
+                p = _Function()
+                slots[p] = len(slots)
+            params.append(p)
+        arity = len(slots)
+        try:
+            self.root = _translate(self.body(*params), self.name, slots)
+        except _Uncompilable:
+            return
+        self.pad = [None] * (len(slots) - arity)
+
+
+class _Function:
+    """What a body is run on for an argument that is not a term: calling
+    it builds the `Call` the search makes of the argument."""
+
+    __slots__ = ()
+
+    def __call__(self, *args):
+        return Call(self, args)
+
+
+class _Uncompilable(Exception):
+    """A body whose template `_translate` cannot finish or cannot express."""
+
+
+_PLACEHOLDER = "_#"
+_ids = itertools.count()
+# Compilation is serialised.  Templates compiled under one outermost
+# compilation are `_pending` until it finishes, and published to their
+# caches only if it succeeds, so no other thread sees an unfinished one.
+# A body that calls a predicate still being compiled, its own included,
+# gets that pending template: recursion needs no root yet.
+_LOCK = threading.RLock()
+_pending: dict = {}  # (id(cache), key) -> (cache, key, Template)
+
+
+def _placeholder(ltype) -> Var:
+    return Var(VarId(f"{_PLACEHOLDER}{next(_ids)}", ltype))
+
+
+def predicate(boundary: Callable[..., tuple]):
+    """Decorator: compile a goal-building function into a predicate.
+
+    ``boundary(*args)`` converts a call's arguments and returns ``(key,
+    converted)``: `key` names the template to use and must determine the
+    types of the term arguments and which arguments are not terms, and
+    `converted` is the tuple of converted arguments the body receives.
+    An argument that is not a term must be a function that builds a
+    goal, such as a comparison; the body may only call it or pass it on.
+    The body runs once per key, on placeholders; each call afterwards
+    costs one boundary conversion and one `Call` node.  A body may
+    depend on its arguments' types, not on their values, and must be
+    pure.  A body that compiling cannot finish (it recurses through
+    `exists` closures of a plain function) or that passes on a function
+    that may refer to its variables is run on each call instead, as a
+    plain function.  `templates` on the predicate is its cache of
+    templates."""
+
+    def decorate(body: Callable[..., Goal]):
+        arity = body.__code__.co_argcount
+        cache: dict = {}
+
+        @functools.wraps(body)
+        def call(*args):
+            if len(args) != arity:
+                raise TypeError(f"{body.__name__}() takes {arity} arguments ({len(args)} given)")
+            key, args = boundary(*args)
+            template = cache.get(key)
+            if template is None:
+                template = _template(body, cache, key, args)
+            return Call(template, args)
+
+        call.templates = cache
+        return call
+
+    return decorate
+
+
+def _template(body, cache: dict, key, args: tuple) -> Template:
+    with _LOCK:
+        entry = _pending.get((id(cache), key))
+        if entry is not None:
+            return entry[2]
+        template = cache.get(key)
+        if template is not None:
+            return template
+        before = set(_pending)
+        template = Template(body)
+        _pending[(id(cache), key)] = (cache, key, template)
+        try:
+            template.compile(args)
+            if not before:
+                _publish()
+        except BaseException:
+            for k in set(_pending) - before:
+                del _pending[k]
+            raise
+        return template
+
+
+def _publish() -> None:
+    """Check the templates of a finished outermost compilation and move
+    them into their caches."""
+    for _, _, template in _pending.values():
+        seen = set()
+        node = template.root
+        while type(node) is Call and type(node.template) is Template:
+            if node.template in seen:
+                raise LogicError(f"predicate {template.name} calls itself without a goal between")
+            seen.add(node.template)
+            node = node.template.root
+    for cache, key, template in _pending.values():
+        cache[key] = template
+    _pending.clear()
+
+
+def _closed(f) -> bool:
+    """Whether `f`, an argument of a call in a body that is not a term,
+    can refer to no variable of the body: it is a compiled predicate, or
+    a plain function with no free variables and no defaults."""
+    return type(f) is FunctionType and (hasattr(f, "templates") or (
+        f.__closure__ is None and not f.__defaults__ and not f.__kwdefaults__))
+
+
+def _translate(goal: Goal, name: str, slots: dict) -> Goal:
+    """The template form of `goal`: each closure `Exists` expanded into
+    a new slot, terms turned into patterns over `slots` (placeholder
+    VarId or `_Function` -> environment index).  Post-order over an
+    explicit stack.
+
+    Raises `_Uncompilable` where the template cannot stand for the goal:
+    at an `Exists` whose closure's code already runs on the path of
+    expansions above it, since a plain function that recurses under
+    `exists` would expand forever, and at a call argument that is a
+    function which may refer to the body's variables."""
+
+    def pattern_of(v):
+        k = slots.get(v.vid if type(v) is Var else v)
+        if k is not None:
+            return k
+        if type(v) is _Function or v.vid.name.startswith(_PLACEHOLDER):
+            raise LogicError(
+                f"predicate {name} refers to a variable of an enclosing predicate's body; "
+                f"define it outside that body")
+        return v
+
+    def argument(a):
+        if type(a) is Var or type(a) is Compound:
+            return _pattern(a, pattern_of)
+        if type(a) is _Function:
+            return pattern_of(a)
+        if _closed(a):
+            return a
+        raise _Uncompilable
+
+    done: list = []
+    todo: list = [(goal, None)]  # (node, path): path is (code, path) or None
+    while todo:
+        node, path = todo.pop()
+        t = type(node)
+        if t is tuple:  # assemble a node from the last results
+            kind, extra = node
+            if kind is Exists:
+                done.append(Exists(extra[0], done.pop(), extra[1]))
+            elif kind is Scope:
+                done.append(Scope(done.pop()))
+            else:
+                g2 = done.pop()
+                done.append(kind(done.pop(), g2))
+        elif t is Conj or t is Disj or t is CutThen:
+            todo += (((t, None), None), (node.g2, path), (node.g1, path))
+        elif t is Scope:
+            todo += (((Scope, None), None), (node.g, path))
+        elif t is Exists:
+            code = getattr(node.body, "__code__", type(node.body))
+            above = path
+            while above is not None:
+                if above[0] is code:
+                    raise _Uncompilable
+                above = above[1]
+            v = _placeholder(node.ltype)
+            k = slots[v.vid] = len(slots)
+            todo += (((Exists, (node.ltype, k)), None), (node.body(v), (code, path)))
+        elif t is Unify:
+            done.append(Unify(_pattern(node.left, pattern_of), _pattern(node.right, pattern_of)))
+        elif t is IsGround:
+            done.append(IsGround(_pattern(node.term, pattern_of)))
+        elif t is Call:
+            f = node.template
+            if type(f) is _Function:
+                f = pattern_of(f)
+            done.append(Call(f, tuple([argument(a) for a in node.args])))
+        elif t is Succeed or t is Fail:
+            done.append(node)
+        else:
+            raise LogicError(f"not a goal: {node!r}")
+    return done.pop()
+
+
+def _pattern(t: Term, pattern_of):
+    """`t` as a pattern: `pattern_of(v)` for a variable, ``(ltype, ctor,
+    subpatterns)`` for a compound that mentions a slot, else `t` itself.
+    Post-order over an explicit stack, like `terms._rebuild`."""
+    if type(t) is Var:
+        return pattern_of(t)
+    if t.ground:
+        return t
+    frames = []
+    node, i, out = t, 0, []
+    while True:
+        args = node.args
+        if i < len(args):
+            a = args[i]
+            i += 1
+            if type(a) is Var:
+                out.append(pattern_of(a))
+            elif a.ground:
+                out.append(a)
+            else:
+                frames.append((node, i, out))
+                node, i, out = a, 0, []
+            continue
+        if all(map(operator.is_, out, args)):
+            new = node
+        else:
+            new = (node.ltype, node.ctor, tuple(out))
+        if not frames:
+            return new
+        node, i, out = frames.pop()
+        out.append(new)
+
+
+def instantiate(p: tuple, env: list) -> Compound:
+    """The compound a pattern ``(ltype, ctor, subpatterns)`` denotes in
+    `env`: a subpattern that is an int is the term in that slot, a tuple
+    is instantiated in turn, and anything else is a term as it is.  No
+    type check is needed: `make` checked every position when the
+    template was built.  Post-order over an explicit stack."""
+    frames = []
+    ltype, ctor, subs = p
+    i, out = 0, []
+    while True:
+        if i < len(subs):
+            s = subs[i]
+            i += 1
+            ts = type(s)
+            if ts is int:
+                out.append(env[s])
+            elif ts is tuple:
+                frames.append((ltype, ctor, subs, i, out))
+                ltype, ctor, subs = s
+                i, out = 0, []
+            else:
+                out.append(s)
+            continue
+        t = Compound(ltype, ctor, tuple(out))
+        if not frames:
+            return t
+        ltype, ctor, subs, i, out = frames.pop()
+        out.append(t)

@@ -5,7 +5,10 @@ Where a term is expected, the functions here also accept plain Python
 values: an ``int`` becomes a ground Peano numeral, a ``str`` becomes a
 variable of the expected type, and a Python list becomes a ground list
 term.  The conversion happens here, at the API boundary, never inside
-terms.
+terms.  Each predicate is compiled with `goals.predicate`: a boundary
+function (`nats` for predicates over naturals) converts a call's
+arguments, once per call, and the body, which sees terms of the right
+types only, runs once per argument type.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import threading
 from typing import Callable, Optional, Sequence, Union
 
 from .derive import DeriveError, LogicType, TypeRegistry
-from .goals import Goal, eq, exists, fail_goal, neg, scope
+from .goals import Goal, eq, exists, fail_goal, neg, predicate, scope
 from .terms import Compound, Term, TypeMismatchError, Var, pretty, term_type
 
 TermLike = Union[Term, int, str, Sequence]
@@ -29,13 +32,25 @@ def suc(t: TermLike) -> Compound:
 
 
 def nat(n: int) -> Compound:
-    """The ground Peano numeral for n >= 0; its child is nat(n - 1)."""
-    if n < 0:
-        raise ValueError("Peano numerals are nonnegative")
+    """The ground Peano numeral for n >= 0; its child is nat(n - 1).
+
+    Numerals up to NUMERAL_CACHE_SIZE are kept and shared, so
+    ``nat(6).args[0] is nat(5)``.  A larger one is built on top of the
+    largest kept one on each call, and is not kept; `make_list` builds
+    the large numerals of a list in one pass, so they share too."""
+    if n < len(_NUMERALS):
+        if n < 0:
+            raise ValueError("Peano numerals are nonnegative")
+        return _NUMERALS[n]
     with _NUMERALS_LOCK:
-        while n >= len(_NUMERALS):
+        while len(_NUMERALS) <= min(n, NUMERAL_CACHE_SIZE):
             _NUMERALS.append(NAT.make("suc", _NUMERALS[-1]))
-    return _NUMERALS[n]
+    if n < len(_NUMERALS):
+        return _NUMERALS[n]
+    t = _NUMERALS[-1]
+    for _ in range(n - NUMERAL_CACHE_SIZE):
+        t = Compound(NAT, "suc", (t,))
+    return t
 
 
 def nat_value(t: Term) -> int:
@@ -74,7 +89,9 @@ REGISTRY = TypeRegistry()
 NAT = REGISTRY.declare("nat", [("zero", []), ("suc", ["nat"])],
                        pretty_override=_pretty_nat, from_int=nat)
 
-# nat(0..k) for the largest k asked for so far, each the child of the next.
+# nat(0..k) for the largest k asked for so far, up to NUMERAL_CACHE_SIZE,
+# each the child of the next.
+NUMERAL_CACHE_SIZE = 10_000
 _NUMERALS = [NAT.make("zero")]
 _NUMERALS_LOCK = threading.Lock()
 
@@ -112,9 +129,27 @@ def make_list(elems: Sequence[TermLike], ltype: LogicType,
     if elem_type is None:
         raise TypeMismatchError(f"{ltype.name} is not a list type")
     out = nil(ltype) if tail is None else as_term(tail, ltype)
-    for e in reversed(list(elems)):
+    elems = list(elems)
+    if elem_type is NAT:
+        _share_numerals(elems)
+    for e in reversed(elems):
         out = ltype.make("cons", as_term(e, elem_type), out)
     return out
+
+
+def _share_numerals(elems: list) -> None:
+    """Replace the ints above NUMERAL_CACHE_SIZE in `elems` by numerals
+    built in one ascending pass, each on top of the next smaller one, so
+    the list costs as many nodes as its largest numeral, not as all."""
+    big = sorted({e for e in elems if type(e) is int and e > NUMERAL_CACHE_SIZE})
+    if not big:
+        return
+    built, t, k = {}, nat(NUMERAL_CACHE_SIZE), NUMERAL_CACHE_SIZE
+    for n in big:
+        for _ in range(n - k):
+            t = Compound(NAT, "suc", (t,))
+        built[n], k = t, n
+    elems[:] = [built.get(e, e) if type(e) is int else e for e in elems]
 
 
 def nat_list(elems: Sequence[TermLike], tail: Optional[TermLike] = None) -> Term:
@@ -163,67 +198,94 @@ def _list_type(*lists: TermLike, elem: TermLike = None) -> LogicType:
 # --- the predicate library ------------------------------------------------
 
 
-def plus(a: TermLike, b: TermLike, c: TermLike) -> Goal:
+def nats(*xs: TermLike) -> tuple:
+    """Boundary of a predicate over naturals: every argument is a NAT term."""
+    return NAT, tuple(map(as_nat, xs))
+
+
+def _lists(*xs: TermLike) -> tuple:
+    """Boundary of a predicate over lists of one type."""
+    ltype = _list_type(*xs)
+    return ltype, tuple([as_term(x, ltype) for x in xs])
+
+
+def _elem_list(x: TermLike, xs: TermLike) -> tuple:
+    """Boundary of an element and a list of its type."""
+    ltype = _list_type(xs, elem=x)
+    return ltype, (as_term(x, ltype.element), as_term(xs, ltype))
+
+
+def _list_elem(xs: TermLike, y: TermLike) -> tuple:
+    """Boundary of a list and an element of its type."""
+    ltype = _list_type(xs, elem=y)
+    return ltype, (as_term(xs, ltype), as_term(y, ltype.element))
+
+
+def _relation_lists(rel: Callable, *lists: TermLike) -> tuple:
+    """Boundary of a relation over elements and lists, each list of its
+    own type; the relation is called when the search reaches it."""
+    types = tuple(map(_list_type, lists))
+    return types, (rel, *map(as_term, lists, types))
+
+
+@predicate(nats)
+def plus(a: Term, b: Term, c: Term) -> Goal:
     """a + b = c over Peano naturals, usable in any direction."""
-    a, b, c = as_nat(a), as_nat(b), as_nat(c)
     return (eq(a, zero()) & eq(b, c)) | exists(NAT, lambda x: exists(
         NAT, lambda z: eq(a, suc(x)) & eq(c, suc(z)) & plus(x, b, z)))
 
 
-def is_suc(x: TermLike, y: TermLike) -> Goal:
+@predicate(nats)
+def is_suc(x: Term, y: Term) -> Goal:
     """y is the successor of x."""
-    return eq(suc(as_nat(x)), as_nat(y))
+    return eq(suc(x), y)
 
 
-def leq(x: TermLike, y: TermLike) -> Goal:
+@predicate(nats)
+def leq(x: Term, y: Term) -> Goal:
     """x <= y over Peano naturals."""
-    x, y = as_nat(x), as_nat(y)
     return exists(NAT, lambda x1: exists(NAT, lambda y1: (
         eq(x, zero()) | (eq(x, suc(x1)) & eq(y, suc(y1)) & leq(x1, y1)))))
 
 
-def lt(x: TermLike, y: TermLike) -> Goal:
+@predicate(nats)
+def lt(x: Term, y: Term) -> Goal:
     """x < y, as suc(x) <= y."""
-    return leq(suc(as_nat(x)), as_nat(y))
+    return leq(suc(x), y)
 
 
-def is_head(xs: TermLike, y: TermLike) -> Goal:
+@predicate(_list_elem)
+def is_head(xs: Term, y: Term) -> Goal:
     """y is the first element of xs."""
-    ltype = _list_type(xs, elem=y)
-    xs = as_term(xs, ltype)
-    y = as_term(y, ltype.element)
-    return exists(ltype, lambda tl: eq(xs, cons(y, tl)))
+    return exists(term_type(xs), lambda tl: eq(xs, cons(y, tl)))
 
 
-def is_tail(xs: TermLike, ys: TermLike) -> Goal:
+@predicate(_lists)
+def is_tail(xs: Term, ys: Term) -> Goal:
     """ys is xs without its first element."""
-    ltype = _list_type(xs, ys)
-    xs = as_term(xs, ltype)
-    ys = as_term(ys, ltype)
-    return exists(ltype.element, lambda h: eq(xs, cons(h, ys)))
+    return exists(term_type(xs).element, lambda h: eq(xs, cons(h, ys)))
 
 
-def member(x: TermLike, xs: TermLike) -> Goal:
+@predicate(_elem_list)
+def member(x: Term, xs: Term) -> Goal:
     """x occurs in xs; enumerates elements in list order."""
-    ltype = _list_type(xs, elem=x)
-    elem_type = ltype.element
-    x = as_term(x, elem_type)
-    xs = as_term(xs, ltype)
+    ltype = term_type(xs)
     return exists(ltype, lambda tl: eq(xs, cons(x, tl))) | exists(
-        elem_type, lambda hd: exists(
+        ltype.element, lambda hd: exists(
             ltype, lambda tl: eq(xs, cons(hd, tl)) & member(x, tl)))
 
 
-def not_member(x: TermLike, xs: TermLike) -> Goal:
+@predicate(_elem_list)
+def not_member(x: Term, xs: Term) -> Goal:
     """Negation-as-failure of member: weak when x or xs is unbound."""
     return neg(member(x, xs))
 
 
-def sorted_with(compare: Callable[[Term, Term], Goal], v: TermLike) -> Goal:
+@predicate(_relation_lists)
+def sorted_with(compare: Callable[[Term, Term], Goal], v: Term) -> Goal:
     """The list v is ordered under the given comparison predicate."""
-    ltype = _list_type(v)
+    ltype = term_type(v)
     elem_type = ltype.element
-    v = as_term(v, ltype)
     return (
         eq(v, nil(ltype))
         | exists(elem_type, lambda e1: eq(v, cons(e1, nil(ltype))))
@@ -235,39 +297,38 @@ def sorted_with(compare: Callable[[Term, Term], Goal], v: TermLike) -> Goal:
     )
 
 
-def sorted_nat(v: TermLike) -> Goal:
+@predicate(_lists)
+def sorted_nat(v: Term) -> Goal:
     """The natural-number list v is in nondecreasing order."""
     return sorted_with(leq, v)
 
 
-def map_p(f: Callable[[Term, Term], Goal], l1: TermLike, l2: TermLike) -> Goal:
+@predicate(_relation_lists)
+def map_p(f: Callable[[Term, Term], Goal], l1: Term, l2: Term) -> Goal:
     """Elementwise relation: f holds between corresponding elements of
     two equal-length lists.  Relational in both lists."""
-    lt1 = _list_type(l1)
-    lt2 = _list_type(l2)
-    l1 = as_term(l1, lt1)
-    l2 = as_term(l2, lt2)
-    et1, et2 = lt1.element, lt2.element
-    return (eq(l1, nil(lt1)) & eq(l2, nil(lt2))) | exists(et1, lambda h1: exists(
-        lt1, lambda t1: exists(et2, lambda h2: exists(lt2, lambda t2: (
+    lt1, lt2 = term_type(l1), term_type(l2)
+    return (eq(l1, nil(lt1)) & eq(l2, nil(lt2))) | exists(lt1.element, lambda h1: exists(
+        lt1, lambda t1: exists(lt2.element, lambda h2: exists(lt2, lambda t2: (
             eq(l1, cons(h1, t1))
             & eq(l2, cons(h2, t2))
             & f(h1, h2)
             & map_p(f, t1, t2))))))
 
 
-def list_plus_one(l1: TermLike, l2: TermLike) -> Goal:
+@predicate(_lists)
+def list_plus_one(l1: Term, l2: Term) -> Goal:
     """Every element of l2 is one more than the matching element of l1."""
-    return map_p(is_suc, as_term(l1, NAT_LIST), as_term(l2, NAT_LIST))
+    return map_p(is_suc, l1, l2)
 
 
-def remainder(n: TermLike, q: TermLike, r: TermLike) -> Goal:
+@predicate(nats)
+def remainder(n: Term, q: Term, r: Term) -> Goal:
     """r is the remainder of n divided by q; fails finitely for q = 0.
 
     The zero guard commits via cut, and the surrounding scope keeps that
     cut invisible to callers.
     """
-    n, q, r = as_nat(n), as_nat(q), as_nat(r)
     return scope(
         (eq(q, zero()) ^ fail_goal())
         | (lt(n, q) & eq(n, r))
@@ -275,11 +336,10 @@ def remainder(n: TermLike, q: TermLike, r: TermLike) -> Goal:
     )
 
 
-def append_list(xs: TermLike, ys: TermLike, zs: TermLike) -> Goal:
+@predicate(_lists)
+def append_list(xs: Term, ys: Term, zs: Term) -> Goal:
     """zs is xs followed by ys; relational in all three arguments."""
-    ltype = _list_type(xs, ys, zs)
-    xs, ys, zs = (as_term(t, ltype) for t in (xs, ys, zs))
-    elem_type = ltype.element
-    return (eq(xs, nil(ltype)) & eq(ys, zs)) | exists(elem_type, lambda h: exists(
+    ltype = term_type(xs)
+    return (eq(xs, nil(ltype)) & eq(ys, zs)) | exists(ltype.element, lambda h: exists(
         ltype, lambda t: exists(ltype, lambda zt: (
             eq(xs, cons(h, t)) & eq(zs, cons(h, zt)) & append_list(t, ys, zt)))))

@@ -282,10 +282,14 @@ class _QueryParser:
                 raise QueryTypeError(f"expected {ltype.name}, got a list")
             # Elements left to right, then the tail: first-occurrence order.
             # A tail that is a list literal continues the same cons chain.
+            # An integer element is left to make_list, which builds large
+            # numerals in one pass.
             built = []
+            ints = ltype.element.from_int is not None
             while True:
                 _, elems, tail, _pos = raw
-                built.extend(self._build_term(e, ltype.element) for e in elems)
+                built.extend(e[1] if ints and e[0] == "int" else self._build_term(e, ltype.element)
+                             for e in elems)
                 if tail is None or tail[0] != "list":
                     break
                 raw = tail

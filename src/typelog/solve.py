@@ -2,18 +2,31 @@
 backtracking and scoped cut.
 
 One loop runs every query.  It keeps a continuation, a linked list of
-(goal, barrier) frames still to prove after the current goal, and a
-choicepoint stack of (goal, barrier, mark, continuation) entries to
+(goal, barrier, env) frames still to prove after the current goal, and a
+choicepoint stack of (goal, barrier, env, mark, continuation) entries to
 resume on failure.  A conjunction pushes its right goal onto the
 continuation, a disjunction pushes its right goal as a choicepoint, and
-failure resumes the newest choicepoint.  A Scope sets the barrier to the
-height of the choicepoint stack; a cut truncates the stack to the
-barrier of its scope, discarding every alternative opened since the
-scope was entered.  Answers are yielded as they are found, so taking
-the first n solutions performs only the search needed to find them.
-Each step dispatches on the exact type of its goal node (`type(goal)
-is ...`), not on `isinstance`: the node classes of `goals` are the whole
-goal language, and an instance of a subclass of one is not a goal.
+failure resumes the newest choicepoint.  A `Call` of a compiled
+predicate instantiates its argument patterns into a fresh environment
+`env` and continues at the template's root; in a template, a slot
+`Exists` stores its fresh variable in `env`, `Unify` and `IsGround`
+instantiate their patterns in it (see `goals.instantiate`), and a `Call`
+of a function argument continues at the goal the function builds.  A
+`Call` of a body that could not be compiled continues at the goal the
+body builds on the call's arguments.  Frames and
+choicepoints keep the environment their goal runs in.  A slot is set in
+place, which is safe: within one call, a slot's `Exists` runs again only
+after backtracking to a choicepoint older than its last run, and that
+discards every frame and choicepoint that could read the old value.
+
+A Scope sets the barrier to the height of the choicepoint stack; a cut
+truncates the stack to the barrier of its scope, discarding every
+alternative opened since the scope was entered.  Answers are yielded as
+they are found, so taking the first n solutions performs only the
+search needed to find them.  Each step dispatches on the exact type of
+its goal node (`type(goal) is ...`), not on `isinstance`: the node
+classes of `goals` are the whole goal language, and an instance of a
+subclass of one is not a goal.
 
 Each search binds in one store of its own, in place, so a bind costs
 O(1) however long the store: `_SearchStore.bind` sets the entry and
@@ -95,16 +108,20 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
 
     The store yielded is the live search store: read it before resuming
     the search.  Every goal node evaluated is one step against
-    `max_steps`.  A continuation frame whose goal is None is the cut of a
-    CutThen; it costs no step.  The frequent node types are tested first.
+    `max_steps`, except a `Call`, which is none: a predicate costs the
+    steps its body's nodes cost, as if its goal tree were built in place.
+    A continuation frame whose goal is None is the cut of a CutThen; it
+    costs no step.  The frequent node types are tested first.
     """
-    Conj, Unify, Disj, Exists = g.Conj, g.Unify, g.Disj, g.Exists
+    Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
+    instantiate = g.instantiate
     counter = steps = 0
     store = _SearchStore()
     bindings, trail = store._bindings, store.trail
     barrier = low = 0
-    cont = None  # (goal, barrier, rest) or None
-    choices: list = []  # (goal, barrier, trail mark, cont)
+    env = None  # the environment of the innermost Call, or None
+    cont = None  # (goal, barrier, env, rest) or None
+    choices: list = []  # (goal, barrier, env, trail mark, cont)
     while True:
         if goal is None:
             del choices[barrier:]
@@ -115,22 +132,54 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 raise StepBudgetExceeded(f"step budget of {max_steps} exhausted")
             t = type(goal)
             if t is Conj:
-                cont = (goal.g2, barrier, cont)
+                cont = (goal.g2, barrier, env, cont)
                 goal = goal.g1
                 continue
             if t is Unify:
-                ok = unify(goal.left, goal.right, store) is not None
+                a, b = goal.left, goal.right
+                if type(a) is int:
+                    a = env[a]
+                elif type(a) is tuple:
+                    a = instantiate(a, env)
+                if type(b) is int:
+                    b = env[b]
+                elif type(b) is tuple:
+                    b = instantiate(b, env)
+                ok = unify(a, b, store) is not None
             elif t is Disj:
-                choices.append((goal.g2, barrier, len(trail), cont))
+                choices.append((goal.g2, barrier, env, len(trail), cont))
                 goal = goal.g1
                 continue
             elif t is Exists:
                 fresh = Var(VarId(f"_{counter}", goal.ltype))
                 counter += 1
-                goal = goal.body(fresh)
+                if goal.slot is None:
+                    goal = goal.body(fresh)
+                else:
+                    env[goal.slot] = fresh
+                    goal = goal.body
+                continue
+            elif t is Call:
+                steps -= 1  # a Call costs no step
+                new = []
+                for a in goal.args:
+                    if type(a) is int:
+                        a = env[a]
+                    elif type(a) is tuple:
+                        a = instantiate(a, env)
+                    new.append(a)
+                template = goal.template
+                if type(template) is int:  # a function argument builds its goal
+                    goal = env[template](*new)
+                elif template.root is None:  # a body that is not compiled
+                    goal = template.body(*new)
+                else:
+                    new += template.pad
+                    env = new
+                    goal = template.root
                 continue
             elif t is g.CutThen:
-                cont = (None, barrier, (goal.g2, barrier, cont))
+                cont = (None, barrier, env, (goal.g2, barrier, env, cont))
                 goal = goal.g1
                 continue
             elif t is g.Scope:
@@ -142,18 +191,23 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
             elif t is g.Fail:
                 ok = False
             elif t is g.IsGround:
-                ok = is_ground_term(goal.term, store)
+                a = goal.term
+                if type(a) is int:
+                    a = env[a]
+                elif type(a) is tuple:
+                    a = instantiate(a, env)
+                ok = is_ground_term(a, store)
             else:
                 raise LogicError(f"not a goal: {goal!r}")
         if ok:
             if cont is not None:
-                goal, barrier, cont = cont
+                goal, barrier, env, cont = cont
                 continue
             yield store, counter, low
             low = len(trail)
         if not choices:
             return
-        goal, barrier, mark, cont = choices.pop()
+        goal, barrier, env, mark, cont = choices.pop()
         if mark < low:
             low = mark
         while len(trail) > mark:

@@ -2,7 +2,9 @@
 
 Deliberately simple and eager: the interpreter here materializes every
 solution of a goal up front with plain recursion, sharing nothing with
-the lazy solver except the goal and term datatypes it interprets.  The
+the lazy solver except the goal and term datatypes it interprets.  A
+predicate call runs the predicate's undecorated body on the call's
+arguments, so the compiled templates are not part of the oracle.  The
 hand-written per-type operations mirror what derivation is supposed to
 produce for naturals and lists.
 """
@@ -79,6 +81,10 @@ class EagerEngine:
             return self.eval(goal.body(self.fresh(goal.ltype)), store)
         if isinstance(goal, g.IsGround):
             return ([store] if is_ground_term(goal.term, store) else []), False
+        if isinstance(goal, g.Call):
+            # The undecorated body on the call's arguments: the compiled
+            # template is never consulted.
+            return self.eval(goal.template.unfold(goal.args), store)
         raise TypeError(f"not a goal: {goal!r}")
 
 

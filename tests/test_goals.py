@@ -1,6 +1,8 @@
 import pytest
 
+from typelog.derive import TypeRegistry
 from typelog.goals import (
+    Call,
     Conj,
     CutThen,
     Disj,
@@ -12,12 +14,31 @@ from typelog.goals import (
     is_ground,
     neg,
     neq,
+    predicate,
     scope,
     succeed,
 )
-from typelog.prelude import NAT, member, nat, nat_list, suc, zero
+from typelog.prelude import (
+    NAT,
+    NAT_LIST,
+    as_nat,
+    as_term,
+    cons,
+    leq,
+    list_of,
+    map_p,
+    member,
+    nat,
+    nat_list,
+    nats,
+    nil,
+    plus,
+    sorted_with,
+    suc,
+    zero,
+)
 from typelog.solve import find_all, holds, solve
-from typelog.terms import TypeMismatchError
+from typelog.terms import LogicError, TypeMismatchError
 
 from reference import eager_answers
 
@@ -199,3 +220,134 @@ class TestOperatorGrouping:
         # first disjunct, scope at top level prunes the second.
         g = scope(eq(nat(1), nat(1)) ^ fail_goal() | succeed() & succeed())
         assert answers(g) == []
+
+
+@predicate(nats)
+def double(x, y):
+    """y is twice x."""
+    return plus(x, x, y)
+
+
+def _nat_and_lists(k, xs, ys):
+    return None, (as_nat(k), as_term(xs, NAT_LIST), as_term(ys, NAT_LIST))
+
+
+def add_all(k, xs, ys):
+    """ys is xs with k added to each element.  A plain function: the
+    function it passes to map_p refers to k."""
+    return map_p(lambda a, b: plus(a, k, b), xs, ys)
+
+
+def plain_leq(x, y):
+    """x <= y, written as a plain function that recurses under exists."""
+    return eq(x, zero()) | exists(NAT, lambda x1: exists(NAT, lambda y1: (
+        eq(x, suc(x1)) & eq(y, suc(y1)) & plain_leq(x1, y1))))
+
+
+class TestPredicate:
+    def test_call_is_one_node(self):
+        g = double(2, "Y")
+        assert type(g) is Call and g == double(2, "Y") and hash(g) == hash(double(2, "Y"))
+        assert repr(g) == "Call(double, (suc(suc(zero)), Var(Y:nat)))"
+
+    def test_answers_match_the_body(self):
+        assert answers(double(3, "Y")) == [{"Y": nat(6)}]
+        assert answers(double("X", 4)) == eager_answers(double("X", 4)) == [{"X": nat(2)}]
+        assert not holds(double(1, 3))
+
+    def test_body_runs_once_per_key(self):
+        seen = []
+
+        @predicate(nats)
+        def noted(x):
+            seen.append(x)
+            return eq(x, zero())
+
+        assert holds(noted(0)) and not holds(noted(1)) and holds(noted("Z"))
+        assert len(seen) == 1 and seen[0].vid.name.startswith("_")
+
+    def test_function_argument_referring_to_the_body_runs_the_body(self):
+        # The lambda add_all passes to map_p refers to k, so the template
+        # cannot stand for it: each call runs the body on its arguments.
+        @predicate(_nat_and_lists)
+        def compiled_add_all(k, xs, ys):
+            return add_all(k, xs, ys)
+
+        for args in ((2, [1, 2, 3], "Ys"), ("K", [1, 2], [3, 4]), ("K", [1, 2], [3, 5])):
+            g = compiled_add_all(*args)
+            assert answers(g) == answers(add_all(*args)) == eager_answers(g)
+        assert answers(compiled_add_all("K", [1, 2], [3, 4])) == [{"K": nat(2)}]
+        assert compiled_add_all.templates[None].root is None
+
+    def test_plain_recursive_relation_as_argument(self):
+        # The relation is called when the search reaches it, never on
+        # placeholders, so compiling sorted_with and map_p ends.
+        for g in (sorted_with(plain_leq, [1, 2, 2, 5]), sorted_with(plain_leq, [3, 2]),
+                  map_p(plain_leq, ["A", 1], [2, 3]), map_p(plain_leq, [1, 2], [2, 1])):
+            assert answers(g) == eager_answers(g)
+        assert holds(sorted_with(plain_leq, [0, 4])) and not holds(sorted_with(plain_leq, [4, 0]))
+        assert answers(map_p(plain_leq, ["A"], [1])) == [{"A": nat(0)}, {"A": nat(1)}]
+
+    def test_plain_recursive_relation_in_a_body(self):
+        # Expanding the body's exists closures would not end: the body is
+        # run on each call instead, and gives the closures' answers.
+        @predicate(nats)
+        def at_most(x, y):
+            return plain_leq(x, y)
+
+        g = at_most("X", 2)
+        assert answers(g) == eager_answers(g) == [{"X": nat(n)} for n in range(3)]
+        assert not holds(at_most(3, 2))
+        assert at_most.templates[NAT].root is None
+
+        @predicate(nats)
+        def below(x, y):
+            return exists(NAT, lambda s: eq(s, suc(x)) & at_most(s, y))
+
+        assert answers(below("X", 2)) == [{"X": nat(0)}, {"X": nat(1)}]
+        assert below.templates[NAT].root is not None
+
+    def test_ill_typed_call_raises_when_built(self):
+        with pytest.raises(TypeMismatchError):
+            double(nat_list([1]), 2)
+        elem = TypeRegistry().declare("elem", [("e", [])])
+        before = dict(sorted_with.templates)
+        with pytest.raises(TypeMismatchError):
+            sorted_with(leq, [elem.make("e")])  # leq on elem terms
+        assert sorted_with.templates == before
+        # A relation argument runs when the search reaches it, so it
+        # meets ill-typed elements there, as a closure-built body did.
+        g = sorted_with(leq, as_term([elem.make("e")] * 2, list_of(elem)))
+        with pytest.raises(TypeMismatchError):
+            holds(g)
+
+    def test_wrong_arity_raises(self):
+        with pytest.raises(TypeError):
+            double(1)
+
+    def test_call_loop_without_a_goal_is_rejected(self):
+        @predicate(nats)
+        def loop(x):
+            return loop(x)
+
+        with pytest.raises(LogicError, match="calls itself"):
+            loop(1)
+        assert loop.templates == {}
+
+    def test_deep_terms_in_a_body(self):
+        @predicate(nats)
+        def plus_3000(x, y):
+            t = x
+            for _ in range(3000):
+                t = suc(t)
+            return eq(t, y)
+
+        assert answers(plus_3000("X", 3002)) == [{"X": nat(2)}]
+
+    def test_nested_patterns(self):
+        @predicate(nats)
+        def in_pair(x, y, z):
+            return member(x, cons(y, cons(suc(z), nil(NAT_LIST))))
+
+        g = in_pair("A", 1, "C")
+        assert answers(g) == eager_answers(g) == [{"A": nat(1)}, {"A": suc(NAT.var("C"))}]

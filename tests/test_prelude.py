@@ -1,16 +1,21 @@
 import itertools
+import tracemalloc
 
 import pytest
 
+from typelog import prelude
+from typelog.derive import TypeRegistry
 from typelog.prelude import (
     NAT,
     NAT_LIST,
+    NUMERAL_CACHE_SIZE,
     append_list,
     cons,
     is_head,
     is_suc,
     is_tail,
     leq,
+    list_of,
     list_plus_one,
     lt,
     map_p,
@@ -51,6 +56,42 @@ class TestNumerals:
 
     def test_numerals_share_structure(self):
         assert nat(6).args[0] is nat(5)
+
+    def test_numeral_cache_is_capped(self):
+        # A numeral above the cap is built on the largest cached one, and
+        # dropping it frees it: nothing of it stays cached.
+        top = nat(NUMERAL_CACHE_SIZE)
+        assert nat(NUMERAL_CACHE_SIZE + 2).args[0].args[0] is top
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            big = nat(200_000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+            assert nat_value(big) == 200_000
+            del big
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown > 10_000_000 and kept < 1_000_000
+        assert len(prelude._NUMERALS) == NUMERAL_CACHE_SIZE + 1
+
+    def test_large_numerals_of_a_list_share(self):
+        # Built in one ascending pass, each on the next smaller one, so a
+        # list of large numerals costs its largest one in nodes.
+        top = NUMERAL_CACHE_SIZE
+        ns = [top + 3, top + 1, top + 3000, top + 2, top + 1]
+        for t in (nat_list(ns), parse_term("[" + ", ".join(map(str, ns)) + "]", NAT_LIST)):
+            elems = []
+            while t.ctor == "cons":
+                elems.append(t.args[0])
+                t = t.args[1]
+            assert [nat_value(e) for e in elems] == ns
+            assert elems[1] is elems[4] and elems[1].args[0] is nat(top)
+            assert elems[3].args[0] is elems[1] and elems[0].args[0] is elems[3]
+            x = elems[2]
+            for _ in range(2997):
+                x = x.args[0]
+            assert x is elems[0]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -243,3 +284,22 @@ def _to_ints(list_term):
         out.append(nat_value(t.args[0]))
         t = t.args[1]
     return out
+
+
+class TestTemplates:
+    def test_fresh_functions_share_one_template(self):
+        # A function argument is not part of the key: it is kept in the
+        # environment of the call and called when the search reaches it.
+        before = set(sorted_with.templates)
+        goals = [sorted_with(lambda a, b: leq(a, b), [1, 2]) for _ in range(10_000)]
+        assert len({g.template for g in goals}) == 1
+        assert set(sorted_with.templates) <= before | {NAT_LIST}
+        assert holds(goals[-1]) and not holds(sorted_with(lambda a, b: leq(b, a), [1, 2]))
+
+    def test_one_template_per_list_type(self):
+        trees = TypeRegistry().declare("tree", [("leaf", [])])
+        leaf = trees.make("leaf")
+        g1, g2, g3 = member(leaf, [leaf]), member(trees.var("t"), [leaf, leaf]), member(1, [1])
+        assert g1.template is g2.template is member.templates[list_of(trees)]
+        assert g3.template is member.templates[NAT_LIST] is not g1.template
+        assert holds(g1) and holds(g3)

@@ -8,9 +8,55 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from typelog.derive import TypeRegistry
-from typelog.goals import eq, exists, fail_goal, is_ground, neg, scope, succeed
-from typelog.prelude import NAT, NAT_LIST, cons, nat, nil, suc, zero
-from typelog.solve import Solution, _search, find_all, find_all_n, holds, solve, solve_stores
+from typelog.goals import (
+    Call,
+    Conj,
+    CutThen,
+    Disj,
+    Exists,
+    Scope,
+    eq,
+    exists,
+    fail_goal,
+    is_ground,
+    neg,
+    scope,
+    succeed,
+)
+from typelog.prelude import (
+    NAT,
+    NAT_LIST,
+    append_list,
+    cons,
+    is_head,
+    is_suc,
+    is_tail,
+    leq,
+    list_plus_one,
+    lt,
+    map_p,
+    member,
+    nat,
+    nat_list,
+    nil,
+    not_member,
+    plus,
+    remainder,
+    sorted_nat,
+    sorted_with,
+    suc,
+    zero,
+)
+from typelog.solve import (
+    Solution,
+    StepBudgetExceeded,
+    _search,
+    find_all,
+    find_all_n,
+    holds,
+    solve,
+    solve_stores,
+)
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
@@ -248,10 +294,25 @@ def test_resolve_matches_recursive_definition(pair):
 
 
 # Random goal trees over every connective: the lazy solver must give the
-# eager reference interpreter's answers in the same order.
+# eager reference interpreter's answers in the same order.  The leaves
+# include prelude predicate calls, whose search is finite on these
+# arguments (a ground sum, a ground bound, a list of fixed length), and
+# the trees are joined into a conjunction of disjunctions, so that most
+# goals have several answers.
 
 GOAL_VARS = st.sampled_from([NAT.var(n) for n in "XYZ"])
 GOAL_TERMS = st.one_of(GOAL_VARS, st.sampled_from([nat(0), nat(1), nat(2), suc(NAT.var("X"))]))
+GROUND_NATS = st.integers(0, 3).map(nat)
+SHORT_LISTS = st.lists(GOAL_TERMS, max_size=3).map(nat_list)
+
+
+def call_leaves():
+    return st.one_of(
+        st.tuples(GOAL_TERMS, GOAL_TERMS, GROUND_NATS).map(lambda p: plus(*p)),
+        st.tuples(GOAL_TERMS, GROUND_NATS).map(lambda p: leq(*p)),
+        st.tuples(GROUND_NATS, GOAL_TERMS).map(lambda p: leq(*p)),
+        st.tuples(GOAL_TERMS, SHORT_LISTS).map(lambda p: member(*p)),
+    )
 
 
 def goal_trees():
@@ -259,6 +320,7 @@ def goal_trees():
         st.tuples(GOAL_VARS, GOAL_TERMS).map(lambda p: eq(*p)),
         st.sampled_from([succeed(), fail_goal()]),
         GOAL_TERMS.map(is_ground),
+        call_leaves(),
     )
 
     def extend(sub):
@@ -272,14 +334,124 @@ def goal_trees():
             st.tuples(GOAL_TERMS, sub).map(
                 lambda p: exists(NAT, lambda v: eq(v, p[0]) & p[1])),
         )
-    return st.recursive(leaf, extend, max_leaves=12)
+    tree = st.recursive(leaf, extend, max_leaves=12)
+    choice = st.lists(tree, min_size=1, max_size=3).map(lambda ts: functools.reduce(operator.or_, ts))
+    return st.lists(choice, min_size=1, max_size=2).map(lambda cs: functools.reduce(operator.and_, cs))
+
+
+def renamed(answers):
+    """Answers with engine variables renamed _0, _1, ... in order of first
+    appearance, taking the user variables by name.  Predicate calls can
+    leave engine variables in answers, and the eager interpreter numbers
+    them differently: it also allocates them in branches a cut prunes."""
+    out = []
+    for answer in answers:
+        names = {}
+
+        def rename(t):
+            if isinstance(t, Var):
+                if t.vid.name.startswith("_"):
+                    return Var(VarId(names.setdefault(t.vid, f"_{len(names)}"), t.vid.ltype))
+                return t
+            return Compound(t.ltype, t.ctor, tuple(rename(a) for a in t.args))
+        out.append({name: rename(answer[name]) for name in sorted(answer)})
+    return out
 
 
 @settings(max_examples=1000, deadline=None)
 @given(goal_trees())
 def test_solver_matches_eager_reference_on_goal_trees(goal):
     lazy = [{vid.name: t for vid, t in s.bindings.items()} for s in solve(goal)]
-    assert lazy == eager_answers(goal)
+    assert renamed(lazy) == renamed(eager_answers(goal))
+
+
+# A compiled predicate call must behave exactly as the goal tree its body
+# builds with `exists` closures, the form every predicate had before
+# predicates were compiled: same answers in the same order, same
+# fresh-variable counter at each answer, same smallest step budget.
+
+def expanded(goal):
+    """`goal` with every `Call` replaced by its undecorated body on the
+    call's arguments, lazily under each `exists`."""
+    t = type(goal)
+    if t is Call:
+        return expanded(goal.template.unfold(goal.args))
+    if t is Exists:
+        return Exists(goal.ltype, lambda v: expanded(goal.body(v)))
+    if t in (Conj, Disj, CutThen):
+        return t(expanded(goal.g1), expanded(goal.g2))
+    if t is Scope:
+        return Scope(expanded(goal.g))
+    return goal
+
+
+def smallest_budget(goal):
+    """The least max_steps with which solving `goal` completes."""
+    lo, hi = 0, 1
+    while not completes(goal, hi):
+        assert hi < 1_000_000, "the search does not end"
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if completes(goal, mid) else (mid, hi)
+    return hi
+
+
+def completes(goal, max_steps):
+    try:
+        list(solve(goal, max_steps=max_steps))
+    except StepBudgetExceeded:
+        return False
+    return True
+
+
+PRELUDE_NATS = st.one_of(st.integers(0, 4), st.sampled_from(["A", "B"]))
+PRELUDE_LISTS = st.lists(st.one_of(st.integers(0, 3), st.just("E")), max_size=4)
+GROUND_LISTS = st.lists(st.integers(0, 3), max_size=4)
+
+
+def prelude_calls():
+    """Calls of every prelude predicate on arguments that keep the search
+    finite, including function arguments created for each call and a
+    plain function that recurses under `exists`.  The
+    comparisons get ground lists: leq(E, E) has infinitely many answers."""
+    def sorted_desc(xs):
+        return sorted_with(lambda a, b: leq(b, a), xs)
+
+    def map_leq(xs, ys):
+        return map_p(lambda a, b: leq(a, b), xs, ys)
+
+    def plain_leq(x, y):  # recurses under exists, uncompiled
+        return eq(x, zero()) | exists(NAT, lambda x1: exists(NAT, lambda y1: (
+            eq(x, suc(x1)) & eq(y, suc(y1)) & plain_leq(x1, y1))))
+    n, xs, k, gs = PRELUDE_NATS, PRELUDE_LISTS, st.integers(0, 4), GROUND_LISTS
+    return st.one_of(
+        st.tuples(n, n, k).map(lambda p: plus(*p)),
+        st.tuples(n, k).map(lambda p: leq(*p)),
+        st.tuples(k, n).map(lambda p: lt(*p)),
+        st.tuples(n, k).map(lambda p: is_suc(*p)),
+        st.tuples(n, xs).map(lambda p: member(*p)),
+        st.tuples(n, xs).map(lambda p: not_member(*p)),
+        st.tuples(xs, n).map(lambda p: is_head(*p)),
+        st.tuples(xs, st.just("T")).map(lambda p: is_tail(*p)),
+        xs.map(lambda v: append_list("X", "Y", v)),
+        st.tuples(k, st.integers(0, 3), n).map(lambda p: remainder(*p)),
+        gs.map(sorted_nat),
+        gs.map(sorted_desc),
+        xs.map(lambda v: list_plus_one(v, "M")),
+        st.tuples(gs, xs).map(lambda p: map_leq(*p)),
+        gs.map(lambda v: sorted_with(plain_leq, v)),
+        st.tuples(gs, xs).map(lambda p: map_p(plain_leq, *p)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(prelude_calls())
+def test_compiled_calls_match_their_expanded_form(goal):
+    plain = expanded(goal)
+    assert list(solve(goal)) == list(solve(plain))
+    steps = smallest_budget(goal)
+    assert completes(plain, steps) and not completes(plain, steps - 1)
 
 
 # `solve` projects each answer from the part of the trail that changed

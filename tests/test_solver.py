@@ -6,10 +6,13 @@ from typelog.goals import eq, fail_goal, neg, scope, succeed
 from typelog.prelude import (
     NAT,
     append_list,
+    is_head,
+    is_suc,
     is_tail,
     leq,
     list_plus_one,
     lt,
+    map_p,
     member,
     nat,
     not_member,
@@ -18,6 +21,7 @@ from typelog.prelude import (
     plus,
     remainder,
     sorted_nat,
+    sorted_with,
     zero,
 )
 from typelog.solve import (
@@ -134,6 +138,11 @@ class TestLaziness:
         (lt(2, 5), 31),
         (append_list("X", "Y", [1, 2, 3]), 44),
         (is_tail("X", [2, 3]), 2),
+        (is_head([1, 2], "Y"), 2),
+        (is_suc("X", 3), 1),
+        (map_p(lambda a, b: leq(a, b), [1, 2], [2, 3]), 74),
+        (sorted_with(lambda a, b: leq(b, a), [3, 1, 0]), 55),
+        (neg(plus(1, 1, 3)), 22),
     ])
     def test_smallest_budget_that_completes(self, goal, steps):
         # Every goal node evaluated is one step; the cut itself is none.
