@@ -21,7 +21,7 @@ A predicate defined with `@predicate` is compiled once per key (its
 arguments' types) into a `Template`: its body is run once on
 placeholders, each `exists` in it is expanded into a numbered slot of
 an environment, and each term that mentions a parameter or a slot
-becomes a pattern (see `instantiate`).  An argument that is not a term,
+becomes a pattern (see `terms.instantiate`).  An argument that is not a term,
 such as a comparison function, is a slot too, and is called when the
 search reaches the call the body makes of it.  Calling the predicate
 converts the arguments and builds one `Call` node; the solver runs a
@@ -46,6 +46,7 @@ from types import FunctionType
 from typing import Callable, Optional
 
 from .terms import Compound, LogicError, Term, TypeMismatchError, Var, VarId, term_type
+from .terms import instantiate  # noqa: F401  (re-exported: it builds what `_pattern` makes)
 
 
 class Goal:
@@ -291,7 +292,7 @@ _pending: dict = {}  # (id(cache), key) -> (cache, key, Template)
 
 
 def _placeholder(ltype) -> Var:
-    return Var(VarId(f"{_PLACEHOLDER}{next(_ids)}", ltype))
+    return Var(tuple.__new__(VarId, (f"{_PLACEHOLDER}{next(_ids)}", ltype)))
 
 
 def predicate(boundary: Callable[..., tuple]):
@@ -485,32 +486,3 @@ def _pattern(t: Term, pattern_of):
         node, i, out = frames.pop()
         out.append(new)
 
-
-def instantiate(p: tuple, env: list) -> Compound:
-    """The compound a pattern ``(ltype, ctor, subpatterns)`` denotes in
-    `env`: a subpattern that is an int is the term in that slot, a tuple
-    is instantiated in turn, and anything else is a term as it is.  No
-    type check is needed: `make` checked every position when the
-    template was built.  Post-order over an explicit stack."""
-    frames = []
-    ltype, ctor, subs = p
-    i, out = 0, []
-    while True:
-        if i < len(subs):
-            s = subs[i]
-            i += 1
-            ts = type(s)
-            if ts is int:
-                out.append(env[s])
-            elif ts is tuple:
-                frames.append((ltype, ctor, subs, i, out))
-                ltype, ctor, subs = s
-                i, out = 0, []
-            else:
-                out.append(s)
-            continue
-        t = Compound(ltype, ctor, tuple(out))
-        if not frames:
-            return t
-        ltype, ctor, subs, i, out = frames.pop()
-        out.append(t)

@@ -9,8 +9,10 @@ continuation, a disjunction pushes its right goal as a choicepoint, and
 failure resumes the newest choicepoint.  A `Call` of a compiled
 predicate instantiates its argument patterns into a fresh environment
 `env` and continues at the template's root; in a template, a slot
-`Exists` stores its fresh variable in `env`, `Unify` and `IsGround`
-instantiate their patterns in it (see `goals.instantiate`), and a `Call`
+`Exists` stores its fresh variable in `env`, `Unify` hands its right
+pattern and `env` to `unify`, which matches the pattern in place and
+builds it only to bind a variable (see `terms.unify`), `IsGround`
+instantiates its pattern in `env` (`terms.instantiate`), and a `Call`
 of a function argument continues at the goal the function builds.  A
 `Call` of a body that could not be compiled continues at the goal the
 body builds on the call's arguments.  Frames and
@@ -60,6 +62,7 @@ from .terms import (
     Term,
     Var,
     VarId,
+    instantiate,
     is_ground_term,
     resolve,
     unify,
@@ -114,7 +117,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     costs no step.  The frequent node types are tested first.
     """
     Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
-    instantiate = g.instantiate
+    new_tuple = tuple.__new__  # skips VarId's Python-level __new__
     counter = steps = 0
     store = _SearchStore()
     bindings, trail = store._bindings, store.trail
@@ -136,22 +139,18 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 goal = goal.g1
                 continue
             if t is Unify:
-                a, b = goal.left, goal.right
+                a = goal.left
                 if type(a) is int:
                     a = env[a]
                 elif type(a) is tuple:
                     a = instantiate(a, env)
-                if type(b) is int:
-                    b = env[b]
-                elif type(b) is tuple:
-                    b = instantiate(b, env)
-                ok = unify(a, b, store) is not None
+                ok = unify(a, goal.right, store, env) is not None
             elif t is Disj:
                 choices.append((goal.g2, barrier, env, len(trail), cont))
                 goal = goal.g1
                 continue
             elif t is Exists:
-                fresh = Var(VarId(f"_{counter}", goal.ltype))
+                fresh = Var(new_tuple(VarId, (f"_{counter}", goal.ltype)))
                 counter += 1
                 if goal.slot is None:
                     goal = goal.body(fresh)

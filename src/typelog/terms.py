@@ -13,8 +13,20 @@ bind costs O(1) however long the store.  `unify` is written once for
 both kinds: it binds through `store.bind` and continues from the store
 that returns.  The structural operations work over `Compound.args`: one
 definition for every type.
+
+A compiled predicate (`goals.predicate`) holds its terms as patterns
+over an environment of slots: a slot index, a tuple ``(ltype, ctor,
+subpatterns)``, or a term that mentions no slot.  `instantiate` builds
+the compound a pattern denotes.  The same `unify` takes a pattern on its
+right side, as the WAM unifies a clause head with a call's argument
+(Aït-Kaci, "Warren's Abstract Machine: A Tutorial Reconstruction",
+1991): a pattern met by a compound is matched in read mode, constructor
+against constructor and child against subpattern, building nothing; a
+pattern met by an unbound variable is matched in write mode, built only
+to be bound.
+
 Every walk over a term runs over an explicit stack, so terms of any depth
-are accepted: `unify`, `Compound` equality and hashing, the
+are accepted: `unify`, `instantiate`, `Compound` equality and hashing, the
 occurs/groundness walk (`_free_vids`), the rebuild behind `resolve` and
 `substitute` (`_rebuild`), and the prefix renderer behind `repr` and
 `pretty` (`_render`).
@@ -349,7 +361,7 @@ def _may_occur(vid: VarId, t: Compound, bindings: dict) -> bool:
     return False
 
 
-def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
+def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Optional[BindingStore]:
     """Compute the least extension of `store` making `a` and `b` equal.
 
     Returns None on clash (constructor mismatch or occurs-check
@@ -365,9 +377,26 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
     of one type have matching types by construction (`LogicType.make`).
     A variable is bound only while unbound, since both sides are followed
     first, and only after the occurs check.
+
+    With an environment `env`, `b` may also be a template pattern (see
+    `instantiate`): a slot index, whose term is `env[b]`, or a tuple
+    ``(ltype, ctor, subpatterns)``.  A pattern's type is `b[0]`.  A
+    pattern met by a compound is matched in read mode: the constructors
+    are compared and the children paired with the subpatterns, building
+    nothing.  A pattern met by an unbound variable is matched in write
+    mode: it is instantiated, and the variable is bound to the compound
+    after the occurs check.  So the bindings, their order and the verdict
+    are those of ``unify(a, instantiate(b, env), store)``.
     """
+    if type(b) is int:
+        b = env[b]
     ta = a.vid.ltype if type(a) is Var else a.ltype
-    tb = b.vid.ltype if type(b) is Var else b.ltype
+    if type(b) is Var:
+        tb = b.vid.ltype
+    elif type(b) is tuple:
+        tb = b[0]
+    else:
+        tb = b.ltype
     if ta is not tb:
         raise TypeMismatchError(
             f"cannot unify terms of types {getattr(ta, 'name', '?')} "
@@ -382,6 +411,16 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
             if bound is None:
                 break
             a = bound
+        tb = type(b)
+        if tb is int:
+            b = env[b]
+        elif tb is tuple:
+            if type(a) is not Var:  # read mode
+                if a.ctor != b[1]:
+                    return None
+                pairs.extend(zip(reversed(a.args), reversed(b[2])))
+                continue
+            b = instantiate(b, env)  # write mode: built only to be bound
         while type(b) is Var:
             bound = bindings.get(b.vid)
             if bound is None:
@@ -408,6 +447,36 @@ def unify(a: Term, b: Term, store: BindingStore) -> Optional[BindingStore]:
             continue
         bindings = store._bindings
     return store
+
+
+def instantiate(p: tuple, env: list) -> Compound:
+    """The compound a pattern ``(ltype, ctor, subpatterns)`` denotes in
+    `env`: a subpattern that is an int is the term in that slot, a tuple
+    is instantiated in turn, and anything else is a term as it is.  No
+    type check is needed: `make` checked every position when the
+    template was built.  Post-order over an explicit stack."""
+    frames = []
+    ltype, ctor, subs = p
+    i, out = 0, []
+    while True:
+        if i < len(subs):
+            s = subs[i]
+            i += 1
+            ts = type(s)
+            if ts is int:
+                out.append(env[s])
+            elif ts is tuple:
+                frames.append((ltype, ctor, subs, i, out))
+                ltype, ctor, subs = s
+                i, out = 0, []
+            else:
+                out.append(s)
+            continue
+        t = Compound(ltype, ctor, tuple(out))
+        if not frames:
+            return t
+        ltype, ctor, subs, i, out = frames.pop()
+        out.append(t)
 
 
 def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[BindingStore]:

@@ -51,6 +51,7 @@ from typelog.solve import (
     Solution,
     StepBudgetExceeded,
     _search,
+    _SearchStore,
     find_all,
     find_all_n,
     holds,
@@ -63,6 +64,7 @@ from typelog.terms import (
     Compound,
     Var,
     VarId,
+    instantiate,
     is_ground_term,
     occurs_in,
     resolve,
@@ -165,6 +167,59 @@ def test_ground_results_are_variable_free(pair):
     if store is not None and is_ground_term(t1, store):
         assert is_ground_term(t2, store)
         assert resolve(t1, store) == resolve(t2, store)
+
+
+NAT_SLOT_TERMS, LIST_SLOT_TERMS = nat_terms(3), list_terms(2)
+NAT_PATTERNS = st.recursive(
+    st.one_of(st.sampled_from([0, 1]), nat_terms(2)),
+    lambda sub: sub.map(lambda p: (NAT, "suc", (p,))),
+    max_leaves=4,
+)
+LIST_PATTERNS = st.recursive(
+    st.one_of(st.sampled_from([2, 3]), LIST_SLOT_TERMS),
+    lambda sub: st.tuples(NAT_PATTERNS, sub).map(lambda ps: (NAT_LIST, "cons", ps)),
+    max_leaves=4,
+)
+PREBOUND = st.lists(st.one_of(
+    st.tuples(st.sampled_from(NAT_VARS).map(NAT.var), nat_terms(2)),
+    st.tuples(st.sampled_from(LIST_VARS).map(NAT_LIST.var), LIST_SLOT_TERMS),
+), max_size=3)
+
+
+@st.composite
+def pattern_cases(draw):
+    """(a, b, env, prebound): `b` a slot, a pattern or a term of `a`'s
+    type over `env`, whose slots 0-1 hold nat terms and 2-3 list terms.
+    Patterns nest and repeat slots, and their leaves may be terms.
+    `prebound` pairs are unified first, so slots can hold bound chains;
+    `a` may be a slot's term, so `b` can contain the variable `a` binds."""
+    env = [draw(NAT_SLOT_TERMS), draw(NAT_SLOT_TERMS),
+           draw(LIST_SLOT_TERMS), draw(LIST_SLOT_TERMS)]
+    own_slot = draw(st.booleans())
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(env[:2]) if own_slot else NAT_SLOT_TERMS)
+        b = draw(NAT_PATTERNS)
+    else:
+        a = draw(st.sampled_from(env[2:]) if own_slot else LIST_SLOT_TERMS)
+        b = draw(LIST_PATTERNS)
+    return a, b, env, draw(PREBOUND)
+
+
+@settings(max_examples=500)
+@given(pattern_cases())
+def test_pattern_unify_matches_unify_of_the_instantiated_pattern(case):
+    a, b, env, prebound = case
+    s1, s2 = _SearchStore(), _SearchStore()
+    for store in (s1, s2):
+        for v, t in prebound:
+            unify(v, t, store)
+    built = instantiate(b, env) if type(b) is tuple else env[b] if type(b) is int else b
+    r1 = unify(a, b, s1, env)
+    r2 = unify(a, built, s2)
+    assert (r1 is None) == (r2 is None)
+    assert s1.trail == s2.trail
+    for vid in s1.trail:
+        assert s1.lookup(vid) == s2.lookup(vid)
 
 
 # The recursive definitions the term layer used before groundness was

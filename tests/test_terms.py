@@ -147,6 +147,47 @@ class TestUnify:
                     assert matches(unified, ga)
 
 
+class TestPatterns:
+    """`unify` with an environment, its right side a slot index or a
+    pattern ``(ltype, ctor, subpatterns)`` over that environment."""
+
+    def test_read_mode_builds_nothing(self, monkeypatch):
+        def build(p, env):
+            raise AssertionError(f"read mode instantiated {p!r}")
+        monkeypatch.setattr(terms, "instantiate", build)
+        three = nat(3)
+        s = unify(three, (NAT, "suc", (0,)), EMPTY_STORE, [X])
+        assert s.lookup(X.vid) == nat(2)
+        assert s.lookup(X.vid) is three.args[0]
+
+    def test_write_mode_binds_the_instantiated_pattern(self):
+        s = unify(X, (NAT, "suc", (0,)), EMPTY_STORE, [Y])
+        assert list(s.items()) == [(X.vid, suc(Y))]
+
+    def test_write_mode_keeps_the_occurs_check(self):
+        assert unify(X, (NAT, "suc", (0,)), EMPTY_STORE, [X]) is None
+        s = store_of((Y, X))
+        assert unify(X, (NAT, "suc", ((NAT, "suc", (0,)),)), s, [Y]) is None
+
+    def test_read_mode_clash(self):
+        assert unify(zero(), (NAT, "suc", (0,)), EMPTY_STORE, [X]) is None
+        assert unify(nat(2), (NAT, "suc", (zero(),)), EMPTY_STORE, []) is None
+
+    def test_slot_is_the_term_it_holds(self):
+        s = unify(X, 0, EMPTY_STORE, [nat(1)])
+        assert list(s.items()) == [(X.vid, nat(1))]
+        s = unify(nat_list([X, Y]), (NAT_LIST, "cons", (1, 0)), EMPTY_STORE,
+                  [nat_list([Z]), nat(4)])
+        assert list(s.items()) == [(X.vid, nat(4)), (Y.vid, Z)]
+
+    def test_types_checked_at_entry(self):
+        xs = NAT_LIST.var("xs")
+        with pytest.raises(TypeMismatchError):
+            unify(X, (NAT_LIST, "cons", (0, 1)), EMPTY_STORE, [Y, xs])
+        with pytest.raises(TypeMismatchError):
+            unify(X, 0, EMPTY_STORE, [xs])
+
+
 class TestOccursAndGround:
     def test_occurs_direct(self):
         assert occurs_in(X.vid, suc(X), EMPTY_STORE)
@@ -314,6 +355,13 @@ class TestEquality:
         assert Var(VarId("X", NAT)) == Var(VarId("X", NAT))
         assert hash(Var(VarId("X", NAT))) == hash(Var(VarId("X", NAT)))
         assert repr(VarId("X", NAT)) == "X:nat"
+
+    def test_var_id_built_without_its_constructor(self):
+        vid = tuple.__new__(VarId, ("_1", NAT))
+        assert type(vid) is VarId
+        assert vid == VarId("_1", NAT) and VarId("_1", NAT) == vid
+        assert hash(vid) == hash(VarId("_1", NAT))
+        assert vid != ("_1", NAT) and ("_1", NAT) != vid
 
     def test_var_never_equals_a_compound(self):
         c = Compound(NAT, "x", ())
