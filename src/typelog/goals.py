@@ -129,25 +129,15 @@ class IsGround(Goal):
     term: Term
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Call(Goal):
     """Run a compiled predicate: `template` on argument terms or, inside
     a template, on argument patterns.  Inside a template, `template` may
     instead be the environment index of a function argument, which is
     called on the arguments.  Costs no solver step."""
 
-    __slots__ = ("template", "args")
-
-    def __init__(self, template, args: tuple):
-        self.template = template
-        self.args = args
-
-    def __eq__(self, other):
-        if type(other) is not Call:
-            return NotImplemented
-        return self.template == other.template and self.args == other.args
-
-    def __hash__(self):
-        return hash((self.template, self.args))
+    template: object
+    args: tuple
 
     def __repr__(self):
         return f"Call({getattr(self.template, 'name', self.template)}, {self.args!r})"

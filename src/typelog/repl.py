@@ -15,7 +15,7 @@ import io
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import prelude
 from .derive import LogicType
@@ -128,7 +128,7 @@ class _QueryParser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.registry = registry
-        self.qvars: List[VarId] = []  # user variables, first-occurrence order
+        self.qvars: Dict[VarId, None] = {}  # user variables, first-occurrence order
         self._wildcards = 0
 
     def peek(self) -> _Token:
@@ -270,8 +270,7 @@ class _QueryParser:
                 self._wildcards += 1
                 return Var(VarId(f"_w{self._wildcards}", ltype))
             vid = VarId(name, ltype)
-            if vid not in self.qvars:
-                self.qvars.append(vid)
+            self.qvars.setdefault(vid)
             return Var(vid)
         if kind == "int":
             if ltype.from_int is None:
@@ -314,7 +313,7 @@ def compile_query(text: str, registry: PredicateRegistry) -> Tuple[Goal, List[Va
     variables in first-occurrence order."""
     parser = _QueryParser(text, registry)
     goal = parser.parse_query()
-    return goal, parser.qvars
+    return goal, list(parser.qvars)
 
 
 # --- answer rendering -----------------------------------------------------

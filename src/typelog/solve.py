@@ -30,23 +30,23 @@ its goal node (`type(goal) is ...`), not on `isinstance`: the node
 classes of `goals` are the whole goal language, and an instance of a
 subclass of one is not a goal.
 
-Each search binds in one store of its own, in place, so a bind costs
-O(1) however long the store: `_SearchStore.bind` sets the entry and
-appends the variable to a trail, a choicepoint's mark is the trail's
-length when it was pushed, and resuming it unbinds every variable
-trailed since.  That also undoes the bindings a clashing `unify` made
-before it failed.  The live store never leaves the search: `solve`,
-`find_all` and `find_all_n` read each answer from it before the search
-resumes, and `solve_stores` yields a copy of each answer's store.
+Each search binds in one store of its own (`terms._SearchStore`), in
+place, so a bind costs O(1) however long the store.  Its dict is the
+trail: `unify` adds entries at the end, a choicepoint's mark is the
+dict's length when it was pushed, and resuming it pops every entry added
+since (`dict.popitem`), the bindings of a clashing `unify` included.
+The live store never leaves the search: `solve`, `find_all` and
+`find_all_n` read each answer from it before the search resumes, and
+`solve_stores` yields a copy of each answer's store.
 
 An answer costs what changed since the previous one, not the whole
-store.  With each answer the search reports the lowest trail length it
-resumed since the previous answer: the trail below that mark is as it
-was then.  `solve` keeps the trail positions of the bound user-named
-variables and reads only the trail above the mark for new ones, so an
-answer from `solve` or `find_all` costs O(bindings since the last answer
-+ answer size).  `solve_stores` pays an O(store) copy per answer, the
-price of its immutable stores.
+store.  With each answer the search reports the lowest store length it
+resumed since the previous answer: the entries below that mark are as
+they were then.  `solve` keeps the positions of the bound user-named
+variables and reads only the entries above the mark, from the dict's
+end, so an answer from `solve` or `find_all` costs O(bindings since the
+last answer + answer size).  `solve_stores` pays an O(store) copy per
+answer, the price of its immutable stores.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .terms import (
     Term,
     Var,
     VarId,
+    _SearchStore,
     instantiate,
     is_ground_term,
     resolve,
@@ -82,32 +83,11 @@ class Solution:
     counter_at_yield: int
 
 
-class _SearchStore(BindingStore):
-    """The store of one search, bound in place and undone from `trail`.
-
-    `bind` skips the public store's checks: `unify`, its only caller,
-    binds a variable only while it is unbound and checks types at entry.
-    Mutable, so not hashable; it is never handed out.
-    """
-
-    __slots__ = ("trail",)
-    __hash__ = None
-
-    def __init__(self):
-        super().__init__()
-        self.trail = []
-
-    def bind(self, vid: VarId, term: Term) -> "_SearchStore":
-        self._bindings[vid] = term
-        self.trail.append(vid)
-        return self
-
-
 def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchStore, int, int]]:
     """Yield (store, fresh-variable counter, low) for each solution of
-    `goal`, where `low` is the lowest trail length resumed since the
-    previous solution (0 for the first): `store.trail[:low]` is as it was
-    at the previous solution.
+    `goal`, where `low` is the lowest store length resumed since the
+    previous solution (0 for the first): the store's first `low` entries,
+    in insertion order, are as they were at the previous solution.
 
     The store yielded is the live search store: read it before resuming
     the search.  Every goal node evaluated is one step against
@@ -120,11 +100,11 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     new_tuple = tuple.__new__  # skips VarId's Python-level __new__
     counter = steps = 0
     store = _SearchStore()
-    bindings, trail = store._bindings, store.trail
+    bindings = store._bindings
     barrier = low = 0
     env = None  # the environment of the innermost Call, or None
     cont = None  # (goal, barrier, env, rest) or None
-    choices: list = []  # (goal, barrier, env, trail mark, cont)
+    choices: list = []  # (goal, barrier, env, store length, cont)
     while True:
         if goal is None:
             del choices[barrier:]
@@ -146,7 +126,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                     a = instantiate(a, env)
                 ok = unify(a, goal.right, store, env) is not None
             elif t is Disj:
-                choices.append((goal.g2, barrier, env, len(trail), cont))
+                choices.append((goal.g2, barrier, env, len(bindings), cont))
                 goal = goal.g1
                 continue
             elif t is Exists:
@@ -203,14 +183,14 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 goal, barrier, env, cont = cont
                 continue
             yield store, counter, low
-            low = len(trail)
+            low = len(bindings)
         if not choices:
             return
         goal, barrier, env, mark, cont = choices.pop()
         if mark < low:
             low = mark
-        while len(trail) > mark:
-            del bindings[trail.pop()]
+        while len(bindings) > mark:
+            bindings.popitem()
 
 
 def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[BindingStore]:
@@ -228,19 +208,20 @@ def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:
     Each solution restricts the final store to user-named variables
     (engine-generated "_" names are dropped) with all values fully
     resolved, in the order they were bound.  An answer costs O(bindings
-    since the last answer + answer size): the trail positions of the
+    since the last answer + answer size): the store positions of the
     bound user-named variables are kept between answers, and only the
-    trail above the search's low mark is read for new ones.  Diverges
+    entries above the search's low mark are read for new ones.  Diverges
     when the search tree has an infinite leftmost path, like Prolog.
     """
-    shown = []  # (trail position, vid) of each bound user-named variable
+    shown = []  # (store position, vid) of each bound user-named variable
     for store, counter, low in _search(goal, max_steps):
         while shown and shown[-1][0] >= low:
             shown.pop()
-        for pos, vid in enumerate(store.trail[low:], low):
+        bindings = store._bindings
+        added = list(itertools.islice(reversed(bindings), len(bindings) - low))
+        for pos, vid in enumerate(reversed(added), low):
             if not vid.name.startswith("_"):
                 shown.append((pos, vid))
-        bindings = store._bindings
         yield Solution({vid: resolve(bindings[vid], store) for _, vid in shown}, counter)
 
 

@@ -4,15 +4,14 @@ A term is either a variable or a constructor application whose children
 are themselves terms.  Every term belongs to exactly one logical type;
 variables of the same name but different types are distinct.  A public
 `BindingStore` is an immutable value: extending it returns a new one, and
-any number of holders may share it.  The solver does not extend such
-values: each search owns one store (`solve._SearchStore`) whose `bind`
-sets the entry in place and records the variable on a trail, and
-backtracking unbinds the variables recorded since the choicepoint's mark
-(Warren, "An abstract Prolog instruction set", SRI TN 309, 1983), so a
-bind costs O(1) however long the store.  `unify` is written once for
-both kinds: it binds through `store.bind` and continues from the store
-that returns.  The structural operations work over `Compound.args`: one
-definition for every type.
+any number of holders may share it.  Each search instead owns one
+`_SearchStore`, bound in place, whose dict is its own trail: a dict
+keeps insertion order, so a choicepoint's mark is the dict's length and
+backtracking pops back to it (Warren, "An abstract Prolog instruction
+set", SRI TN 309, 1983); a bind costs O(1) however long the store.
+`unify` binds at one site for both kinds: a public store is copied once,
+at its first bind, and the copy returned.  The structural operations
+work over `Compound.args`: one definition for every type.
 
 A compiled predicate (`goals.predicate`) holds its terms as patterns
 over an environment of slots: a slot index, a tuple ``(ltype, ctor,
@@ -233,6 +232,16 @@ class BindingStore:
 EMPTY_STORE = BindingStore()
 
 
+class _SearchStore(BindingStore):
+    """The store of one search, which `unify` binds in place.  Its dict
+    is its trail: `unify` adds at the end and backtracking pops from the
+    end, so its length is a mark to backtrack to.  Mutable, so not
+    hashable; the solver never hands it out."""
+
+    __slots__ = ()
+    __hash__ = None
+
+
 def walk(t: Term, store: BindingStore) -> Term:
     """Follow variable bindings until hitting an unbound variable or a
     compound.  Shallow: does not descend into compound children."""
@@ -365,18 +374,19 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
     """Compute the least extension of `store` making `a` and `b` equal.
 
     Returns None on clash (constructor mismatch or occurs-check
-    violation).  A public store is unchanged by a clash, since its `bind`
-    copies; the solver's search store binds in place and undoes a failed
-    branch's bindings from its trail.  After following both sides'
-    bindings, a left-side variable is bound to the right, then a
-    right-side variable to the left, then constructor payloads are
+    violation).  Every binding is written at one site, into a dict: a
+    `_SearchStore`'s own, in place (the solver pops a failed branch's
+    bindings), or else a copy of the public store's, made at the first
+    bind and returned, so a public store never changes.  After following
+    both sides' bindings, a left-side variable is bound to the right,
+    then a right-side variable to the left, then constructor payloads are
     matched, children left to right and depth first, over an explicit
-    stack of pairs.  Bindings are followed in the store's dict directly,
-    as `walk` would, and the dict is re-read after each bind.  Types are
-    checked here, at entry, once: the children of matching constructors
-    of one type have matching types by construction (`LogicType.make`).
-    A variable is bound only while unbound, since both sides are followed
-    first, and only after the occurs check.
+    stack of pairs.  Bindings are followed in the dict directly, as
+    `walk` would.  Types are checked here, at entry, once: the children
+    of matching constructors of one type have matching types by
+    construction (`LogicType.make`).  A variable is bound only while
+    unbound, since both sides are followed first, and only after the
+    occurs check, so `BindingStore.bind`'s checks are not needed.
 
     With an environment `env`, `b` may also be a template pattern (see
     `instantiate`): a slot index, whose term is `env[b]`, or a tuple
@@ -403,6 +413,7 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
             f"and {getattr(tb, 'name', '?')}"
         )
     bindings = store._bindings
+    shared = type(store) is not _SearchStore
     pairs = [(a, b)]
     while pairs:
         a, b = pairs.pop()
@@ -434,18 +445,22 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
                     continue
             elif not b.ground and _may_occur(a.vid, b, bindings) and occurs_in(a.vid, b, store):
                 return None
-            store = store.bind(a.vid, b)
+            vid, term = a.vid, b
         elif type(b) is Var:
             if not a.ground and _may_occur(b.vid, a, bindings) and occurs_in(b.vid, a, store):
                 return None
-            store = store.bind(b.vid, a)
+            vid, term = b.vid, a
         elif a.ctor != b.ctor:
             return None
         else:
             # Reversed, so that children are popped left to right.
             pairs.extend(zip(reversed(a.args), reversed(b.args)))
             continue
-        bindings = store._bindings
+        if shared:  # a public store is copied once, at its first bind
+            store = BindingStore(dict(bindings))
+            bindings = store._bindings
+            shared = False
+        bindings[vid] = term
     return store
 
 

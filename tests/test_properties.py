@@ -149,6 +149,32 @@ def test_failure_leaves_store_unusable_but_unchanged(pairs):
         assert len(store) == len(snapshot)
 
 
+PUBLIC_BINDINGS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(NAT_VARS).map(NAT.var), nat_terms(3)),
+    st.tuples(st.sampled_from(LIST_VARS).map(NAT_LIST.var), list_terms(3)),
+), min_size=1, max_size=4)
+
+
+@settings(max_examples=300)
+@given(either_pair(), PUBLIC_BINDINGS)
+def test_public_unify_matches_unify_in_a_search_store(pair, bindings):
+    public = EMPTY_STORE
+    for v, t in bindings:
+        public = unify(v, t, public) or public
+    assume(len(public) > 0)
+    snapshot = BindingStore(dict(public.items()))
+    search = _SearchStore(dict(public.items()))
+    t1, t2 = pair
+    result = unify(t1, t2, public)
+    in_place = unify(t1, t2, search)
+    assert (result is None) == (in_place is None)
+    if result is not None:
+        assert in_place is search and type(result) is BindingStore
+        assert list(result.items()) == list(search.items())
+    assert public == snapshot
+    assert list(public.items()) == list(snapshot.items())
+
+
 @settings(max_examples=300)
 @given(either_pair())
 def test_no_bound_variable_occurs_in_its_own_binding(pair):
@@ -217,8 +243,8 @@ def test_pattern_unify_matches_unify_of_the_instantiated_pattern(case):
     r1 = unify(a, b, s1, env)
     r2 = unify(a, built, s2)
     assert (r1 is None) == (r2 is None)
-    assert s1.trail == s2.trail
-    for vid in s1.trail:
+    assert list(s1) == list(s2)
+    for vid in s1:
         assert s1.lookup(vid) == s2.lookup(vid)
 
 

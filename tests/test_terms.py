@@ -105,6 +105,31 @@ class TestUnify:
         s = unify(nat_list([suc(X), Z]), nat_list([suc(Y), X]), EMPTY_STORE)
         assert list(s.items()) == [(X.vid, Y), (Z.vid, Y)]
 
+    def test_public_store_copied_once_and_never_bound_through_bind(self, monkeypatch):
+        start = store_of((Z, zero()))
+        xs = [NAT.var(f"v{i}") for i in range(100)]
+        a, b = nat_list(xs), nat_list([i % 7 for i in range(100)])
+        copies = []
+        init = BindingStore.__init__
+
+        def counted_init(store, bindings=None):
+            copies.append(bindings)
+            init(store, bindings)
+
+        def refuse(store, vid, term):
+            raise AssertionError("unify bound through BindingStore.bind")
+
+        monkeypatch.setattr(BindingStore, "__init__", counted_init)
+        monkeypatch.setattr(BindingStore, "bind", refuse)
+        s = unify(a, b, start)
+        assert len(copies) == 1
+        assert list(s.items()) == [(Z.vid, zero())] + [(v.vid, nat(i % 7)) for i, v in enumerate(xs)]
+        assert list(start.items()) == [(Z.vid, zero())]
+        # A clash after a bind discards the copy.
+        assert unify(nat_list([X, zero()]), nat_list([zero(), suc(zero())]), start) is None
+        assert len(copies) == 2
+        assert list(start.items()) == [(Z.vid, zero())]
+
     def test_unify_args_checks_constructor_then_type(self):
         assert unify_args(suc(X), suc(zero()), EMPTY_STORE).lookup(X.vid) == zero()
         assert unify_args(zero(), nil(NAT_LIST), EMPTY_STORE) is None
