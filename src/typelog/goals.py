@@ -21,7 +21,7 @@ A predicate defined with `@predicate` is compiled once per key (its
 arguments' types) into a `Template`: its body is run once on
 placeholders, each `exists` in it is expanded into a numbered slot of
 an environment, and each term that mentions a parameter or a slot
-becomes a pattern (see `terms.instantiate`).  An argument that is not a term,
+becomes a pattern (`terms.pattern`).  An argument that is not a term,
 such as a comparison function, is a slot too, and is called when the
 search reaches the call the body makes of it.  Calling the predicate
 converts the arguments and builds one `Call` node; the solver runs a
@@ -39,14 +39,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import threading
 from dataclasses import dataclass
 from types import FunctionType
 from typing import Callable, Optional
 
-from .terms import Compound, LogicError, Term, TypeMismatchError, Var, VarId, term_type
-from .terms import instantiate  # noqa: F401  (re-exported: it builds what `_pattern` makes)
+from .terms import Compound, LogicError, Term, TypeMismatchError, Var, VarId, pattern, term_type
 
 
 class Goal:
@@ -371,9 +369,9 @@ def _closed(f) -> bool:
 
 def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     """The template form of `goal`: each closure `Exists` expanded into
-    a new slot, terms turned into patterns over `slots` (placeholder
-    VarId or `_Function` -> environment index).  Post-order over an
-    explicit stack.
+    a new slot, terms turned into patterns (`terms.pattern`) over `slots`
+    (placeholder VarId or `_Function` -> environment index).  Post-order
+    over an explicit stack.
 
     Raises `_Uncompilable` where the template cannot stand for the goal:
     at an `Exists` whose closure's code already runs on the path of
@@ -381,7 +379,7 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     `exists` would expand forever, and at a call argument that is a
     function which may refer to the body's variables."""
 
-    def pattern_of(v):
+    def slot_of(v):
         k = slots.get(v.vid if type(v) is Var else v)
         if k is not None:
             return k
@@ -393,9 +391,9 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
 
     def argument(a):
         if type(a) is Var or type(a) is Compound:
-            return _pattern(a, pattern_of)
+            return pattern(a, slot_of)
         if type(a) is _Function:
-            return pattern_of(a)
+            return slot_of(a)
         if _closed(a):
             return a
         raise _Uncompilable
@@ -429,50 +427,17 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
             k = slots[v.vid] = len(slots)
             todo += (((Exists, (node.ltype, k)), None), (node.body(v), (code, path)))
         elif t is Unify:
-            done.append(Unify(_pattern(node.left, pattern_of), _pattern(node.right, pattern_of)))
+            done.append(Unify(pattern(node.left, slot_of), pattern(node.right, slot_of)))
         elif t is IsGround:
-            done.append(IsGround(_pattern(node.term, pattern_of)))
+            done.append(IsGround(pattern(node.term, slot_of)))
         elif t is Call:
             f = node.template
             if type(f) is _Function:
-                f = pattern_of(f)
+                f = slot_of(f)
             done.append(Call(f, tuple([argument(a) for a in node.args])))
         elif t is Succeed or t is Fail:
             done.append(node)
         else:
             raise LogicError(f"not a goal: {node!r}")
     return done.pop()
-
-
-def _pattern(t: Term, pattern_of):
-    """`t` as a pattern: `pattern_of(v)` for a variable, ``(ltype, ctor,
-    subpatterns)`` for a compound that mentions a slot, else `t` itself.
-    Post-order over an explicit stack, like `terms._rebuild`."""
-    if type(t) is Var:
-        return pattern_of(t)
-    if t.ground:
-        return t
-    frames = []
-    node, i, out = t, 0, []
-    while True:
-        args = node.args
-        if i < len(args):
-            a = args[i]
-            i += 1
-            if type(a) is Var:
-                out.append(pattern_of(a))
-            elif a.ground:
-                out.append(a)
-            else:
-                frames.append((node, i, out))
-                node, i, out = a, 0, []
-            continue
-        if all(map(operator.is_, out, args)):
-            new = node
-        else:
-            new = (node.ltype, node.ctor, tuple(out))
-        if not frames:
-            return new
-        node, i, out = frames.pop()
-        out.append(new)
 

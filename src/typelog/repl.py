@@ -128,7 +128,7 @@ class _QueryParser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.registry = registry
-        self.qvars: Dict[VarId, None] = {}  # user variables, first-occurrence order
+        self.qvars: Dict[str, VarId] = {}  # user variables by name, first-occurrence order
         self._wildcards = 0
 
     def peek(self) -> _Token:
@@ -269,8 +269,10 @@ class _QueryParser:
             if name == "_":
                 self._wildcards += 1
                 return Var(VarId(f"_w{self._wildcards}", ltype))
-            vid = VarId(name, ltype)
-            self.qvars.setdefault(vid)
+            vid = self.qvars.setdefault(name, VarId(name, ltype))
+            if vid.ltype is not ltype:
+                raise QueryTypeError(
+                    f"variable {name} is used at types {vid.ltype.name} and {ltype.name}")
             return Var(vid)
         if kind == "int":
             if ltype.from_int is None:
@@ -310,10 +312,11 @@ def parse_term(text: str, ltype: LogicType) -> Term:
 
 def compile_query(text: str, registry: PredicateRegistry) -> Tuple[Goal, List[VarId]]:
     """Parse and type-check one query; returns the goal plus the user
-    variables in first-occurrence order."""
+    variables in first-occurrence order.  A name stands for one variable
+    of one type: a name used at two types is a `QueryTypeError`."""
     parser = _QueryParser(text, registry)
     goal = parser.parse_query()
-    return goal, list(parser.qvars)
+    return goal, list(parser.qvars.values())
 
 
 # --- answer rendering -----------------------------------------------------

@@ -15,20 +15,22 @@ work over `Compound.args`: one definition for every type.
 
 A compiled predicate (`goals.predicate`) holds its terms as patterns
 over an environment of slots: a slot index, a tuple ``(ltype, ctor,
-subpatterns)``, or a term that mentions no slot.  `instantiate` builds
-the compound a pattern denotes.  The same `unify` takes a pattern on its
-right side, as the WAM unifies a clause head with a call's argument
-(Aït-Kaci, "Warren's Abstract Machine: A Tutorial Reconstruction",
-1991): a pattern met by a compound is matched in read mode, constructor
-against constructor and child against subpattern, building nothing; a
-pattern met by an unbound variable is matched in write mode, built only
-to be bound.
+subpatterns)``, or a term that mentions no slot.  This module alone
+builds, reads and instantiates them: `pattern` turns a term into one,
+`instantiate` builds the compound a pattern denotes, and `unify` takes
+a pattern on its right side, as the WAM unifies a clause head with a
+call's argument (Aït-Kaci, "Warren's Abstract Machine: A Tutorial
+Reconstruction", 1991): a pattern met by a compound is matched in read
+mode, constructor against constructor and child against subpattern,
+building nothing; a pattern met by an unbound variable is matched in
+write mode, built only to be bound.  `pattern` and `instantiate` keep
+shared subterms shared, so their cost is linear in the distinct nodes.
 
 Every walk over a term runs over an explicit stack, so terms of any depth
 are accepted: `unify`, `instantiate`, `Compound` equality and hashing, the
-occurs/groundness walk (`_free_vids`), the rebuild behind `resolve` and
-`substitute` (`_rebuild`), and the prefix renderer behind `repr` and
-`pretty` (`_render`).
+occurs/groundness walk (`_free_vids`), the rebuild behind `resolve`,
+`substitute` and `pattern` (`_rebuild`), and the prefix renderer behind
+`repr` and `pretty` (`_render`).
 
 Terms are immutable by contract: `VarId` is a tuple, and `Var` and
 `Compound` are slotted classes whose attributes no code assigns after
@@ -258,9 +260,6 @@ def resolve(t: Term, store: BindingStore) -> Term:
     """Replace every bound variable in `t` by its fully resolved binding,
     through compound children.  Idempotent.  Ground subterms, and nodes
     none of whose children change, are returned as they are."""
-    t = walk(t, store)
-    if type(t) is Var or t.ground:
-        return t
     return _rebuild(t, store, _same)
 
 
@@ -268,16 +267,17 @@ def _same(v: Var) -> Term:
     return v
 
 
-def _rebuild(t: Term, store: BindingStore, leaf) -> Term:
+def _rebuild(t: Term, store: BindingStore, leaf, make=Compound):
     """`t` with each position walked through `store` and each unbound
     variable `v` replaced by `leaf(v)`, called left to right, depth first.
 
     Post-order over an explicit stack.  What `leaf` returns is not
     entered.  Ground subterms, and nodes none of whose children change,
-    are kept as they are.  Each entered compound is rebuilt once, keyed
-    by `id` (all stay reachable during the walk), so bindings that share
-    a variable cost time linear in the store and the result keeps their
-    sharing."""
+    are kept as they are; any other node becomes ``make(ltype, ctor,
+    children)``.  Each entered compound is rebuilt once, keyed by `id`
+    (all stay reachable during the walk), so bindings and subterms that
+    are shared cost time linear in the distinct nodes, and the result
+    keeps their sharing."""
     bindings = store._bindings
     while type(t) is Var:
         bound = bindings.get(t.vid)
@@ -312,7 +312,7 @@ def _rebuild(t: Term, store: BindingStore, leaf) -> Term:
         if all(map(operator.is_, out, args)):
             new = node
         else:
-            new = Compound(node.ltype, node.ctor, tuple(out))
+            new = make(node.ltype, node.ctor, tuple(out))
         built[id(node)] = new
         if not frames:
             return new
@@ -464,12 +464,28 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
     return store
 
 
+def pattern(t: Term, slot_of):
+    """`t` as a pattern over an environment, the inverse of `instantiate`:
+    a variable becomes `slot_of(v)` (a slot index, or a term), a compound
+    that mentions a slot becomes ``(ltype, ctor, subpatterns)``, and any
+    other term stays as it is.  A subterm that occurs twice becomes one
+    subpattern object, so `instantiate` builds it once."""
+    return _rebuild(t, EMPTY_STORE, slot_of, _pattern_node)
+
+
+def _pattern_node(ltype, ctor: str, subpatterns: tuple) -> tuple:
+    return ltype, ctor, subpatterns
+
+
 def instantiate(p: tuple, env: list) -> Compound:
     """The compound a pattern ``(ltype, ctor, subpatterns)`` denotes in
     `env`: a subpattern that is an int is the term in that slot, a tuple
     is instantiated in turn, and anything else is a term as it is.  No
     type check is needed: `make` checked every position when the
-    template was built.  Post-order over an explicit stack."""
+    template was built.  Post-order over an explicit stack.  Each
+    subpattern object is built once, keyed by `id` (the pattern keeps
+    all of them alive), so the compound keeps the pattern's sharing."""
+    built = {}
     frames = []
     ltype, ctor, subs = p
     i, out = 0, []
@@ -481,16 +497,21 @@ def instantiate(p: tuple, env: list) -> Compound:
             if ts is int:
                 out.append(env[s])
             elif ts is tuple:
-                frames.append((ltype, ctor, subs, i, out))
-                ltype, ctor, subs = s
-                i, out = 0, []
+                k = id(s)
+                if k in built:
+                    out.append(built[k])
+                else:
+                    frames.append((ltype, ctor, subs, i, out, k))
+                    ltype, ctor, subs = s
+                    i, out = 0, []
             else:
                 out.append(s)
             continue
         t = Compound(ltype, ctor, tuple(out))
         if not frames:
             return t
-        ltype, ctor, subs, i, out = frames.pop()
+        ltype, ctor, subs, i, out, k = frames.pop()
+        built[k] = t
         out.append(t)
 
 

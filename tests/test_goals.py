@@ -344,6 +344,24 @@ class TestPredicate:
 
         assert answers(plus_3000("X", 3002)) == [{"X": nat(2)}]
 
+    def test_shared_terms_in_a_body(self):
+        tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+
+        def full(x, y):
+            t = x
+            for _ in range(12):
+                t = tree.make("node", t, t)
+            return eq(y, t)
+
+        compiled = predicate(lambda x, y: (tree, (x, y)))(full)
+        leaf, y = tree.make("leaf"), tree.var("Y")
+        [r] = find_all(y, compiled(leaf, y))
+        assert [r] == find_all(y, full(leaf, y))
+        for _ in range(12):
+            assert r.args[0] is r.args[1]
+            r = r.args[0]
+        assert r is leaf
+
     def test_nested_patterns(self):
         @predicate(nats)
         def in_pair(x, y, z):

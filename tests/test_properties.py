@@ -64,9 +64,11 @@ from typelog.terms import (
     Compound,
     Var,
     VarId,
+    _rebuild,
     instantiate,
     is_ground_term,
     occurs_in,
+    pattern,
     resolve,
     unify,
     walk,
@@ -246,6 +248,33 @@ def test_pattern_unify_matches_unify_of_the_instantiated_pattern(case):
     assert list(s1) == list(s2)
     for vid in s1:
         assert s1.lookup(vid) == s2.lookup(vid)
+
+
+TREE = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+TREE_VARS = [TREE.var(n) for n in ("a", "b", "c", "d")]
+
+
+@st.composite
+def shared_trees(draw, leaves):
+    """A tree grown bottom-up from `leaves`: each new node takes two
+    earlier nodes, so any subterm may be shared by many parents."""
+    nodes = list(leaves)
+    for _ in range(draw(st.integers(0, 10))):
+        i = draw(st.integers(0, len(nodes) - 1))
+        j = draw(st.integers(0, len(nodes) - 1))
+        nodes.append(TREE.make("node", nodes[i], nodes[j]))
+    return nodes[draw(st.integers(0, len(nodes) - 1))]
+
+
+@settings(max_examples=300)
+@given(shared_trees(TREE_VARS + [TREE.make("leaf")]),
+       st.lists(st.sampled_from(TREE_VARS), unique=True),
+       st.lists(shared_trees([TREE.var("e"), TREE.make("leaf")]), min_size=4, max_size=4))
+def test_instantiate_inverts_pattern(t, slot_vars, env):
+    slots = {v.vid: k for k, v in enumerate(slot_vars)}
+    p = pattern(t, lambda v: slots.get(v.vid, v))
+    built = instantiate(p, env) if type(p) is tuple else env[p] if type(p) is int else p
+    assert built == _rebuild(t, EMPTY_STORE, lambda v: env[slots[v.vid]] if v.vid in slots else v)
 
 
 # The recursive definitions the term layer used before groundness was

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -38,6 +39,17 @@ class TestParser:
     def test_repeated_variable_collected_once(self):
         _, qvars = compile_query("plus(X, X, 4).", REG)
         assert [v.name for v in qvars] == ["X"]
+
+    def test_variable_used_at_two_types_is_a_type_error(self):
+        for query, types in (("plus(X, 1, 2), isHead(X, 1).", "nat and list(nat)"),
+                             ("isHead(X, Y), plus(Y, 1, X).", "list(nat) and nat"),
+                             ("append([X], X, L).", "nat and list(nat)")):
+            with pytest.raises(QueryTypeError, match=re.escape(f"variable X is used at types {types}")):
+                compile_query(query, REG)
+            code, out = script(query)
+            assert code == 1 and out.startswith("type error: ") and out.count("\n") == 1
+        assert script("plus(X, X, 4).") == (0, "X = 2.\n")
+        assert script("isHead(_, _), plus(_, 1, _).") == (0, "true.\n")
 
     def test_variable_typed_by_signature(self):
         _, qvars = compile_query("member(X, L).", REG)

@@ -16,6 +16,7 @@ from typelog.terms import (
     VarId,
     is_ground_term,
     occurs_in,
+    pattern,
     pretty,
     resolve,
     substitute,
@@ -211,6 +212,18 @@ class TestPatterns:
             unify(X, (NAT_LIST, "cons", (0, 1)), EMPTY_STORE, [Y, xs])
         with pytest.raises(TypeMismatchError):
             unify(X, 0, EMPTY_STORE, [xs])
+
+    def test_shared_subterm_is_one_subpattern_built_once(self):
+        tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+        x, leaf = tree.var("x"), tree.make("leaf")
+        s = tree.make("node", x, leaf)
+        p = pattern(tree.make("node", s, s), lambda v: 0)
+        assert p == (tree, "node", ((tree, "node", (0, leaf)),) * 2)
+        assert p[2][0] is p[2][1]
+        y = tree.var("y")
+        t = terms.instantiate(p, [y])
+        assert t == tree.make("node", tree.make("node", y, leaf), tree.make("node", y, leaf))
+        assert t.args[0] is t.args[1]
 
 
 class TestOccursAndGround:
