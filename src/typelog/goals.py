@@ -14,8 +14,9 @@ so ``eq(a, b) ^ fail_goal() | c & d`` groups as
 Immutability is kept by contract, not enforced: the nodes are slotted
 classes, compared and hashed by value, but not frozen, because a frozen
 node pays a guarded `__setattr__` per field.  No code assigns a field
-after construction, except that a `Template` is filled in once, while
-it is compiled.
+after construction, except while a template is compiled: the
+`Template` is filled in once, and its new `Exists` and `Unify` nodes
+are marked for first occurrences (`_mark_first_uses`).
 
 A predicate defined with `@predicate` is compiled once per key (its
 arguments' types) into a `Template`: its body is run once on
@@ -28,8 +29,13 @@ converts the arguments and builds one `Call` node; the solver runs a
 `Call` by instantiating its argument patterns into a fresh environment
 and jumping to the template's root, so no goal node and no closure is
 built per unfolding (Warren, "An abstract Prolog instruction set", SRI
-TN 309, 1983, renames clause templates the same way).  The contract
-that makes this sound: a predicate's body may depend on its arguments'
+TN 309, 1983, renames clause templates the same way).  An `exists`
+whose slot is first used in the right pattern of an `eq`, with no
+choicepoint between that could resume, is made lazy: that occurrence
+takes the subterm it meets in read mode, as the WAM's
+``unify_variable`` does, and no variable is made or bound for it (see
+`_mark_first_uses` and `terms.First`).  The contract that makes
+compiling sound: a predicate's body may depend on its arguments'
 types, not on their values.  A body that cannot be compiled, such as
 one that calls a plain function recursing under `exists`, is run on
 each call instead.
@@ -44,7 +50,17 @@ from dataclasses import dataclass
 from types import FunctionType
 from typing import Callable, Optional
 
-from .terms import Compound, LogicError, Term, TypeMismatchError, Var, VarId, pattern, term_type
+from .terms import (
+    Compound,
+    LogicError,
+    Term,
+    TypeMismatchError,
+    Var,
+    VarId,
+    mark_first,
+    pattern,
+    term_type,
+)
 
 
 class Goal:
@@ -99,11 +115,15 @@ class Exists(Goal):
     call them again during backtracking.
 
     In a template, `slot` is an index into the environment: the fresh
-    variable is stored there and `body` is the compiled goal itself."""
+    variable is stored there and `body` is the compiled goal itself.  A
+    `lazy` one stores only the number the variable's name carries: its
+    first use, a `terms.First` subpattern, allocates the variable if it
+    must (see `_mark_first_uses`)."""
 
     ltype: object
     body: Callable[[Term], Goal]
     slot: Optional[int] = None
+    lazy: bool = False
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -247,10 +267,12 @@ class Template:
                 slots[p] = len(slots)
             params.append(p)
         arity = len(slots)
+        info: dict = {}
         try:
-            self.root = _translate(self.body(*params), self.name, slots)
+            self.root = _translate(self.body(*params), self.name, slots, info)
         except _Uncompilable:
             return
+        _mark_first_uses(self.root, info)
         self.pad = [None] * (len(slots) - arity)
 
 
@@ -367,11 +389,15 @@ def _closed(f) -> bool:
         f.__closure__ is None and not f.__defaults__ and not f.__kwdefaults__))
 
 
-def _translate(goal: Goal, name: str, slots: dict) -> Goal:
+def _translate(goal: Goal, name: str, slots: dict, info: dict) -> Goal:
     """The template form of `goal`: each closure `Exists` expanded into
     a new slot, terms turned into patterns (`terms.pattern`) over `slots`
     (placeholder VarId or `_Function` -> environment index).  Post-order
-    over an explicit stack.
+    over an explicit stack.  `info` gets, by `id` of each node made,
+    ``(mentions, plain, firsts)``: the bit mask of the slots the node
+    mentions, whether it is made only of `Conj`, `Unify`, `IsGround`,
+    `Succeed` and `Fail` (so it pushes no choicepoint), and for a
+    `Unify`, the slots its right pattern mentions and its left does not.
 
     Raises `_Uncompilable` where the template cannot stand for the goal:
     at an `Exists` whose closure's code already runs on the path of
@@ -379,9 +405,13 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     `exists` would expand forever, and at a call argument that is a
     function which may refer to the body's variables."""
 
+    mask = 0  # the slots `slot_of` gave since it was last cleared
+
     def slot_of(v):
+        nonlocal mask
         k = slots.get(v.vid if type(v) is Var else v)
         if k is not None:
+            mask |= 1 << k
             return k
         if type(v) is _Function or v.vid.name.startswith(_PLACEHOLDER):
             raise LogicError(
@@ -398,6 +428,10 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
             return a
         raise _Uncompilable
 
+    def emit(node, mentions, plain, firsts=0):
+        info[id(node)] = (mentions, plain, firsts)
+        done.append(node)
+
     done: list = []
     todo: list = [(goal, None)]  # (node, path): path is (code, path) or None
     while todo:
@@ -405,13 +439,16 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
         t = type(node)
         if t is tuple:  # assemble a node from the last results
             kind, extra = node
+            g = done.pop()
+            m, plain, _ = info[id(g)]
             if kind is Exists:
-                done.append(Exists(extra[0], done.pop(), extra[1]))
+                emit(Exists(extra[0], g, extra[1]), m, False)
             elif kind is Scope:
-                done.append(Scope(done.pop()))
+                emit(Scope(g), m, False)
             else:
-                g2 = done.pop()
-                done.append(kind(done.pop(), g2))
+                g1 = done.pop()
+                m1, plain1, _ = info[id(g1)]
+                emit(kind(g1, g), m1 | m, kind is Conj and plain1 and plain)
         elif t is Conj or t is Disj or t is CutThen:
             todo += (((t, None), None), (node.g2, path), (node.g1, path))
         elif t is Scope:
@@ -427,17 +464,77 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
             k = slots[v.vid] = len(slots)
             todo += (((Exists, (node.ltype, k)), None), (node.body(v), (code, path)))
         elif t is Unify:
-            done.append(Unify(pattern(node.left, slot_of), pattern(node.right, slot_of)))
+            mask = 0
+            left = pattern(node.left, slot_of)
+            ml, mask = mask, 0
+            emit(Unify(left, pattern(node.right, slot_of)), ml | mask, True, mask & ~ml)
         elif t is IsGround:
-            done.append(IsGround(pattern(node.term, slot_of)))
+            mask = 0
+            emit(IsGround(pattern(node.term, slot_of)), mask, True)
         elif t is Call:
+            mask = 0
             f = node.template
             if type(f) is _Function:
                 f = slot_of(f)
-            done.append(Call(f, tuple([argument(a) for a in node.args])))
+            emit(Call(f, tuple([argument(a) for a in node.args])), mask, False)
         elif t is Succeed or t is Fail:
-            done.append(node)
+            emit(node, 0, True)
         else:
             raise LogicError(f"not a goal: {node!r}")
     return done.pop()
 
+
+def _mark_first_uses(root: Goal, info: dict) -> None:
+    """Make lazy each `Exists` of the template `root` whose slot is first
+    used in the right pattern of a `Unify`, with no choicepoint between
+    them that could resume: that pattern's first occurrence of the slot
+    becomes a `terms.First` (`terms.mark_first`), which takes what it
+    meets.  No goal reads the slot before, and no goal can read what it
+    took once backtracking has undone it.  The way down from the
+    `Exists` to its `Unify` may pass through nested `Exists`,
+    the left side of a `Conj`, the right side of a `Conj` whose left side
+    does not mention the slot and pushes no choicepoint, and the right
+    branch of a `Disj` whose left branch does not mention the slot, when
+    nothing after the `Disj` in the `Exists`' body does.  Any other slot
+    stays eager: its first use is in a left pattern, a `Call` or an
+    `IsGround`, or under a `Scope` or a `CutThen`.
+
+    Top-down over an explicit stack, carrying two bit masks of slots:
+    those whose first use may still lie below, and those of them that a
+    goal after the current node mentions.  `info` is what `_translate`
+    recorded.  Marks the nodes in place: they are new and not yet
+    published."""
+    found = {}  # slot -> its Exists
+    lazy = 0
+    todo = [(root, 0, 0)]  # (node, candidates, mentioned later)
+    while todo:
+        node, cands, later = todo.pop()
+        t = type(node)
+        if t is Exists:
+            found[node.slot] = node
+            todo.append((node.body, cands | 1 << node.slot, later))
+        elif t is Conj:
+            m1, plain1, _ = info[id(node.g1)]
+            first = cands & m1
+            rest = cands & ~m1 if plain1 else 0
+            todo.append((node.g1, first, (later | info[id(node.g2)][0]) & first))
+            todo.append((node.g2, rest, later & rest))
+        elif t is Disj:
+            todo.append((node.g1, 0, 0))
+            todo.append((node.g2, cands & ~info[id(node.g1)][0] & ~later, 0))
+        elif t is CutThen:
+            todo += ((node.g1, 0, 0), (node.g2, 0, 0))
+        elif t is Scope:
+            todo.append((node.g, 0, 0))
+        elif t is Unify:
+            hits = cands & info[id(node)][2]
+            if hits:
+                lazy |= hits
+                ltypes = {}
+                while hits:
+                    k = (hits & -hits).bit_length() - 1
+                    ltypes[k] = found[k].ltype
+                    hits &= hits - 1
+                node.right = mark_first(node.right, ltypes)
+    for k, e in found.items():
+        e.lazy = bool(lazy >> k & 1)

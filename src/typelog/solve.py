@@ -15,11 +15,20 @@ builds it only to bind a variable (see `terms.unify`), `IsGround`
 instantiates its pattern in `env` (`terms.instantiate`), and a `Call`
 of a function argument continues at the goal the function builds.  A
 `Call` of a body that could not be compiled continues at the goal the
-body builds on the call's arguments.  Frames and
-choicepoints keep the environment their goal runs in.  A slot is set in
-place, which is safe: within one call, a slot's `Exists` runs again only
-after backtracking to a choicepoint older than its last run, and that
-discards every frame and choicepoint that could read the old value.
+body builds on the call's arguments.  Frames and choicepoints keep the
+environment their goal runs in.  A slot is set in place, which is safe:
+within one call, a slot's `Exists` runs again only after backtracking
+to a choicepoint older than its last run, and that discards every frame
+and choicepoint that could read the old value.
+
+A lazy `Exists` (`goals._mark_first_uses`) still costs a step and a
+counter value, but stores only that value in its slot: the slot's first
+occurrence, a `terms.First` in the right pattern of a `Unify` that runs
+before any choicepoint pushed since could resume, takes the subterm it
+meets there, with no variable and no binding, and allocates the
+variable, named by that value, only when it meets an unbound variable
+or is built in write mode.  So answers, variable names and counters are
+those of an eager `Exists`.
 
 A Scope sets the barrier to the height of the choicepoint stack; a cut
 truncates the stack to the barrier of its scope, discarding every
@@ -130,13 +139,14 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 goal = goal.g1
                 continue
             elif t is Exists:
-                fresh = Var(new_tuple(VarId, (f"_{counter}", goal.ltype)))
-                counter += 1
                 if goal.slot is None:
-                    goal = goal.body(fresh)
+                    goal = goal.body(Var(new_tuple(VarId, (f"_{counter}", goal.ltype))))
                 else:
-                    env[goal.slot] = fresh
+                    # A lazy slot's first use allocates its variable, if at all.
+                    env[goal.slot] = counter if goal.lazy else Var(
+                        new_tuple(VarId, (f"_{counter}", goal.ltype)))
                     goal = goal.body
+                counter += 1
                 continue
             elif t is Call:
                 steps -= 1  # a Call costs no step
@@ -197,7 +207,12 @@ def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Bind
     """Lazy stream of raw binding stores for `goal`, starting from the
     empty store.  Each is a copy of the search store at that answer, an
     immutable `BindingStore` that later answers do not change, so each
-    answer costs O(store).  A top-level cut simply ends the stream."""
+    answer costs O(store).  A top-level cut simply ends the stream.
+
+    A raw store holds the bindings the search made, not one per engine
+    variable: a compiled predicate's slot that read mode matched with a
+    subterm has no variable and no entry (see `goals._mark_first_uses`),
+    so ``plus(20000, "B", 40000)``'s first store has one entry."""
     for store, _, _ in _search(goal, max_steps):
         yield BindingStore(dict(store._bindings))
 

@@ -15,27 +15,34 @@ work over `Compound.args`: one definition for every type.
 
 A compiled predicate (`goals.predicate`) holds its terms as patterns
 over an environment of slots: a slot index, a tuple ``(ltype, ctor,
-subpatterns)``, or a term that mentions no slot.  This module alone
-builds, reads and instantiates them: `pattern` turns a term into one,
-`instantiate` builds the compound a pattern denotes, and `unify` takes
-a pattern on its right side, as the WAM unifies a clause head with a
-call's argument (Aït-Kaci, "Warren's Abstract Machine: A Tutorial
-Reconstruction", 1991): a pattern met by a compound is matched in read
-mode, constructor against constructor and child against subpattern,
-building nothing; a pattern met by an unbound variable is matched in
-write mode, built only to be bound.  `pattern` and `instantiate` keep
-shared subterms shared, so their cost is linear in the distinct nodes.
+subpatterns)``, a `First`, or a term that mentions no slot.  This
+module alone builds, reads and instantiates them: `pattern` turns a
+term into one, `mark_first` marks the first occurrences of slots whose
+variables are not allocated yet, `instantiate` builds the compound a
+pattern denotes, and `unify` takes a pattern on its right side, as the
+WAM unifies a clause head with a call's argument (Aït-Kaci, "Warren's
+Abstract Machine: A Tutorial Reconstruction", 1991): a pattern met by a
+compound is matched in read mode, constructor against constructor and
+child against subpattern, building nothing; a pattern met by an unbound
+variable is matched in write mode, built only to be bound.  A `First`
+met in read mode puts the subterm it meets in its slot, with no
+variable and no binding, as the WAM's ``unify_variable`` loads the
+first occurrence of a clause variable in a head structure; otherwise
+it allocates the slot's variable then.  `pattern` and `instantiate`
+keep shared subterms shared, and `mark_first` copies only the nodes on
+the paths to the occurrences it marks, so their cost is linear in the
+distinct nodes.
 
 Every walk over a term runs over an explicit stack, so terms of any depth
-are accepted: `unify`, `instantiate`, `Compound` equality and hashing, the
-occurs/groundness walk (`_free_vids`), the rebuild behind `resolve`,
-`substitute` and `pattern` (`_rebuild`), and the prefix renderer behind
-`repr` and `pretty` (`_render`).
+are accepted: `unify`, `instantiate`, `mark_first`, `Compound` equality
+and hashing, the occurs/groundness walk (`_free_vids`), the rebuild
+behind `resolve`, `substitute` and `pattern` (`_rebuild`), and the
+prefix renderer behind `repr` and `pretty` (`_render`).
 
 Terms are immutable by contract: `VarId` is a tuple, and `Var` and
 `Compound` are slotted classes whose attributes no code assigns after
 `__init__`.  This is not enforced by a `__setattr__` guard, because the
-engine allocates a variable per `Exists` and compounds per unfolding,
+engine allocates variables and compounds per unfolding,
 and a guarded (frozen) constructor costs more than twice as much.
 Code that mutates a term breaks sharing between search branches, the
 `ground` flag and hashing.
@@ -119,7 +126,9 @@ class Compound:
     `ground` is true iff no variable occurs in the term; it is set here
     from the children's flags and is not part of equality.  Equality and
     hashing are structural and walk the term over an explicit stack, so
-    terms of any depth compare and hash.
+    terms of any depth compare and hash.  Each enters a node, or a pair of
+    nodes, once, so terms that share subterms cost their distinct nodes,
+    not their paths.
     """
 
     __slots__ = ("ltype", "ctor", "args", "ground")
@@ -139,6 +148,7 @@ class Compound:
         if type(other) is not Compound:
             return NotImplemented
         pairs = [(self, other)]
+        entered = set()  # (id, id) of compound pairs: all stay reachable
         while pairs:
             p, q = pairs.pop()
             if p is q:
@@ -148,22 +158,29 @@ class Compound:
                     return False
             elif p.ltype != q.ltype or p.ctor != q.ctor or len(p.args) != len(q.args):
                 return False
-            else:
+            elif (id(p), id(q)) not in entered:
+                entered.add((id(p), id(q)))
                 pairs.extend(zip(p.args, q.args))
         return True
 
     def __hash__(self):
-        # Nodes in pre-order with their arities: equal terms list equal nodes.
-        nodes = []
+        # Bottom-up, each distinct node once, from its children's hashes,
+        # so equal terms hash equal however they share.
+        hashes = {}
         stack = [self]
         while stack:
-            t = stack.pop()
-            if type(t) is Compound:
-                nodes.append((t.ltype, t.ctor, len(t.args)))
-                stack.extend(t.args)
-            else:
-                nodes.append(t)
-        return hash(tuple(nodes))
+            t = stack[-1]
+            if id(t) in hashes:
+                stack.pop()
+                continue
+            todo = [a for a in t.args if type(a) is Compound and id(a) not in hashes]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            hashes[id(t)] = hash((t.ltype, t.ctor, tuple(
+                [hashes[id(a)] if type(a) is Compound else hash(a) for a in t.args])))
+        return hashes[id(self)]
 
     def __repr__(self):
         return _render(self, repr, overrides=False)
@@ -370,6 +387,25 @@ def _may_occur(vid: VarId, t: Compound, bindings: dict) -> bool:
     return False
 
 
+class First(NamedTuple):
+    """A subpattern: the first occurrence of `slot`, in the order `unify`
+    and `instantiate` meet a pattern's leaves, before the slot's variable
+    is allocated.  Until it is met, the slot holds the number that
+    variable's name carries.  Met by a compound in read mode, it puts the
+    compound in the slot; otherwise it puts a new variable of `ltype`
+    there."""
+
+    ltype: Any
+    slot: int
+
+
+def _allocate(f: First, env: list) -> Var:
+    """The variable of `f`'s slot, named by the number the slot holds,
+    stored in the slot in place of that number."""
+    v = env[f.slot] = Var(tuple.__new__(VarId, (f"_{env[f.slot]}", f.ltype)))
+    return v
+
+
 def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Optional[BindingStore]:
     """Compute the least extension of `store` making `a` and `b` equal.
 
@@ -397,16 +433,24 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
     mode: it is instantiated, and the variable is bound to the compound
     after the occurs check.  So the bindings, their order and the verdict
     are those of ``unify(a, instantiate(b, env), store)``.
+
+    A `First` subpattern met by a compound (after following bindings)
+    stores it in its slot and binds nothing, as the WAM's
+    ``unify_variable`` loads a clause variable's first occurrence in read
+    mode; met by an unbound variable, it stores the slot's new variable
+    there (`_allocate`) and goes on with it.  The bindings of variables
+    other than the slots' own are those made with each slot allocated
+    beforehand and bound to what it meets.
     """
     if type(b) is int:
         b = env[b]
     ta = a.vid.ltype if type(a) is Var else a.ltype
     if type(b) is Var:
         tb = b.vid.ltype
-    elif type(b) is tuple:
-        tb = b[0]
-    else:
+    elif type(b) is Compound:
         tb = b.ltype
+    else:  # a pattern or a First: its type comes first
+        tb = b[0]
     if ta is not tb:
         raise TypeMismatchError(
             f"cannot unify terms of types {getattr(ta, 'name', '?')} "
@@ -432,6 +476,11 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
                 pairs.extend(zip(reversed(a.args), reversed(b[2])))
                 continue
             b = instantiate(b, env)  # write mode: built only to be bound
+        elif tb is First:
+            if type(a) is not Var:  # read mode: the slot takes the subterm
+                env[b.slot] = a
+                continue
+            b = _allocate(b, env)
         while type(b) is Var:
             bound = bindings.get(b.vid)
             if bound is None:
@@ -480,7 +529,8 @@ def _pattern_node(ltype, ctor: str, subpatterns: tuple) -> tuple:
 def instantiate(p: tuple, env: list) -> Compound:
     """The compound a pattern ``(ltype, ctor, subpatterns)`` denotes in
     `env`: a subpattern that is an int is the term in that slot, a tuple
-    is instantiated in turn, and anything else is a term as it is.  No
+    is instantiated in turn, a `First` is its slot's new variable
+    (`_allocate`), and anything else is a term as it is.  No
     type check is needed: `make` checked every position when the
     template was built.  Post-order over an explicit stack.  Each
     subpattern object is built once, keyed by `id` (the pattern keeps
@@ -504,6 +554,8 @@ def instantiate(p: tuple, env: list) -> Compound:
                     frames.append((ltype, ctor, subs, i, out, k))
                     ltype, ctor, subs = s
                     i, out = 0, []
+            elif ts is First:
+                out.append(_allocate(s, env))
             else:
                 out.append(s)
             continue
@@ -513,6 +565,43 @@ def instantiate(p: tuple, env: list) -> Compound:
         ltype, ctor, subs, i, out, k = frames.pop()
         built[k] = t
         out.append(t)
+
+
+def mark_first(p, ltypes: dict):
+    """`p` with the first occurrence of each slot in `ltypes`, in the
+    order `unify` meets a pattern's leaves (left to right, depth first),
+    replaced by ``First(ltypes[slot], slot)``.  Only the nodes on the
+    paths to those occurrences are rebuilt.  A shared subpattern is
+    entered at its first occurrence only: later ones keep the original
+    node, every slot of which has occurred by then.  Pre-order over an
+    explicit stack, so linear in the distinct nodes."""
+    if type(p) is int:
+        return First(ltypes[p], p) if p in ltypes else p
+    todo = dict(ltypes)  # the slots not met yet
+    entered = {id(p)}
+    frames = []
+    node, i, out = p, 0, []
+    while True:
+        subs = node[2]
+        if i < len(subs):
+            s = subs[i]
+            i += 1
+            if type(s) is int and s in todo:
+                out.append(First(todo.pop(s), s))
+            elif type(s) is tuple and todo and id(s) not in entered:
+                entered.add(id(s))
+                frames.append((node, i, out))
+                node, i, out = s, 0, []
+            else:
+                out.append(s)
+            continue
+        if not all(map(operator.is_, out, subs)):
+            node = (node[0], node[1], tuple(out))
+        if not frames:
+            return node
+        parent, i, out = frames.pop()
+        out.append(node)
+        node = parent
 
 
 def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[BindingStore]:

@@ -6,6 +6,8 @@ from typelog.goals import (
     Conj,
     CutThen,
     Disj,
+    Exists,
+    Scope,
     Unify,
     cut_then,
     eq,
@@ -21,6 +23,7 @@ from typelog.goals import (
 from typelog.prelude import (
     NAT,
     NAT_LIST,
+    append_list,
     as_nat,
     as_term,
     cons,
@@ -33,12 +36,13 @@ from typelog.prelude import (
     nats,
     nil,
     plus,
+    remainder,
     sorted_with,
     suc,
     zero,
 )
-from typelog.solve import find_all, holds, solve
-from typelog.terms import LogicError, TypeMismatchError
+from typelog.solve import find_all, holds, solve, solve_stores
+from typelog.terms import LogicError, TypeMismatchError, Var, VarId
 
 from reference import eager_answers
 
@@ -369,3 +373,114 @@ class TestPredicate:
 
         g = in_pair("A", 1, "C")
         assert answers(g) == eager_answers(g) == [{"A": nat(1)}, {"A": suc(NAT.var("C"))}]
+
+
+def slot_exists(template):
+    """{slot: lazy} over the slot `Exists` of a compiled template."""
+    found, todo = {}, [template.root]
+    while todo:
+        node = todo.pop()
+        if type(node) is Exists:
+            found[node.slot] = node.lazy
+            todo.append(node.body)
+        elif type(node) in (Conj, Disj, CutThen):
+            todo += (node.g1, node.g2)
+        elif type(node) is Scope:
+            todo.append(node.g)
+    return found
+
+
+class TestFirstOccurrence:
+    """A slot first used in a `Unify`'s right pattern, with no choicepoint
+    between that could resume, is lazy: its first occurrence takes the
+    subterm it meets, and no variable is made or bound for it."""
+
+    @pytest.mark.parametrize("goal", [
+        plus(1, "B", 3), leq(1, 2), member("X", [1, 2]),
+        append_list("X", "Y", [1, 2]), map_p(leq, [1], "M"),
+    ], ids=["plus", "leq", "member", "append_list", "map_p"])
+    def test_prelude_slots_are_lazy(self, goal):
+        lazy = slot_exists(goal.template)
+        assert lazy and all(lazy.values())
+
+    def test_a_call_argument_stays_eager(self):
+        [diff] = slot_exists(remainder(5, 2, "R").template).values()
+        assert not diff
+
+    @pytest.mark.parametrize("body", [
+        lambda x, y: exists(NAT, lambda v: eq(suc(v), x)),
+        lambda x, y: exists(NAT, lambda v: leq(x, y) & eq(x, suc(v))),
+        lambda x, y: exists(NAT, lambda v: (eq(x, zero()) | eq(y, zero())) & eq(x, suc(v))),
+        lambda x, y: exists(NAT, lambda v: eq(x, suc(v)) ^ succeed()),
+        lambda x, y: exists(NAT, lambda v: scope(eq(x, suc(v)))),
+        lambda x, y: exists(NAT, lambda v: eq(x, suc(v)) | eq(y, v)),
+        lambda x, y: exists(NAT, lambda v: (eq(y, zero()) | eq(x, suc(v))) & eq(y, v)),
+        lambda x, y: exists(NAT, lambda v: is_ground(v) & eq(x, v)),
+    ], ids=["left pattern", "after a call", "after a disjunction", "under cut",
+            "under scope", "left branch", "mentioned after a disjunction", "is_ground"])
+    def test_eager_slots(self, body):
+        compiled = predicate(nats)(body)
+        g = compiled("A", 2)
+        assert slot_exists(g.template) == {2: False}
+        assert answers(g) == eager_answers(g)
+
+    @pytest.mark.parametrize("body", [
+        lambda x, y: exists(NAT, lambda v: eq(x, suc(v)) & eq(y, v)),
+        lambda x, y: exists(NAT, lambda v: eq(y, zero()) & eq(x, suc(v))),
+        lambda x, y: exists(NAT, lambda v: eq(y, zero()) | eq(x, suc(v)) & eq(y, v)),
+        lambda x, y: exists(NAT, lambda v: exists(NAT, lambda w: eq(x, suc(v)) & eq(v, suc(w)))),
+    ], ids=["then used", "after a unify", "right branch", "nested"])
+    def test_lazy_slots(self, body):
+        compiled = predicate(nats)(body)
+        for args in ((3, 2), ("A", 1), (2, "B"), ("A", "B")):
+            g = compiled(*args)
+            assert all(slot_exists(g.template).values())
+            assert answers(g) == eager_answers(g)
+
+    def test_read_mode_binds_no_engine_variable(self):
+        # With a variable bound per slot, these stores held 40001 and 40000 entries.
+        assert len(next(solve_stores(plus(20000, "B", 40000)))) == 1
+        assert len(next(solve_stores(leq(20000, 20001)))) == 0
+
+    def test_unbound_argument_gets_the_numbered_variable(self):
+        # plus(2, B, C) takes 2 apart in read mode and builds C in write
+        # mode, each level's z allocated by its first occurrence.
+        [s] = solve(plus(2, "B", "C"))
+        z = Var(VarId("_3", NAT))
+        assert answers(plus(2, "B", "C")) == [{"B": z, "C": suc(suc(z))}]
+        assert s.counter_at_yield == 4
+
+    def test_shared_pattern_with_a_lazy_slot(self):
+        # The first occurrence of `v` lies under a subpattern shared by
+        # every node: only the nodes on its path are copied.
+        tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+
+        def full(depth, bottom):
+            t = bottom
+            for _ in range(depth):
+                t = tree.make("node", t, t)
+            return t
+
+        def balanced(depth):
+            return predicate(lambda x: (tree, (x,)))(
+                lambda x: exists(tree, lambda v: eq(x, full(depth, v))))
+
+        leaf = tree.make("leaf")
+        pair = tree.make("node", leaf, leaf)
+        odd = tree.make("node", tree.make("node", pair, leaf), full(1, leaf))
+        for depth in range(3):
+            odd = tree.make("node", odd, full(depth + 2, leaf))
+        five, forty = balanced(5), balanced(40)
+        assert holds(five(full(5, leaf))) and holds(five(full(5, pair)))
+        assert not holds(five(odd))
+        t = tree.var("T")
+        assert slot_exists(forty(t).template) == {1: True}
+        [r] = find_all(t, forty(t))
+        assert r == full(40, Var(VarId("_0", tree)))
+        nodes, todo = set(), [r]
+        while todo:
+            n = todo.pop()
+            if type(n) is not Var and id(n) not in nodes:
+                nodes.add(id(n))
+                todo += n.args
+        assert len(nodes) < 2 * 40

@@ -3,6 +3,7 @@ generated natural-number and list terms."""
 
 import functools
 import operator
+from types import FunctionType
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from typelog.goals import (
     fail_goal,
     is_ground,
     neg,
+    predicate,
     scope,
     succeed,
 )
@@ -38,6 +40,7 @@ from typelog.prelude import (
     member,
     nat,
     nat_list,
+    nats,
     nil,
     not_member,
     plus,
@@ -395,6 +398,15 @@ def test_equality_and_hash_match_recursive_definition(pair):
 
 
 @settings(max_examples=300)
+@given(shared_trees(TREE_VARS + [TREE.make("leaf")]), shared_trees(TREE_VARS + [TREE.make("leaf")]))
+def test_equality_of_shared_trees_matches_a_path_by_path_comparison(t1, t2):
+    for a, b in [(t1, t2), (t1, rebuilt(t1)), (rebuilt(t2), t2)]:
+        assert (a == b) == equal_syntactic(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+@settings(max_examples=300)
 @given(st.one_of(either_pair(), st.tuples(shade_terms(), shade_terms())))
 def test_resolve_matches_recursive_definition(pair):
     terms, store = unified_cases(pair)
@@ -629,3 +641,111 @@ def test_find_all_and_holds_match_copied_stores(goal):
         assert find_all(v, goal) == values
         for n in (0, 1, 2, len(stores) + 1):
             assert find_all_n(v, goal, n) == values[:n]
+
+
+# Predicate bodies generated around the shapes that decide whether an
+# `exists` slot is lazy (its first use, a `terms.First`, takes what it
+# meets) or eager: nested `exists`, conjunctions whose left side does or
+# does not push a choicepoint, disjunctions with the slot used in either
+# branch or after, cut, scope, calls and groundness tests.  Run on ground,
+# partly bound and unbound arguments, the compiled body must behave as
+# its expanded form.  A shape is data: in its terms ("p", i) is parameter
+# i, ("v", i) the i-th variable in scope counted from the innermost, ("z",)
+# zero and ("s", t) the successor of t.  Left sides lean to the parameters
+# and right sides to the innermost variables, where a slot's first use
+# can be lazy.
+LEFT_TERMS = st.sampled_from([("p", 0), ("p", 1), ("s", ("p", 0)), ("v", 1)])
+RIGHT_TERMS = st.recursive(
+    st.sampled_from([("v", 0), ("v", 0), ("v", 1), ("p", 0), ("p", 1), ("z",)]),
+    lambda sub: sub.map(lambda t: ("s", t)),
+    max_leaves=3,
+)
+
+FIRST_USES = st.tuples(st.just("eq"), LEFT_TERMS, st.sampled_from([("v", 0), ("s", ("v", 0))]))
+LEAVES = st.one_of(st.sampled_from([("succeed",), ("succeed",), ("fail",)]), st.tuples(
+    st.just("eq"), LEFT_TERMS, st.sampled_from([("z",), ("s", ("z",)), ("p", 1)])))
+
+
+@st.composite
+def body_shapes(draw, depth=0):
+    """A goal shape over the variables in scope (indices are taken modulo
+    their number when the body is built)."""
+    kinds = ["eq", "eq", "eq", "succeed", "fail", "ground", "leq"]
+    if depth < 4:
+        kinds += ["exists"] * (9 if depth == 0 else 3) + ["and"] * 3 + ["or", "or", "cut", "scope"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "eq":
+        return kind, draw(LEFT_TERMS), draw(RIGHT_TERMS)
+    if kind in ("succeed", "fail"):
+        return (kind,)
+    if kind == "ground":
+        return kind, draw(LEFT_TERMS)
+    if kind == "leq":
+        return kind, draw(LEFT_TERMS), draw(st.integers(0, 2))
+    if kind == "exists":
+        inner = body_shapes(depth + 1)
+        op = st.sampled_from(["and", "or"])
+        return kind, draw(st.one_of(
+            inner,
+            st.tuples(op, inner, st.one_of(FIRST_USES, inner)),
+            # A first use after a choicepoint that resumes it:
+            st.tuples(st.just("and"), st.tuples(st.just("or"), LEAVES, LEAVES), FIRST_USES),
+            # A first use in a right branch, the slot maybe used after it:
+            st.tuples(st.just("and"), st.tuples(st.just("or"), inner, FIRST_USES), inner),
+        ))
+    if kind == "scope":
+        return kind, draw(body_shapes(depth + 1))
+    return kind, draw(body_shapes(depth + 1)), draw(body_shapes(depth + 1))
+
+
+def shape_term(t, vs):
+    if t[0] == "p":
+        return vs[t[1]]
+    if t[0] == "v":
+        return vs[-1 - t[1] % len(vs)]
+    if t[0] == "z":
+        return zero()
+    return suc(shape_term(t[1], vs))
+
+
+def shape_goal(shape, vs):
+    kind = shape[0]
+    if kind == "eq":
+        return eq(shape_term(shape[1], vs), shape_term(shape[2], vs))
+    if kind == "succeed":
+        return succeed()
+    if kind == "fail":
+        return fail_goal()
+    if kind == "ground":
+        return is_ground(shape_term(shape[1], vs))
+    if kind == "leq":
+        return leq(shape_term(shape[1], vs), shape[2])
+    if kind == "scope":
+        return scope(shape_goal(shape[1], vs))
+    if kind == "exists":
+        body = lambda v: shape_goal(shape[1], vs + [v])  # noqa: E731
+        # A code object of its own: nested closures of one code would be
+        # taken for a plain function recursing under `exists`, and the
+        # body would not be compiled.
+        return exists(NAT, FunctionType(body.__code__.replace(), globals(), None, None,
+                                        body.__closure__))
+    g1, g2 = shape_goal(shape[1], vs), shape_goal(shape[2], vs)
+    return {"and": operator.and_, "or": operator.or_, "cut": operator.xor}[kind](g1, g2)
+
+
+SHAPE_ARGS = st.sampled_from([0, 1, 2, "A", "B", "B", suc(NAT.var("A"))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(body_shapes(), SHAPE_ARGS, SHAPE_ARGS)
+def test_generated_bodies_match_their_expanded_form(shape, x, y):
+    body = predicate(nats)(lambda x, y: shape_goal(shape, [x, y]))
+    goal = body(x, y)
+    assert goal.template.root is not None
+    plain = expanded(goal)
+    assert list(solve(goal)) == list(solve(plain))
+    steps = smallest_budget(goal)
+    assert completes(plain, steps) and not completes(plain, steps - 1)
+    for v in (NAT.var("A"), NAT.var("B")):
+        assert ([resolve(v, s) for s in solve_stores(goal)]
+                == [resolve(v, s) for s in solve_stores(plain)])

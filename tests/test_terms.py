@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -10,11 +11,13 @@ from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
     Compound,
+    First,
     LogicError,
     TypeMismatchError,
     Var,
     VarId,
     is_ground_term,
+    mark_first,
     occurs_in,
     pattern,
     pretty,
@@ -226,6 +229,63 @@ class TestPatterns:
         assert t.args[0] is t.args[1]
 
 
+class TestFirstOccurrence:
+    """A `First` subpattern: the first occurrence of a slot whose variable
+    is not allocated yet; the slot holds the number of its name."""
+
+    def test_read_mode_takes_the_subterm_and_binds_nothing(self):
+        three, env = nat(3), [7]
+        assert unify(three, (NAT, "suc", (First(NAT, 0),)), EMPTY_STORE, env) is EMPTY_STORE
+        assert env[0] is three.args[0]
+
+    def test_unbound_variable_gets_the_numbered_variable(self):
+        fresh = Var(VarId("_7", NAT))
+        env = [7]
+        s = unify(suc(X), (NAT, "suc", (First(NAT, 0),)), EMPTY_STORE, env)
+        assert env[0] == fresh and list(s.items()) == [(X.vid, fresh)]
+        env = [7]
+        s = unify(X, First(NAT, 0), EMPTY_STORE, env)
+        assert env[0] == fresh and list(s.items()) == [(X.vid, fresh)]
+
+    def test_write_mode_allocates_it(self):
+        env = [7]
+        s = unify(X, (NAT, "suc", (First(NAT, 0),)), EMPTY_STORE, env)
+        assert env[0] == Var(VarId("_7", NAT))
+        assert list(s.items()) == [(X.vid, suc(env[0]))]
+        env = [7, nil(NAT_LIST)]
+        t = terms.instantiate((NAT_LIST, "cons", (First(NAT, 0), 1)), env)
+        assert t == cons(Var(VarId("_7", NAT)), nil(NAT_LIST)) and t.args[0] is env[0]
+
+    def test_later_occurrences_read_the_slot(self):
+        p = mark_first((NAT_LIST, "cons", (0, (NAT_LIST, "cons", (0, 1)))), {0: NAT})
+        assert type(p[2][0]) is First and p[2][1][2][0] == 0
+        assert unify(nat_list([2, 2]), p, EMPTY_STORE, [7, nil(NAT_LIST)]) is EMPTY_STORE
+        assert unify(nat_list([2, 3]), p, EMPTY_STORE, [7, nil(NAT_LIST)]) is None
+        s = unify(nat_list([X, 2]), p, EMPTY_STORE, [7, nil(NAT_LIST)])
+        assert list(s.items()) == [(X.vid, Var(VarId("_7", NAT))), (VarId("_7", NAT), nat(2))]
+
+    def test_mark_first_in_unify_order(self):
+        p = (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (0, 2))))
+        q = mark_first(p, {0: NAT, 2: NAT_LIST})
+        assert q == (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (First(NAT, 0), First(NAT_LIST, 2)))))
+        assert q[2][0] == 1 and type(q[2][1][2][1]) is First
+        assert mark_first(p, {1: NAT})[2][1] is p[2][1]
+        assert mark_first(0, {0: NAT}) == First(NAT, 0) and mark_first(0, {}) == 0
+
+    def test_mark_first_enters_a_shared_subpattern_once(self):
+        tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+        s = (tree, "node", (0, 0))
+        q = mark_first((tree, "node", (s, s)), {0: tree})
+        assert q[2][0] == (tree, "node", (First(tree, 0), 0)) and q[2][1] is s
+        leaf = tree.make("leaf")
+        pair = tree.make("node", leaf, leaf)
+        env = [5]
+        assert unify(tree.make("node", pair, pair), q, EMPTY_STORE, env) is EMPTY_STORE
+        assert env[0] is leaf
+        odd = tree.make("node", pair, tree.make("node", leaf, pair))
+        assert unify(odd, q, EMPTY_STORE, [5]) is None
+
+
 class TestOccursAndGround:
     def test_occurs_direct(self):
         assert occurs_in(X.vid, suc(X), EMPTY_STORE)
@@ -414,6 +474,30 @@ class TestEquality:
         assert Compound(NAT, "zero", ()) == zero()
         assert Compound(NAT_LIST, "zero", ()) != zero()
         assert repr(suc(suc(X))) == "suc(suc(Var(x:nat)))"
+
+
+class TestSharedTermEquality:
+    """`==` and `hash` enter each node, or pair of nodes, once: a tree
+    that shares its subterms costs its depth, not its 2**depth paths."""
+
+    def tree(self, leaf, depth=40):
+        t = leaf
+        for _ in range(depth):
+            t = Compound(NAT, "node", (t, t))
+        return t
+
+    def test_separately_built_equal_trees(self):
+        start = time.perf_counter()
+        a, b = self.tree(X), self.tree(NAT.var("x"))
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert time.perf_counter() - start < 1
+
+    def test_a_changed_leaf_compares_unequal(self):
+        start = time.perf_counter()
+        a, b = self.tree(X), self.tree(X, 39)
+        changed = Compound(NAT, "node", (b, Compound(NAT, "node", (self.tree(X, 38), self.tree(Y, 38)))))
+        assert a != changed and not a == changed and changed != a
+        assert time.perf_counter() - start < 1
 
 
 class _CountingDict(dict):
