@@ -14,9 +14,7 @@ so ``eq(a, b) ^ fail_goal() | c & d`` groups as
 Immutability is kept by contract, not enforced: the nodes are slotted
 classes, compared and hashed by value, but not frozen, because a frozen
 node pays a guarded `__setattr__` per field.  No code assigns a field
-after construction, except while a template is compiled: the
-`Template` is filled in once, and its new `Exists` and `Unify` nodes
-are marked for first occurrences (`_mark_first_uses`).
+of a goal node after construction.
 
 A predicate defined with `@predicate` is compiled once per key (its
 arguments' types) into a `Template`: its body is run once on
@@ -29,12 +27,10 @@ converts the arguments and builds one `Call` node; the solver runs a
 `Call` by instantiating its argument patterns into a fresh environment
 and jumping to the template's root, so no goal node and no closure is
 built per unfolding (Warren, "An abstract Prolog instruction set", SRI
-TN 309, 1983, renames clause templates the same way).  An `exists`
-whose slot is first used in the right pattern of an `eq`, with no
-choicepoint between that could resume, is made lazy: that occurrence
-takes the subterm it meets in read mode, as the WAM's
-``unify_variable`` does, and no variable is made or bound for it (see
-`_mark_first_uses` and `terms.First`).  The contract that makes
+TN 309, 1983, renames clause templates the same way).  Some `exists`
+slots are lazy: their variable is made only if their first occurrence
+needs one (`_translate` decides which, and the `terms` docstring says
+how an occurrence reads).  The contract that makes
 compiling sound: a predicate's body may depend on its arguments'
 types, not on their values.  A body that cannot be compiled, such as
 one that calls a plain function recursing under `exists`, is run on
@@ -52,12 +48,12 @@ from typing import Callable, Optional
 
 from .terms import (
     Compound,
+    First,
     LogicError,
     Term,
     TypeMismatchError,
     Var,
     VarId,
-    mark_first,
     pattern,
     term_type,
 )
@@ -116,9 +112,8 @@ class Exists(Goal):
 
     In a template, `slot` is an index into the environment: the fresh
     variable is stored there and `body` is the compiled goal itself.  A
-    `lazy` one stores only the number the variable's name carries: its
-    first use, a `terms.First` subpattern, allocates the variable if it
-    must (see `_mark_first_uses`)."""
+    `lazy` one stores only the number the variable's name carries, and
+    leaves the variable to a `terms.First` (see `_translate`)."""
 
     ltype: object
     body: Callable[[Term], Goal]
@@ -250,11 +245,6 @@ class Template:
         self.root: Optional[Goal] = None
         self.pad: list = []
 
-    def unfold(self, args: tuple) -> Goal:
-        """The goal the undecorated body builds on these arguments: what
-        `Call(self, args)` means."""
-        return self.body(*args)
-
     def compile(self, args: tuple) -> None:
         slots = {}
         params = []
@@ -267,12 +257,10 @@ class Template:
                 slots[p] = len(slots)
             params.append(p)
         arity = len(slots)
-        info: dict = {}
         try:
-            self.root = _translate(self.body(*params), self.name, slots, info)
+            self.root = _translate(self.body(*params), self.name, slots)
         except _Uncompilable:
             return
-        _mark_first_uses(self.root, info)
         self.pad = [None] * (len(slots) - arity)
 
 
@@ -389,15 +377,33 @@ def _closed(f) -> bool:
         f.__closure__ is None and not f.__defaults__ and not f.__kwdefaults__))
 
 
-def _translate(goal: Goal, name: str, slots: dict, info: dict) -> Goal:
+def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     """The template form of `goal`: each closure `Exists` expanded into
     a new slot, terms turned into patterns (`terms.pattern`) over `slots`
     (placeholder VarId or `_Function` -> environment index).  Post-order
-    over an explicit stack.  `info` gets, by `id` of each node made,
-    ``(mentions, plain, firsts)``: the bit mask of the slots the node
-    mentions, whether it is made only of `Conj`, `Unify`, `IsGround`,
-    `Succeed` and `Fail` (so it pushes no choicepoint), and for a
-    `Unify`, the slots its right pattern mentions and its left does not.
+    over an explicit stack, so each node is built once, final.
+
+    An `exists` slot whose first use is in the right pattern of a
+    `Unify`, with no choicepoint between them that could resume, is made
+    lazy (`terms.First`): no goal reads the slot before, and no goal can
+    read what that occurrence took once backtracking has undone it.  Each
+    right pattern has a `First` at the first occurrence, in `unify`'s
+    order, of each `exists` slot its left side does not mention, so the
+    one that runs first takes the subterm and the others read the slot.
+    Laziness is decided bottom-up: each result carries ``(node,
+    mentions, plain, lazy, unless_later)``, bit masks of slots but for
+    `plain`, which says the node is made only of `Conj`, `Unify`,
+    `IsGround`, `Succeed` and `Fail`, so it pushes no choicepoint.  A
+    slot in `lazy` is made lazy by the node, and one in `unless_later`
+    only if no goal after the node mentions it.  A `Unify` makes lazy
+    the slots its right side mentions and its left does not.
+    ``Conj(g1, g2)`` passes on
+    `g1`'s, those of `unless_later` only if `g2` does not mention them,
+    and, when `g1` is plain, `g2`'s for the slots `g1` does not mention.
+    ``Disj(g1, g2)`` makes lazy, unless later, what `g2` would of the
+    slots `g1` does not mention.  `Exists` passes on its body's, and
+    `Scope`, `CutThen`, `Call` and `IsGround` make none.  An `Exists` is
+    lazy if its body would make its slot lazy.
 
     Raises `_Uncompilable` where the template cannot stand for the goal:
     at an `Exists` whose closure's code already runs on the path of
@@ -405,7 +411,8 @@ def _translate(goal: Goal, name: str, slots: dict, info: dict) -> Goal:
     `exists` would expand forever, and at a call argument that is a
     function which may refer to the body's variables."""
 
-    mask = 0  # the slots `slot_of` gave since it was last cleared
+    arity = len(slots)
+    mask = left = 0  # the slots met in this pattern; those of the left side
 
     def slot_of(v):
         nonlocal mask
@@ -419,6 +426,13 @@ def _translate(goal: Goal, name: str, slots: dict, info: dict) -> Goal:
                 f"define it outside that body")
         return v
 
+    def first_of(v):
+        seen = mask | left
+        k = slot_of(v)
+        if type(k) is int and k >= arity and not seen >> k & 1:
+            return First(v.vid.ltype, k)
+        return k
+
     def argument(a):
         if type(a) is Var or type(a) is Compound:
             return pattern(a, slot_of)
@@ -428,27 +442,29 @@ def _translate(goal: Goal, name: str, slots: dict, info: dict) -> Goal:
             return a
         raise _Uncompilable
 
-    def emit(node, mentions, plain, firsts=0):
-        info[id(node)] = (mentions, plain, firsts)
-        done.append(node)
-
-    done: list = []
+    done: list = []  # (node, mentions, plain, lazy, unless_later)
     todo: list = [(goal, None)]  # (node, path): path is (code, path) or None
     while todo:
         node, path = todo.pop()
         t = type(node)
         if t is tuple:  # assemble a node from the last results
             kind, extra = node
-            g = done.pop()
-            m, plain, _ = info[id(g)]
+            g, m, plain, lz, ul = done.pop()
             if kind is Exists:
-                emit(Exists(extra[0], g, extra[1]), m, False)
+                ltype, k = extra
+                done.append((Exists(ltype, g, k, bool((lz | ul) >> k & 1)), m, False, lz, ul))
             elif kind is Scope:
-                emit(Scope(g), m, False)
+                done.append((Scope(g), m, False, 0, 0))
             else:
-                g1 = done.pop()
-                m1, plain1, _ = info[id(g1)]
-                emit(kind(g1, g), m1 | m, kind is Conj and plain1 and plain)
+                g1, m1, plain1, lz1, ul1 = done.pop()
+                if kind is Conj:
+                    rest = ~m1 if plain1 else 0
+                    done.append((Conj(g1, g), m1 | m, plain1 and plain,
+                                 lz1 | lz & rest, ul1 & ~m | ul & rest))
+                elif kind is Disj:
+                    done.append((Disj(g1, g), m1 | m, False, 0, (lz | ul) & ~m1))
+                else:
+                    done.append((CutThen(g1, g), m1 | m, False, 0, 0))
         elif t is Conj or t is Disj or t is CutThen:
             todo += (((t, None), None), (node.g2, path), (node.g1, path))
         elif t is Scope:
@@ -465,76 +481,21 @@ def _translate(goal: Goal, name: str, slots: dict, info: dict) -> Goal:
             todo += (((Exists, (node.ltype, k)), None), (node.body(v), (code, path)))
         elif t is Unify:
             mask = 0
-            left = pattern(node.left, slot_of)
-            ml, mask = mask, 0
-            emit(Unify(left, pattern(node.right, slot_of)), ml | mask, True, mask & ~ml)
+            lhs = pattern(node.left, slot_of)
+            left, mask = mask, 0
+            rhs = pattern(node.right, first_of)
+            done.append((Unify(lhs, rhs), left | mask, True, mask & ~left, 0))
         elif t is IsGround:
             mask = 0
-            emit(IsGround(pattern(node.term, slot_of)), mask, True)
+            done.append((IsGround(pattern(node.term, slot_of)), mask, True, 0, 0))
         elif t is Call:
             mask = 0
             f = node.template
             if type(f) is _Function:
                 f = slot_of(f)
-            emit(Call(f, tuple([argument(a) for a in node.args])), mask, False)
+            done.append((Call(f, tuple([argument(a) for a in node.args])), mask, False, 0, 0))
         elif t is Succeed or t is Fail:
-            emit(node, 0, True)
+            done.append((node, 0, True, 0, 0))
         else:
             raise LogicError(f"not a goal: {node!r}")
-    return done.pop()
-
-
-def _mark_first_uses(root: Goal, info: dict) -> None:
-    """Make lazy each `Exists` of the template `root` whose slot is first
-    used in the right pattern of a `Unify`, with no choicepoint between
-    them that could resume: that pattern's first occurrence of the slot
-    becomes a `terms.First` (`terms.mark_first`), which takes what it
-    meets.  No goal reads the slot before, and no goal can read what it
-    took once backtracking has undone it.  The way down from the
-    `Exists` to its `Unify` may pass through nested `Exists`,
-    the left side of a `Conj`, the right side of a `Conj` whose left side
-    does not mention the slot and pushes no choicepoint, and the right
-    branch of a `Disj` whose left branch does not mention the slot, when
-    nothing after the `Disj` in the `Exists`' body does.  Any other slot
-    stays eager: its first use is in a left pattern, a `Call` or an
-    `IsGround`, or under a `Scope` or a `CutThen`.
-
-    Top-down over an explicit stack, carrying two bit masks of slots:
-    those whose first use may still lie below, and those of them that a
-    goal after the current node mentions.  `info` is what `_translate`
-    recorded.  Marks the nodes in place: they are new and not yet
-    published."""
-    found = {}  # slot -> its Exists
-    lazy = 0
-    todo = [(root, 0, 0)]  # (node, candidates, mentioned later)
-    while todo:
-        node, cands, later = todo.pop()
-        t = type(node)
-        if t is Exists:
-            found[node.slot] = node
-            todo.append((node.body, cands | 1 << node.slot, later))
-        elif t is Conj:
-            m1, plain1, _ = info[id(node.g1)]
-            first = cands & m1
-            rest = cands & ~m1 if plain1 else 0
-            todo.append((node.g1, first, (later | info[id(node.g2)][0]) & first))
-            todo.append((node.g2, rest, later & rest))
-        elif t is Disj:
-            todo.append((node.g1, 0, 0))
-            todo.append((node.g2, cands & ~info[id(node.g1)][0] & ~later, 0))
-        elif t is CutThen:
-            todo += ((node.g1, 0, 0), (node.g2, 0, 0))
-        elif t is Scope:
-            todo.append((node.g, 0, 0))
-        elif t is Unify:
-            hits = cands & info[id(node)][2]
-            if hits:
-                lazy |= hits
-                ltypes = {}
-                while hits:
-                    k = (hits & -hits).bit_length() - 1
-                    ltypes[k] = found[k].ltype
-                    hits &= hits - 1
-                node.right = mark_first(node.right, ltypes)
-    for k, e in found.items():
-        e.lazy = bool(lazy >> k & 1)
+    return done.pop()[0]

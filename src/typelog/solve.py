@@ -21,14 +21,11 @@ within one call, a slot's `Exists` runs again only after backtracking
 to a choicepoint older than its last run, and that discards every frame
 and choicepoint that could read the old value.
 
-A lazy `Exists` (`goals._mark_first_uses`) still costs a step and a
-counter value, but stores only that value in its slot: the slot's first
-occurrence, a `terms.First` in the right pattern of a `Unify` that runs
-before any choicepoint pushed since could resume, takes the subterm it
-meets there, with no variable and no binding, and allocates the
-variable, named by that value, only when it meets an unbound variable
-or is built in write mode.  So answers, variable names and counters are
-those of an eager `Exists`.
+A lazy `Exists` (see `goals._translate`) still costs a step and a
+counter value, but stores only that value in its slot, and `unify`
+allocates the variable that value names only if the slot's first
+occurrence needs one (see `terms`).  So answers, variable names and
+counters are those of an eager `Exists`.
 
 A Scope sets the barrier to the height of the choicepoint stack; a cut
 truncates the stack to the barrier of its scope, discarding every
@@ -210,9 +207,9 @@ def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Bind
     answer costs O(store).  A top-level cut simply ends the stream.
 
     A raw store holds the bindings the search made, not one per engine
-    variable: a compiled predicate's slot that read mode matched with a
-    subterm has no variable and no entry (see `goals._mark_first_uses`),
-    so ``plus(20000, "B", 40000)``'s first store has one entry."""
+    variable: a lazy slot that read mode matched with a subterm has no
+    variable and no entry (see `goals._translate`), so
+    ``plus(20000, "B", 40000)``'s first store has one entry."""
     for store, _, _ in _search(goal, max_steps):
         yield BindingStore(dict(store._bindings))
 

@@ -17,24 +17,26 @@ A compiled predicate (`goals.predicate`) holds its terms as patterns
 over an environment of slots: a slot index, a tuple ``(ltype, ctor,
 subpatterns)``, a `First`, or a term that mentions no slot.  This
 module alone builds, reads and instantiates them: `pattern` turns a
-term into one, `mark_first` marks the first occurrences of slots whose
-variables are not allocated yet, `instantiate` builds the compound a
-pattern denotes, and `unify` takes a pattern on its right side, as the
-WAM unifies a clause head with a call's argument (Aït-Kaci, "Warren's
-Abstract Machine: A Tutorial Reconstruction", 1991): a pattern met by a
-compound is matched in read mode, constructor against constructor and
-child against subpattern, building nothing; a pattern met by an unbound
-variable is matched in write mode, built only to be bound.  A `First`
-met in read mode puts the subterm it meets in its slot, with no
-variable and no binding, as the WAM's ``unify_variable`` loads the
-first occurrence of a clause variable in a head structure; otherwise
-it allocates the slot's variable then.  `pattern` and `instantiate`
-keep shared subterms shared, and `mark_first` copies only the nodes on
-the paths to the occurrences it marks, so their cost is linear in the
-distinct nodes.
+term into one, `instantiate` builds the compound a pattern denotes, and
+`unify` takes a pattern on its right side, as the WAM unifies a clause
+head with a call's argument (Aït-Kaci, "Warren's Abstract Machine: A
+Tutorial Reconstruction", 1991): a pattern met by a compound is matched
+in read mode, constructor against constructor and child against
+subpattern, building nothing; a pattern met by an unbound variable is
+matched in write mode, built only to be bound.  A `First` marks a
+slot's first occurrence in a pattern.  While its slot still holds a
+number, the slot's variable is not allocated yet: met in read mode, the
+`First` puts the subterm it meets in the slot, with no variable and no
+binding, as the WAM's ``unify_variable`` loads the first occurrence of
+a clause variable in a head structure; otherwise it allocates the
+variable then.  Once the slot holds a term, a `First` reads the slot
+as a slot index does, so it may stand in a subpattern met more than
+once.  `pattern` and `instantiate` keep shared subterms shared, so
+their cost is linear in the distinct nodes; `goals._translate` decides
+which slots wait for their `First`.
 
 Every walk over a term runs over an explicit stack, so terms of any depth
-are accepted: `unify`, `instantiate`, `mark_first`, `Compound` equality
+are accepted: `unify`, `instantiate`, `Compound` equality
 and hashing, the occurs/groundness walk (`_free_vids`), the rebuild
 behind `resolve`, `substitute` and `pattern` (`_rebuild`), and the
 prefix renderer behind `repr` and `pretty` (`_render`).
@@ -388,22 +390,21 @@ def _may_occur(vid: VarId, t: Compound, bindings: dict) -> bool:
 
 
 class First(NamedTuple):
-    """A subpattern: the first occurrence of `slot`, in the order `unify`
-    and `instantiate` meet a pattern's leaves, before the slot's variable
-    is allocated.  Until it is met, the slot holds the number that
-    variable's name carries.  Met by a compound in read mode, it puts the
-    compound in the slot; otherwise it puts a new variable of `ltype`
-    there."""
+    """A subpattern: the first occurrence of `slot`, whose variable is of
+    type `ltype`, in the order `unify` and `instantiate` meet a
+    pattern's leaves (see the module docstring)."""
 
     ltype: Any
     slot: int
 
 
-def _allocate(f: First, env: list) -> Var:
-    """The variable of `f`'s slot, named by the number the slot holds,
-    stored in the slot in place of that number."""
-    v = env[f.slot] = Var(tuple.__new__(VarId, (f"_{env[f.slot]}", f.ltype)))
-    return v
+def _allocate(f: First, env: list) -> Term:
+    """The term in `f`'s slot, or, while the slot holds a number, the
+    slot's new variable, named by that number and stored in its place."""
+    t = env[f.slot]
+    if type(t) is int:
+        t = env[f.slot] = Var(tuple.__new__(VarId, (f"_{t}", f.ltype)))
+    return t
 
 
 def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Optional[BindingStore]:
@@ -434,13 +435,11 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
     after the occurs check.  So the bindings, their order and the verdict
     are those of ``unify(a, instantiate(b, env), store)``.
 
-    A `First` subpattern met by a compound (after following bindings)
-    stores it in its slot and binds nothing, as the WAM's
-    ``unify_variable`` loads a clause variable's first occurrence in read
-    mode; met by an unbound variable, it stores the slot's new variable
-    there (`_allocate`) and goes on with it.  The bindings of variables
-    other than the slots' own are those made with each slot allocated
-    beforehand and bound to what it meets.
+    A `First` subpattern takes the subterm it meets (after following
+    bindings) into its slot, or goes on with the slot's term
+    (`_allocate`), as the module docstring describes.  The bindings of
+    variables other than the slots' own are those made with each slot
+    allocated beforehand and bound to what it meets.
     """
     if type(b) is int:
         b = env[b]
@@ -477,9 +476,11 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
                 continue
             b = instantiate(b, env)  # write mode: built only to be bound
         elif tb is First:
-            if type(a) is not Var:  # read mode: the slot takes the subterm
-                env[b.slot] = a
-                continue
+            if type(a) is not Var:
+                k = b.slot
+                if type(env[k]) is int:  # read mode: the slot takes the subterm
+                    env[k] = a
+                    continue
             b = _allocate(b, env)
         while type(b) is Var:
             bound = bindings.get(b.vid)
@@ -529,7 +530,7 @@ def _pattern_node(ltype, ctor: str, subpatterns: tuple) -> tuple:
 def instantiate(p: tuple, env: list) -> Compound:
     """The compound a pattern ``(ltype, ctor, subpatterns)`` denotes in
     `env`: a subpattern that is an int is the term in that slot, a tuple
-    is instantiated in turn, a `First` is its slot's new variable
+    is instantiated in turn, a `First` is its slot's term or new variable
     (`_allocate`), and anything else is a term as it is.  No
     type check is needed: `make` checked every position when the
     template was built.  Post-order over an explicit stack.  Each
@@ -565,43 +566,6 @@ def instantiate(p: tuple, env: list) -> Compound:
         ltype, ctor, subs, i, out, k = frames.pop()
         built[k] = t
         out.append(t)
-
-
-def mark_first(p, ltypes: dict):
-    """`p` with the first occurrence of each slot in `ltypes`, in the
-    order `unify` meets a pattern's leaves (left to right, depth first),
-    replaced by ``First(ltypes[slot], slot)``.  Only the nodes on the
-    paths to those occurrences are rebuilt.  A shared subpattern is
-    entered at its first occurrence only: later ones keep the original
-    node, every slot of which has occurred by then.  Pre-order over an
-    explicit stack, so linear in the distinct nodes."""
-    if type(p) is int:
-        return First(ltypes[p], p) if p in ltypes else p
-    todo = dict(ltypes)  # the slots not met yet
-    entered = {id(p)}
-    frames = []
-    node, i, out = p, 0, []
-    while True:
-        subs = node[2]
-        if i < len(subs):
-            s = subs[i]
-            i += 1
-            if type(s) is int and s in todo:
-                out.append(First(todo.pop(s), s))
-            elif type(s) is tuple and todo and id(s) not in entered:
-                entered.add(id(s))
-                frames.append((node, i, out))
-                node, i, out = s, 0, []
-            else:
-                out.append(s)
-            continue
-        if not all(map(operator.is_, out, subs)):
-            node = (node[0], node[1], tuple(out))
-        if not frames:
-            return node
-        parent, i, out = frames.pop()
-        out.append(node)
-        node = parent
 
 
 def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[BindingStore]:

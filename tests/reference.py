@@ -84,7 +84,7 @@ class EagerEngine:
         if isinstance(goal, g.Call):
             # The undecorated body on the call's arguments: the compiled
             # template is never consulted.
-            return self.eval(goal.template.unfold(goal.args), store)
+            return self.eval(goal.template.body(*goal.args), store)
         raise TypeError(f"not a goal: {goal!r}")
 
 

@@ -452,7 +452,7 @@ class TestFirstOccurrence:
 
     def test_shared_pattern_with_a_lazy_slot(self):
         # The first occurrence of `v` lies under a subpattern shared by
-        # every node: only the nodes on its path are copied.
+        # every node, and stays there: later meetings read the slot.
         tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
 
         def full(depth, bottom):

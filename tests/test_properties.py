@@ -497,7 +497,7 @@ def expanded(goal):
     call's arguments, lazily under each `exists`."""
     t = type(goal)
     if t is Call:
-        return expanded(goal.template.unfold(goal.args))
+        return expanded(goal.template.body(*goal.args))
     if t is Exists:
         return Exists(goal.ltype, lambda v: expanded(goal.body(v)))
     if t in (Conj, Disj, CutThen):

@@ -6,7 +6,8 @@ import pytest
 
 from typelog import terms
 from typelog.derive import TypeRegistry
-from typelog.prelude import NAT, NAT_LIST, cons, nat, nat_list, nil, suc, zero
+from typelog.goals import Conj, CutThen, Disj, Exists, Scope, Unify, eq, exists, predicate
+from typelog.prelude import NAT, NAT_LIST, as_term, cons, nat, nat_list, nil, suc, zero
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
@@ -17,7 +18,6 @@ from typelog.terms import (
     Var,
     VarId,
     is_ground_term,
-    mark_first,
     occurs_in,
     pattern,
     pretty,
@@ -257,33 +257,90 @@ class TestFirstOccurrence:
         assert t == cons(Var(VarId("_7", NAT)), nil(NAT_LIST)) and t.args[0] is env[0]
 
     def test_later_occurrences_read_the_slot(self):
-        p = mark_first((NAT_LIST, "cons", (0, (NAT_LIST, "cons", (0, 1)))), {0: NAT})
-        assert type(p[2][0]) is First and p[2][1][2][0] == 0
+        p = (NAT_LIST, "cons", (First(NAT, 0), (NAT_LIST, "cons", (0, 1))))
         assert unify(nat_list([2, 2]), p, EMPTY_STORE, [7, nil(NAT_LIST)]) is EMPTY_STORE
         assert unify(nat_list([2, 3]), p, EMPTY_STORE, [7, nil(NAT_LIST)]) is None
         s = unify(nat_list([X, 2]), p, EMPTY_STORE, [7, nil(NAT_LIST)])
         assert list(s.items()) == [(X.vid, Var(VarId("_7", NAT))), (VarId("_7", NAT), nat(2))]
 
-    def test_mark_first_in_unify_order(self):
-        p = (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (0, 2))))
-        q = mark_first(p, {0: NAT, 2: NAT_LIST})
-        assert q == (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (First(NAT, 0), First(NAT_LIST, 2)))))
-        assert q[2][0] == 1 and type(q[2][1][2][1]) is First
-        assert mark_first(p, {1: NAT})[2][1] is p[2][1]
-        assert mark_first(0, {0: NAT}) == First(NAT, 0) and mark_first(0, {}) == 0
+    def test_a_slot_that_holds_a_term_is_read(self):
+        # Set by an eager `Exists` or by an earlier `First`, the slot is
+        # read as a plain index would read it, and keeps its term.
+        p = (NAT, "suc", (First(NAT, 0),))
+        two = nat(2)
+        env = [two]
+        assert unify(nat(3), p, EMPTY_STORE, env) is EMPTY_STORE and env[0] is two
+        assert unify(nat(3), p, EMPTY_STORE, [nat(1)]) is None
+        assert list(unify(suc(X), p, EMPTY_STORE, env).items()) == [(X.vid, two)]
+        assert list(unify(X, First(NAT, 0), EMPTY_STORE, env).items()) == [(X.vid, two)]
+        assert list(unify(nat(3), p, EMPTY_STORE, [Y]).items()) == [(Y.vid, two)]
+        assert terms.instantiate(p, env) == nat(3) and env == [two]
 
-    def test_mark_first_enters_a_shared_subpattern_once(self):
+    def test_first_in_unify_order(self):
+        # Slots: x 0, y 1, then v 2 and w 3.  The first occurrence of each
+        # `exists` slot that the left side does not mention is a `First`.
+        @predicate(lambda x, y: ((), (as_term(x, NAT_LIST), as_term(y, NAT))))
+        def body(x, y):
+            return exists(NAT, lambda v: exists(NAT_LIST, lambda w: eq(
+                x, cons(y, cons(v, cons(v, w))))))
+
+        [u] = unifies(body("X", 1).template)
+        assert u.right == (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (
+            First(NAT, 2), (NAT_LIST, "cons", (2, First(NAT_LIST, 3)))))))
+        assert type(u.right[2][1][2][1][2][0]) is int
+
+        @predicate(lambda x, y: ((), (as_term(x, NAT_LIST), as_term(y, NAT))))
+        def mentioned(x, y):
+            return exists(NAT, lambda v: exists(NAT, lambda w: eq(
+                cons(v, x), cons(w, cons(v, x)))))
+
+        [u] = unifies(mentioned("X", 1).template)
+        assert u.right == (NAT_LIST, "cons", (First(NAT, 3), (NAT_LIST, "cons", (2, 0))))
+
+        @predicate(lambda y: ((), (as_term(y, NAT),)))
+        def whole(y):
+            return exists(NAT, lambda v: eq(y, v))
+
+        [u] = unifies(whole(1).template)
+        assert u.right == First(NAT, 1)
+
+    def test_first_in_a_shared_subpattern(self):
         tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
-        s = (tree, "node", (0, 0))
-        q = mark_first((tree, "node", (s, s)), {0: tree})
-        assert q[2][0] == (tree, "node", (First(tree, 0), 0)) and q[2][1] is s
+
+        @predicate(lambda x: (tree, (x,)))
+        def body(x):
+            def shared(v):
+                s = tree.make("node", v, v)
+                return eq(x, tree.make("node", s, s))
+            return exists(tree, shared)
+
+        [u] = unifies(body(tree.var("T")).template)
+        s, s2 = u.right[2]
+        assert s is s2 and s == (tree, "node", (First(tree, 1), 1))
         leaf = tree.make("leaf")
         pair = tree.make("node", leaf, leaf)
-        env = [5]
-        assert unify(tree.make("node", pair, pair), q, EMPTY_STORE, env) is EMPTY_STORE
-        assert env[0] is leaf
+        env = [None, 5]
+        assert unify(tree.make("node", pair, pair), u.right, EMPTY_STORE, env) is EMPTY_STORE
+        assert env[1] is leaf
         odd = tree.make("node", pair, tree.make("node", leaf, pair))
-        assert unify(odd, q, EMPTY_STORE, [5]) is None
+        assert unify(odd, u.right, EMPTY_STORE, [None, 5]) is None
+
+
+def unifies(template):
+    """The `Unify` nodes of a compiled template, in pre-order."""
+    found, todo = [], [template.root]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is Unify:
+            found.append(node)
+        elif t is Exists:
+            todo.append(node.body)
+        elif t in (Conj, Disj, CutThen):
+            todo += (node.g2, node.g1)
+        elif t is Scope:
+            todo.append(node.g)
+    return found
 
 
 class TestOccursAndGround:
