@@ -24,9 +24,10 @@ def main(argv=None) -> int:
                              "requests the next solution) instead of "
                              "starting an interactive session")
     parser.add_argument("--max-steps", type=int, metavar="N", default=None,
-                        help="bound on solver node expansions per query "
-                             "(default: unlimited interactively, 1e6 in "
-                             "script mode)")
+                        help="bound on solver node expansions per query, "
+                             "and on the sum of its integer literals: a "
+                             "query over it is not run (default: unlimited "
+                             "interactively, 1e6 in script mode)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the startup banner")
     args = parser.parse_args(argv)

@@ -27,14 +27,13 @@ converts the arguments and builds one `Call` node; the solver runs a
 `Call` by instantiating its argument patterns into a fresh environment
 and jumping to the template's root, so no goal node and no closure is
 built per unfolding (Warren, "An abstract Prolog instruction set", SRI
-TN 309, 1983, renames clause templates the same way).  Some `exists`
-slots are lazy: their variable is made only if their first occurrence
-needs one (`_translate` decides which, and the `terms` docstring says
-how an occurrence reads).  The contract that makes
-compiling sound: a predicate's body may depend on its arguments'
-types, not on their values.  A body that cannot be compiled, such as
-one that calls a plain function recursing under `exists`, is run on
-each call instead.
+TN 309, 1983, renames clause templates the same way).  An `exists`
+slot's variable is made only when a read needs it, and a slot may
+instead take the compound it meets: the `terms` module docstring says
+when.  The contract that makes compiling sound: a predicate's body may
+depend on its arguments' types, not on their values.  A body that
+cannot be compiled, such as one that calls a plain function recursing
+under `exists`, is run on each call instead.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from typing import Callable, Optional
 
 from .terms import (
     Compound,
-    First,
     LogicError,
     Term,
     TypeMismatchError,
@@ -110,15 +108,15 @@ class Exists(Goal):
     evaluate `body(fresh_var)`.  Bodies must be pure: the engine may
     call them again during backtracking.
 
-    In a template, `slot` is an index into the environment: the fresh
-    variable is stored there and `body` is the compiled goal itself.  A
-    `lazy` one stores only the number the variable's name carries, and
-    leaves the variable to a `terms.First` (see `_translate`)."""
+    In a template, `slot` is an index into the environment and `body`
+    is the compiled goal itself: the solver stores the number the fresh
+    variable's name would carry in the slot, and a read makes the
+    variable or takes a term in its place (see the `terms` module
+    docstring)."""
 
     ltype: object
     body: Callable[[Term], Goal]
     slot: Optional[int] = None
-    lazy: bool = False
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -229,7 +227,8 @@ class Template:
     """One predicate body compiled for one key.
 
     The environment of a call holds the arguments at 0..n-1, then one
-    slot per `exists` of the body (`pad` is their initial value).  An
+    slot per `exists` of the body, then the list of the slots' types
+    (`pad` is what follows the arguments).  An
     argument that is not a term, such as the relation of `map_p`, is
     kept in the environment and called when the search reaches the call
     the body makes of it, as a body built of closures would call it.
@@ -261,7 +260,8 @@ class Template:
             self.root = _translate(self.body(*params), self.name, slots)
         except _Uncompilable:
             return
-        self.pad = [None] * (len(slots) - arity)
+        types = [getattr(key, "ltype", None) for key in slots]
+        self.pad = [None] * (len(slots) - arity) + [types]
 
 
 class _Function:
@@ -379,31 +379,10 @@ def _closed(f) -> bool:
 
 def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     """The template form of `goal`: each closure `Exists` expanded into
-    a new slot, terms turned into patterns (`terms.pattern`) over `slots`
-    (placeholder VarId or `_Function` -> environment index).  Post-order
-    over an explicit stack, so each node is built once, final.
-
-    An `exists` slot whose first use is in the right pattern of a
-    `Unify`, with no choicepoint between them that could resume, is made
-    lazy (`terms.First`): no goal reads the slot before, and no goal can
-    read what that occurrence took once backtracking has undone it.  Each
-    right pattern has a `First` at the first occurrence, in `unify`'s
-    order, of each `exists` slot its left side does not mention, so the
-    one that runs first takes the subterm and the others read the slot.
-    Laziness is decided bottom-up: each result carries ``(node,
-    mentions, plain, lazy, unless_later)``, bit masks of slots but for
-    `plain`, which says the node is made only of `Conj`, `Unify`,
-    `IsGround`, `Succeed` and `Fail`, so it pushes no choicepoint.  A
-    slot in `lazy` is made lazy by the node, and one in `unless_later`
-    only if no goal after the node mentions it.  A `Unify` makes lazy
-    the slots its right side mentions and its left does not.
-    ``Conj(g1, g2)`` passes on
-    `g1`'s, those of `unless_later` only if `g2` does not mention them,
-    and, when `g1` is plain, `g2`'s for the slots `g1` does not mention.
-    ``Disj(g1, g2)`` makes lazy, unless later, what `g2` would of the
-    slots `g1` does not mention.  `Exists` passes on its body's, and
-    `Scope`, `CutThen`, `Call` and `IsGround` make none.  An `Exists` is
-    lazy if its body would make its slot lazy.
+    a new slot (see the `terms` module docstring), terms turned into
+    patterns (`terms.pattern`) over `slots` (placeholder VarId or
+    `_Function` -> environment index).  Post-order over an explicit
+    stack, so each node is built once, final.
 
     Raises `_Uncompilable` where the template cannot stand for the goal:
     at an `Exists` whose closure's code already runs on the path of
@@ -411,27 +390,15 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     `exists` would expand forever, and at a call argument that is a
     function which may refer to the body's variables."""
 
-    arity = len(slots)
-    mask = left = 0  # the slots met in this pattern; those of the left side
-
     def slot_of(v):
-        nonlocal mask
         k = slots.get(v.vid if type(v) is Var else v)
         if k is not None:
-            mask |= 1 << k
             return k
         if type(v) is _Function or v.vid.name.startswith(_PLACEHOLDER):
             raise LogicError(
                 f"predicate {name} refers to a variable of an enclosing predicate's body; "
                 f"define it outside that body")
         return v
-
-    def first_of(v):
-        seen = mask | left
-        k = slot_of(v)
-        if type(k) is int and k >= arity and not seen >> k & 1:
-            return First(v.vid.ltype, k)
-        return k
 
     def argument(a):
         if type(a) is Var or type(a) is Compound:
@@ -442,29 +409,21 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
             return a
         raise _Uncompilable
 
-    done: list = []  # (node, mentions, plain, lazy, unless_later)
+    done: list = []
     todo: list = [(goal, None)]  # (node, path): path is (code, path) or None
     while todo:
         node, path = todo.pop()
         t = type(node)
         if t is tuple:  # assemble a node from the last results
             kind, extra = node
-            g, m, plain, lz, ul = done.pop()
+            g = done.pop()
             if kind is Exists:
                 ltype, k = extra
-                done.append((Exists(ltype, g, k, bool((lz | ul) >> k & 1)), m, False, lz, ul))
+                done.append(Exists(ltype, g, k))
             elif kind is Scope:
-                done.append((Scope(g), m, False, 0, 0))
+                done.append(Scope(g))
             else:
-                g1, m1, plain1, lz1, ul1 = done.pop()
-                if kind is Conj:
-                    rest = ~m1 if plain1 else 0
-                    done.append((Conj(g1, g), m1 | m, plain1 and plain,
-                                 lz1 | lz & rest, ul1 & ~m | ul & rest))
-                elif kind is Disj:
-                    done.append((Disj(g1, g), m1 | m, False, 0, (lz | ul) & ~m1))
-                else:
-                    done.append((CutThen(g1, g), m1 | m, False, 0, 0))
+                done.append(kind(done.pop(), g))
         elif t is Conj or t is Disj or t is CutThen:
             todo += (((t, None), None), (node.g2, path), (node.g1, path))
         elif t is Scope:
@@ -480,22 +439,16 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
             k = slots[v.vid] = len(slots)
             todo += (((Exists, (node.ltype, k)), None), (node.body(v), (code, path)))
         elif t is Unify:
-            mask = 0
-            lhs = pattern(node.left, slot_of)
-            left, mask = mask, 0
-            rhs = pattern(node.right, first_of)
-            done.append((Unify(lhs, rhs), left | mask, True, mask & ~left, 0))
+            done.append(Unify(pattern(node.left, slot_of), pattern(node.right, slot_of)))
         elif t is IsGround:
-            mask = 0
-            done.append((IsGround(pattern(node.term, slot_of)), mask, True, 0, 0))
+            done.append(IsGround(pattern(node.term, slot_of)))
         elif t is Call:
-            mask = 0
             f = node.template
             if type(f) is _Function:
                 f = slot_of(f)
-            done.append((Call(f, tuple([argument(a) for a in node.args])), mask, False, 0, 0))
+            done.append(Call(f, tuple([argument(a) for a in node.args])))
         elif t is Succeed or t is Fail:
-            done.append((node, 0, True, 0, 0))
+            done.append(node)
         else:
             raise LogicError(f"not a goal: {node!r}")
-    return done.pop()[0]
+    return done.pop()

@@ -358,7 +358,40 @@ def format_solution(sol: Solution, qvars: List[VarId]) -> Optional[str]:
 # --- query execution ------------------------------------------------------
 
 _OK = 0
+_ERROR = 1
 _BUDGET = 2
+_EXHAUSTED = "error: step budget exhausted."
+
+
+def _literals_exceed(text: str, max_steps: Optional[int]) -> bool:
+    """Whether the integer literals of query `text` sum to more than
+    `max_steps`: the numeral n is n nodes to build, so the budget bounds
+    them too.  A literal too long to read is left to the parser."""
+    if max_steps is None:
+        return False
+    total = 0
+    for tok in _tokenize(text):
+        if tok.kind == "int":
+            try:
+                total += int(tok.text)
+            except ValueError:
+                pass
+    return total > max_steps
+
+
+def _run_line(line: str, registry: PredicateRegistry, want_next: Callable[[], bool],
+              emit: Callable[[str], None], max_steps: Optional[int]) -> int:
+    """Compile and run one query line, printing a parse or type error or
+    a budget overrun as one line; returns the line's exit status."""
+    try:
+        if _literals_exceed(line, max_steps):
+            emit(_EXHAUSTED)
+            return _BUDGET
+        goal, qvars = compile_query(line, registry)
+    except (QueryParseError, QueryTypeError) as err:
+        emit(str(err))
+        return _ERROR
+    return _run_query(goal, qvars, want_next, emit, max_steps)
 
 
 def _run_query(goal: Goal, qvars: List[VarId], want_next: Callable[[], bool],
@@ -394,7 +427,7 @@ def _run_query(goal: Goal, qvars: List[VarId], want_next: Callable[[], bool],
                 emit("true.")
                 return _OK
     except StepBudgetExceeded:
-        emit("error: step budget exhausted.")
+        emit(_EXHAUSTED)
         return _BUDGET
 
 
@@ -417,11 +450,6 @@ def _run_transcript(text: str, registry: Optional[PredicateRegistry],
         i += 1
         if not line or line == "NEXT":
             continue
-        try:
-            goal, qvars = compile_query(line, registry)
-        except (QueryParseError, QueryTypeError) as err:
-            emit(str(err))
-            return 1
 
         def want_next() -> bool:
             nonlocal i
@@ -430,17 +458,18 @@ def _run_transcript(text: str, registry: Optional[PredicateRegistry],
                 return True
             return False
 
-        status = _run_query(goal, qvars, want_next, emit, max_steps)
-        if status == _BUDGET:
-            return 2
-    return 0
+        status = _run_line(line, registry, want_next, emit, max_steps)
+        if status != _OK:
+            return status
+    return _OK
 
 
 def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
                     max_steps: Optional[int] = DEFAULT_SCRIPT_BUDGET) -> Tuple[int, str]:
     """Run a transcript: one query per line, a "NEXT" line requests the
     next solution of the preceding query.  Returns (exit_code, output).
-    Exit codes: 0 clean, 1 parse/type error, 2 budget exhausted."""
+    Exit codes: 0 clean, 1 parse/type error, 2 budget exhausted, by the
+    search or by the query's integer literals (see `_literals_exceed`)."""
     out = io.StringIO()
     code = _run_transcript(text, registry, max_steps, out)
     return code, out.getvalue()
@@ -505,9 +534,4 @@ def repl(registry: Optional[PredicateRegistry] = None,
             continue
         if not line:
             continue
-        try:
-            goal, qvars = compile_query(line, registry)
-        except (QueryParseError, QueryTypeError) as err:
-            emit(str(err))
-            continue
-        _run_query(goal, qvars, want_next, emit, max_steps)
+        _run_line(line, registry, want_next, emit, max_steps)

@@ -9,7 +9,7 @@ continuation, a disjunction pushes its right goal as a choicepoint, and
 failure resumes the newest choicepoint.  A `Call` of a compiled
 predicate instantiates its argument patterns into a fresh environment
 `env` and continues at the template's root; in a template, a slot
-`Exists` stores its fresh variable in `env`, `Unify` hands its right
+`Exists` stores its counter value in `env`, `Unify` hands its right
 pattern and `env` to `unify`, which matches the pattern in place and
 builds it only to bind a variable (see `terms.unify`), `IsGround`
 instantiates its pattern in `env` (`terms.instantiate`), and a `Call`
@@ -21,11 +21,10 @@ within one call, a slot's `Exists` runs again only after backtracking
 to a choicepoint older than its last run, and that discards every frame
 and choicepoint that could read the old value.
 
-A lazy `Exists` (see `goals._translate`) still costs a step and a
-counter value, but stores only that value in its slot, and `unify`
-allocates the variable that value names only if the slot's first
-occurrence needs one (see `terms`).  So answers, variable names and
-counters are those of an eager `Exists`.
+A slot `Exists` costs a step and a counter value but makes no variable,
+and each choicepoint saves and replaces the store's `fence`, as the
+`terms` module docstring describes with slots and takes.  Answers,
+names and counters are those of an eager `Exists`.
 
 A Scope sets the barrier to the height of the choicepoint stack; a cut
 truncates the stack to the barrier of its scope, discarding every
@@ -69,6 +68,7 @@ from .terms import (
     Var,
     VarId,
     _SearchStore,
+    _fresh,
     instantiate,
     is_ground_term,
     resolve,
@@ -110,10 +110,12 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     barrier = low = 0
     env = None  # the environment of the innermost Call, or None
     cont = None  # (goal, barrier, env, rest) or None
-    choices: list = []  # (goal, barrier, env, store length, cont)
+    choices: list = []  # (goal, barrier, env, store length, cont, fence)
     while True:
         if goal is None:
-            del choices[barrier:]
+            if len(choices) > barrier:
+                store.fence = choices[barrier][5]
+                del choices[barrier:]
             ok = True
         else:
             steps += 1
@@ -128,31 +130,37 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 a = goal.left
                 if type(a) is int:
                     a = env[a]
+                    if type(a) is int:
+                        a = _fresh(env, goal.left)
                 elif type(a) is tuple:
                     a = instantiate(a, env)
                 ok = unify(a, goal.right, store, env) is not None
             elif t is Disj:
-                choices.append((goal.g2, barrier, env, len(bindings), cont))
+                choices.append((goal.g2, barrier, env, len(bindings), cont, store.fence))
+                store.fence = counter
                 goal = goal.g1
                 continue
             elif t is Exists:
-                if goal.slot is None:
+                k = goal.slot
+                if k is None:
                     goal = goal.body(Var(new_tuple(VarId, (f"_{counter}", goal.ltype))))
-                else:
-                    # A lazy slot's first use allocates its variable, if at all.
-                    env[goal.slot] = counter if goal.lazy else Var(
-                        new_tuple(VarId, (f"_{counter}", goal.ltype)))
+                else:  # the slot's variable is made when a read needs it
+                    env[k] = counter
                     goal = goal.body
                 counter += 1
                 continue
             elif t is Call:
                 steps -= 1  # a Call costs no step
                 new = []
-                for a in goal.args:
-                    if type(a) is int:
-                        a = env[a]
-                    elif type(a) is tuple:
-                        a = instantiate(a, env)
+                for p in goal.args:
+                    if type(p) is int:
+                        a = env[p]
+                        if type(a) is int:
+                            a = _fresh(env, p)
+                    elif type(p) is tuple:
+                        a = instantiate(p, env)
+                    else:
+                        a = p
                     new.append(a)
                 template = goal.template
                 if type(template) is int:  # a function argument builds its goal
@@ -180,6 +188,8 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 a = goal.term
                 if type(a) is int:
                     a = env[a]
+                    if type(a) is int:
+                        a = _fresh(env, goal.term)
                 elif type(a) is tuple:
                     a = instantiate(a, env)
                 ok = is_ground_term(a, store)
@@ -193,7 +203,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
             low = len(bindings)
         if not choices:
             return
-        goal, barrier, env, mark, cont = choices.pop()
+        goal, barrier, env, mark, cont, store.fence = choices.pop()
         if mark < low:
             low = mark
         while len(bindings) > mark:
@@ -207,9 +217,9 @@ def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Bind
     answer costs O(store).  A top-level cut simply ends the stream.
 
     A raw store holds the bindings the search made, not one per engine
-    variable: a lazy slot that read mode matched with a subterm has no
-    variable and no entry (see `goals._translate`), so
-    ``plus(20000, "B", 40000)``'s first store has one entry."""
+    variable: a slot that took a subterm has no variable and no entry
+    (see the `terms` module docstring), so ``plus(20000, "B", 40000)``'s
+    first store has one entry."""
     for store, _, _ in _search(goal, max_steps):
         yield BindingStore(dict(store._bindings))
 

@@ -15,25 +15,35 @@ work over `Compound.args`: one definition for every type.
 
 A compiled predicate (`goals.predicate`) holds its terms as patterns
 over an environment of slots: a slot index, a tuple ``(ltype, ctor,
-subpatterns)``, a `First`, or a term that mentions no slot.  This
-module alone builds, reads and instantiates them: `pattern` turns a
-term into one, `instantiate` builds the compound a pattern denotes, and
-`unify` takes a pattern on its right side, as the WAM unifies a clause
-head with a call's argument (Aït-Kaci, "Warren's Abstract Machine: A
-Tutorial Reconstruction", 1991): a pattern met by a compound is matched
-in read mode, constructor against constructor and child against
-subpattern, building nothing; a pattern met by an unbound variable is
-matched in write mode, built only to be bound.  A `First` marks a
-slot's first occurrence in a pattern.  While its slot still holds a
-number, the slot's variable is not allocated yet: met in read mode, the
-`First` puts the subterm it meets in the slot, with no variable and no
-binding, as the WAM's ``unify_variable`` loads the first occurrence of
-a clause variable in a head structure; otherwise it allocates the
-variable then.  Once the slot holds a term, a `First` reads the slot
-as a slot index does, so it may stand in a subpattern met more than
-once.  `pattern` and `instantiate` keep shared subterms shared, so
-their cost is linear in the distinct nodes; `goals._translate` decides
-which slots wait for their `First`.
+subpatterns)``, or a term that mentions no slot.  This module alone
+builds, reads and instantiates them: `pattern` turns a term into one,
+`instantiate` builds the compound a pattern denotes, and `unify` takes
+a pattern on its right side, as the WAM unifies a clause head with a
+call's argument (Aït-Kaci, "Warren's Abstract Machine: A Tutorial
+Reconstruction", 1991): a pattern met by a compound is matched in read
+mode, constructor against constructor and child against subpattern,
+building nothing; a pattern met by an unbound variable is matched in
+write mode, built only to be bound.  `pattern` and `instantiate` keep
+shared subterms shared, so their cost is linear in the distinct nodes.
+
+Slots, takes and the fence.  An environment holds a call's arguments,
+then one slot per `exists` of the body, then the list of the slots'
+types.  An `exists` stores the fresh-variable counter's value n in its
+slot.  The slot's first read makes its variable ``_n``, typed by that
+list (`_fresh`), so names are those of an eager `exists`, except where
+`unify` meets the slot on its right side with a compound: the slot
+takes the compound, and no variable is made or bound, as the WAM's
+``unify_variable`` loads a clause variable's first occurrence in a head
+structure.  A take sets the slot off the trail, so it needs that no
+choicepoint pushed since the `exists` is live: resuming one would read
+what an undone branch took (a made variable's bindings are trailed, so
+making one needs no such test).  So a take needs ``n >= fence``, where
+a search store's `fence` is the counter value when the newest live
+choicepoint was pushed, 0 with none: each choicepoint saves the fence it
+replaces, a pop restores that value, and a cut restores the value the
+first entry it removes saved (`solve._search`).  A public store has no
+choicepoints.  A take changes no answer, name or counter, and a raw
+store only lacks the entries of variables never made.
 
 Every walk over a term runs over an explicit stack, so terms of any depth
 are accepted: `unify`, `instantiate`, `Compound` equality
@@ -256,11 +266,16 @@ EMPTY_STORE = BindingStore()
 class _SearchStore(BindingStore):
     """The store of one search, which `unify` binds in place.  Its dict
     is its trail: `unify` adds at the end and backtracking pops from the
-    end, so its length is a mark to backtrack to.  Mutable, so not
-    hashable; the solver never hands it out."""
+    end, so its length is a mark to backtrack to.  `fence` bounds the
+    slots `unify` may take into (see the module docstring).  Mutable, so
+    not hashable; the solver never hands it out."""
 
-    __slots__ = ()
+    __slots__ = ("fence",)
     __hash__ = None
+
+    def __init__(self, bindings: Optional[dict] = None):
+        self._bindings = {} if bindings is None else bindings
+        self.fence = 0
 
 
 def walk(t: Term, store: BindingStore) -> Term:
@@ -389,22 +404,12 @@ def _may_occur(vid: VarId, t: Compound, bindings: dict) -> bool:
     return False
 
 
-class First(NamedTuple):
-    """A subpattern: the first occurrence of `slot`, whose variable is of
-    type `ltype`, in the order `unify` and `instantiate` meet a
-    pattern's leaves (see the module docstring)."""
-
-    ltype: Any
-    slot: int
-
-
-def _allocate(f: First, env: list) -> Term:
-    """The term in `f`'s slot, or, while the slot holds a number, the
-    slot's new variable, named by that number and stored in its place."""
-    t = env[f.slot]
-    if type(t) is int:
-        t = env[f.slot] = Var(tuple.__new__(VarId, (f"_{t}", f.ltype)))
-    return t
+def _fresh(env: list, k: int) -> Var:
+    """Make the variable of slot `k`, which holds the number n of its
+    `exists`: ``_n``, of the type `env[-1]` gives the slot, stored in
+    the slot (see the module docstring)."""
+    v = env[k] = Var(tuple.__new__(VarId, (f"_{env[k]}", env[-1][k])))
+    return v
 
 
 def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Optional[BindingStore]:
@@ -435,28 +440,32 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
     after the occurs check.  So the bindings, their order and the verdict
     are those of ``unify(a, instantiate(b, env), store)``.
 
-    A `First` subpattern takes the subterm it meets (after following
-    bindings) into its slot, or goes on with the slot's term
-    (`_allocate`), as the module docstring describes.  The bindings of
-    variables other than the slots' own are those made with each slot
-    allocated beforehand and bound to what it meets.
+    A slot that still holds the number of its `exists` takes the
+    compound it meets, if the fence allows, and otherwise gets its
+    variable (the module docstring says when and why).  The bindings
+    of variables other than the slots' own are those made with each
+    slot's variable made beforehand and bound to what it meets.
     """
-    if type(b) is int:
-        b = env[b]
     ta = a.vid.ltype if type(a) is Var else a.ltype
-    if type(b) is Var:
-        tb = b.vid.ltype
+    if type(b) is int:
+        t = env[b]
+        if type(t) is not int:
+            b = t  # a slot that holds a term
+    if type(b) is tuple:  # a pattern: its type comes first
+        tb = b[0]
     elif type(b) is Compound:
         tb = b.ltype
-    else:  # a pattern or a First: its type comes first
-        tb = b[0]
+    elif type(b) is Var:
+        tb = b.vid.ltype
+    else:  # a slot that holds its number
+        tb = env[-1][b]
     if ta is not tb:
         raise TypeMismatchError(
             f"cannot unify terms of types {getattr(ta, 'name', '?')} "
             f"and {getattr(tb, 'name', '?')}"
         )
     bindings = store._bindings
-    shared = type(store) is not _SearchStore
+    public = shared = type(store) is not _SearchStore
     pairs = [(a, b)]
     while pairs:
         a, b = pairs.pop()
@@ -467,7 +476,12 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
             a = bound
         tb = type(b)
         if tb is int:
-            b = env[b]
+            k, b = b, env[b]
+            if type(b) is int:  # the slot's first read
+                if type(a) is not Var and (public or b >= store.fence):
+                    env[k] = a  # a take
+                    continue
+                b = _fresh(env, k)
         elif tb is tuple:
             if type(a) is not Var:  # read mode
                 if a.ctor != b[1]:
@@ -475,13 +489,6 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
                 pairs.extend(zip(reversed(a.args), reversed(b[2])))
                 continue
             b = instantiate(b, env)  # write mode: built only to be bound
-        elif tb is First:
-            if type(a) is not Var:
-                k = b.slot
-                if type(env[k]) is int:  # read mode: the slot takes the subterm
-                    env[k] = a
-                    continue
-            b = _allocate(b, env)
         while type(b) is Var:
             bound = bindings.get(b.vid)
             if bound is None:
@@ -529,9 +536,10 @@ def _pattern_node(ltype, ctor: str, subpatterns: tuple) -> tuple:
 
 def instantiate(p: tuple, env: list) -> Compound:
     """The compound a pattern ``(ltype, ctor, subpatterns)`` denotes in
-    `env`: a subpattern that is an int is the term in that slot, a tuple
-    is instantiated in turn, a `First` is its slot's term or new variable
-    (`_allocate`), and anything else is a term as it is.  No
+    `env`: a subpattern that is an int is the term in that slot, its
+    variable made now if the slot still holds a number (`_fresh`, and
+    see the module docstring), a tuple is instantiated in turn, and
+    anything else is a term as it is.  No
     type check is needed: `make` checked every position when the
     template was built.  Post-order over an explicit stack.  Each
     subpattern object is built once, keyed by `id` (the pattern keeps
@@ -546,7 +554,8 @@ def instantiate(p: tuple, env: list) -> Compound:
             i += 1
             ts = type(s)
             if ts is int:
-                out.append(env[s])
+                t = env[s]
+                out.append(_fresh(env, s) if type(t) is int else t)
             elif ts is tuple:
                 k = id(s)
                 if k in built:
@@ -555,8 +564,6 @@ def instantiate(p: tuple, env: list) -> Compound:
                     frames.append((ltype, ctor, subs, i, out, k))
                     ltype, ctor, subs = s
                     i, out = 0, []
-            elif ts is First:
-                out.append(_allocate(s, env))
             else:
                 out.append(s)
             continue

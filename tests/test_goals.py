@@ -27,6 +27,7 @@ from typelog.prelude import (
     as_nat,
     as_term,
     cons,
+    is_suc,
     leq,
     list_of,
     map_p,
@@ -375,37 +376,34 @@ class TestPredicate:
         assert answers(g) == eager_answers(g) == [{"A": nat(1)}, {"A": suc(NAT.var("C"))}]
 
 
-def slot_exists(template):
-    """{slot: lazy} over the slot `Exists` of a compiled template."""
-    found, todo = {}, [template.root]
-    while todo:
-        node = todo.pop()
-        if type(node) is Exists:
-            found[node.slot] = node.lazy
-            todo.append(node.body)
-        elif type(node) in (Conj, Disj, CutThen):
-            todo += (node.g1, node.g2)
-        elif type(node) is Scope:
-            todo.append(node.g)
-    return found
+def engine_entries(goal):
+    """The engine-variable keys of each raw store `goal` answers with."""
+    return [[vid.name for vid in store if vid.name.startswith("_")]
+            for store in solve_stores(goal)]
 
 
 class TestFirstOccurrence:
-    """A slot first used in a `Unify`'s right pattern, with no choicepoint
-    between that could resume, is lazy: its first occurrence takes the
-    subterm it meets, and no variable is made or bound for it."""
+    """An `exists` slot holds a number until its first read.  Where
+    `unify` meets it with a compound, and no choicepoint pushed since its
+    `exists` is live, the slot takes that subterm: no variable is made
+    or bound for it.  Any other first read makes the slot's variable."""
 
     @pytest.mark.parametrize("goal", [
         plus(1, "B", 3), leq(1, 2), member("X", [1, 2]),
-        append_list("X", "Y", [1, 2]), map_p(leq, [1], "M"),
+        append_list([1], "Y", [1, 2]), map_p(leq, [1], [2]),
     ], ids=["plus", "leq", "member", "append_list", "map_p"])
     def test_prelude_slots_are_lazy(self, goal):
-        lazy = slot_exists(goal.template)
-        assert lazy and all(lazy.values())
+        # In read mode every slot of these predicates takes what it meets.
+        stores = engine_entries(goal)
+        assert stores and stores == [[]] * len(stores)
+        assert answers(goal) == eager_answers(goal)
 
     def test_a_call_argument_stays_eager(self):
-        [diff] = slot_exists(remainder(5, 2, "R").template).values()
-        assert not diff
+        # remainder's `diff` is read first as an argument of plus.
+        g = remainder(5, 2, "R")
+        [s] = solve_stores(g)
+        assert s.lookup(VarId("_6", NAT)) == nat(3)
+        assert answers(g) == eager_answers(g)
 
     @pytest.mark.parametrize("body", [
         lambda x, y: exists(NAT, lambda v: eq(suc(v), x)),
@@ -419,10 +417,13 @@ class TestFirstOccurrence:
     ], ids=["left pattern", "after a call", "after a disjunction", "under cut",
             "under scope", "left branch", "mentioned after a disjunction", "is_ground"])
     def test_eager_slots(self, body):
+        # Shapes where a compile-time rule could not prove a take safe:
+        # each takes or makes its variable as the run goes, and keeps
+        # the answers of the eager form.
         compiled = predicate(nats)(body)
-        g = compiled("A", 2)
-        assert slot_exists(g.template) == {2: False}
-        assert answers(g) == eager_answers(g)
+        for args in (("A", 2), (3, 2), (2, 3), ("A", 1)):
+            g = compiled(*args)
+            assert answers(g) == eager_answers(g)
 
     @pytest.mark.parametrize("body", [
         lambda x, y: exists(NAT, lambda v: eq(x, suc(v)) & eq(y, v)),
@@ -432,10 +433,32 @@ class TestFirstOccurrence:
     ], ids=["then used", "after a unify", "right branch", "nested"])
     def test_lazy_slots(self, body):
         compiled = predicate(nats)(body)
-        for args in ((3, 2), ("A", 1), (2, "B"), ("A", "B")):
+        for args in ((3, 2), (3, 0), ("A", 1), (2, "B"), ("A", "B")):
             g = compiled(*args)
-            assert all(slot_exists(g.template).values())
+            if type(args[0]) is int:  # x is met in read mode
+                assert all(keys == [] for keys in engine_entries(g))
             assert answers(g) == eager_answers(g)
+
+    def test_a_choicepoint_since_the_exists_stops_a_take(self):
+        # The disjunction's choicepoint is live when eq(x, suc(v)) first
+        # reads v: a take of 0 would survive into the second branch.
+        compiled = predicate(nats)(lambda x, y: exists(NAT, lambda v: (
+            (eq(x, nat(1)) | eq(x, nat(2))) & eq(x, suc(v)) & eq(y, v))))
+        g = compiled("A", "B")
+        assert answers(g) == eager_answers(g) == [
+            {"A": nat(1), "B": nat(0)}, {"A": nat(2), "B": nat(1)}]
+
+    @pytest.mark.parametrize("body, y", [
+        (lambda x, y: exists(NAT, lambda v: is_suc(y, x) & eq(x, suc(v))), 2),
+        (lambda x, y: exists(NAT, lambda v: (
+            (eq(y, zero()) | eq(y, suc(zero()))) ^ succeed()) & eq(x, suc(v))), 0),
+    ], ids=["after a deterministic call", "after a cut"])
+    def test_a_take_once_no_choicepoint_since_the_exists_is_live(self, body, y):
+        # The call pushes no choicepoint, and the cut removes the one the
+        # disjunction pushed, so v takes the 2 in x = 3: nothing is bound.
+        g = predicate(nats)(body)(3, y)
+        assert len(next(solve_stores(g))) == 0
+        assert answers(g) == eager_answers(g) == [{}]
 
     def test_read_mode_binds_no_engine_variable(self):
         # With a variable bound per slot, these stores held 40001 and 40000 entries.
@@ -473,8 +496,8 @@ class TestFirstOccurrence:
         five, forty = balanced(5), balanced(40)
         assert holds(five(full(5, leaf))) and holds(five(full(5, pair)))
         assert not holds(five(odd))
+        assert len(next(solve_stores(five(full(5, pair))))) == 0
         t = tree.var("T")
-        assert slot_exists(forty(t).template) == {1: True}
         [r] = find_all(t, forty(t))
         assert r == full(40, Var(VarId("_0", tree)))
         nodes, todo = set(), [r]

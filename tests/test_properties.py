@@ -644,16 +644,16 @@ def test_find_all_and_holds_match_copied_stores(goal):
 
 
 # Predicate bodies generated around the shapes that decide whether an
-# `exists` slot is lazy (its first use, a `terms.First`, takes what it
-# meets) or eager: nested `exists`, conjunctions whose left side does or
-# does not push a choicepoint, disjunctions with the slot used in either
-# branch or after, cut, scope, calls and groundness tests.  Run on ground,
-# partly bound and unbound arguments, the compiled body must behave as
-# its expanded form.  A shape is data: in its terms ("p", i) is parameter
-# i, ("v", i) the i-th variable in scope counted from the innermost, ("z",)
-# zero and ("s", t) the successor of t.  Left sides lean to the parameters
-# and right sides to the innermost variables, where a slot's first use
-# can be lazy.
+# `exists` slot takes what its first use meets or gets its variable (see
+# the `terms` module docstring): nested `exists`, conjunctions whose left
+# side does or does not push a choicepoint, disjunctions with the slot
+# used in either branch or after, cut, scope, calls and groundness
+# tests.  Run on ground, partly bound and unbound arguments, the compiled
+# body must behave as its expanded form.  A shape is data: in its terms
+# ("p", i) is parameter i, ("v", i) the i-th variable in scope counted
+# from the innermost, ("z",) zero and ("s", t) the successor of t.  Left
+# sides lean to the parameters and right sides to the innermost
+# variables, where a slot's first use can take.
 LEFT_TERMS = st.sampled_from([("p", 0), ("p", 1), ("s", ("p", 0)), ("v", 1)])
 RIGHT_TERMS = st.recursive(
     st.sampled_from([("v", 0), ("v", 0), ("v", 1), ("p", 0), ("p", 1), ("z",)]),

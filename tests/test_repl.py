@@ -180,6 +180,25 @@ class TestScriptMode:
         text = "plus(2, B, 3).\nplus(1, B, 4)."
         assert script(text, max_steps=5_000) == (0, "B = 1.\nB = 3.\n")
 
+    def test_literals_over_the_budget_are_not_built(self, monkeypatch):
+        # The numeral n is n nodes to build, so the budget bounds the sum
+        # of a query's integer literals, list elements included.
+        def build(n):
+            raise AssertionError(f"numeral {n} built")
+        monkeypatch.setattr(NAT, "from_int", build)
+        over = (2, "error: step budget exhausted.\n")
+        assert script("fail, isSuc(500000, X).", max_steps=10) == over
+        assert script("isSuc(6, X), isSuc(5, Y).", max_steps=10) == over
+        assert script("member(X, [6, 5]).", max_steps=10) == over
+        assert script("succeed.\nisSuc(11, X).\nsucceed.", max_steps=10) == (
+            2, "true.\nerror: step budget exhausted.\n")
+
+    def test_literals_that_fit_keep_the_whole_budget(self):
+        # 27 is the least budget plus(2, B, 3)'s search completes in.
+        assert script("plus(2, B, 3).", max_steps=27) == (0, "B = 1.\n")
+        assert script("plus(2, B, 3).", max_steps=26)[0] == 2
+        assert script("isSuc(10, X).", max_steps=10) == (0, "X = 11.\n")
+
     def test_deep_search_answers(self):
         assert script("plus(1000, X, 2000).") == (0, "X = 1000.\n")
 
@@ -248,6 +267,12 @@ class TestCli:
         f.write_text("plus(A, 1, C), fail.\n")
         assert main(["--script", str(f), "--max-steps", "200"]) == 2
 
+    def test_max_steps_bounds_integer_literals(self, tmp_path, capsys):
+        f = tmp_path / "queries.txt"
+        f.write_text("isSuc(500000, X).\n")
+        assert main(["--script", str(f), "--max-steps", "10"]) == 2
+        assert capsys.readouterr().out == "error: step budget exhausted.\n"
+
     def test_answer_deeper_than_recursion_limit(self, tmp_path, capsys):
         f = tmp_path / "queries.txt"
         f.write_text("plus(2000, A, C).\n")
@@ -291,6 +316,10 @@ class TestInteractive:
         out = self.run("bad(.\nsucceed.\n:q\n", quiet=True)
         assert "parse error" in out
         assert "true." in out
+
+    def test_literals_over_the_budget_recoverable(self):
+        out = self.run("isSuc(500000, X).\nisSuc(1, X).\n:q\n", quiet=True, max_steps=10)
+        assert out == "?- error: step budget exhausted.\n?- X = 2.\n?- "
 
     def test_eof_terminates(self):
         assert self.run("", quiet=True) == "?- "

@@ -12,7 +12,6 @@ from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
     Compound,
-    First,
     LogicError,
     TypeMismatchError,
     Var,
@@ -230,55 +229,74 @@ class TestPatterns:
 
 
 class TestFirstOccurrence:
-    """A `First` subpattern: the first occurrence of a slot whose variable
-    is not allocated yet; the slot holds the number of its name."""
+    """A slot that still holds the number n of its `exists`: its first
+    read makes the variable ``_n``, typed by the list that ends the
+    environment, unless `unify` meets it with a compound and takes that."""
 
     def test_read_mode_takes_the_subterm_and_binds_nothing(self):
-        three, env = nat(3), [7]
-        assert unify(three, (NAT, "suc", (First(NAT, 0),)), EMPTY_STORE, env) is EMPTY_STORE
+        three, env = nat(3), [7, [NAT]]
+        assert unify(three, (NAT, "suc", (0,)), EMPTY_STORE, env) is EMPTY_STORE
         assert env[0] is three.args[0]
+        env = [7, [NAT]]
+        assert unify(three, 0, EMPTY_STORE, env) is EMPTY_STORE and env[0] is three
 
     def test_unbound_variable_gets_the_numbered_variable(self):
         fresh = Var(VarId("_7", NAT))
-        env = [7]
-        s = unify(suc(X), (NAT, "suc", (First(NAT, 0),)), EMPTY_STORE, env)
+        env = [7, [NAT]]
+        s = unify(suc(X), (NAT, "suc", (0,)), EMPTY_STORE, env)
         assert env[0] == fresh and list(s.items()) == [(X.vid, fresh)]
-        env = [7]
-        s = unify(X, First(NAT, 0), EMPTY_STORE, env)
+        env = [7, [NAT]]
+        s = unify(X, 0, EMPTY_STORE, env)
         assert env[0] == fresh and list(s.items()) == [(X.vid, fresh)]
 
     def test_write_mode_allocates_it(self):
-        env = [7]
-        s = unify(X, (NAT, "suc", (First(NAT, 0),)), EMPTY_STORE, env)
+        env = [7, [NAT]]
+        s = unify(X, (NAT, "suc", (0,)), EMPTY_STORE, env)
         assert env[0] == Var(VarId("_7", NAT))
         assert list(s.items()) == [(X.vid, suc(env[0]))]
-        env = [7, nil(NAT_LIST)]
-        t = terms.instantiate((NAT_LIST, "cons", (First(NAT, 0), 1)), env)
+        env = [7, nil(NAT_LIST), [NAT, NAT_LIST]]
+        t = terms.instantiate((NAT_LIST, "cons", (0, 1)), env)
         assert t == cons(Var(VarId("_7", NAT)), nil(NAT_LIST)) and t.args[0] is env[0]
 
     def test_later_occurrences_read_the_slot(self):
-        p = (NAT_LIST, "cons", (First(NAT, 0), (NAT_LIST, "cons", (0, 1))))
-        assert unify(nat_list([2, 2]), p, EMPTY_STORE, [7, nil(NAT_LIST)]) is EMPTY_STORE
-        assert unify(nat_list([2, 3]), p, EMPTY_STORE, [7, nil(NAT_LIST)]) is None
-        s = unify(nat_list([X, 2]), p, EMPTY_STORE, [7, nil(NAT_LIST)])
+        p = (NAT_LIST, "cons", (0, (NAT_LIST, "cons", (0, 1))))
+
+        def env():
+            return [7, nil(NAT_LIST), [NAT, NAT_LIST]]
+        assert unify(nat_list([2, 2]), p, EMPTY_STORE, env()) is EMPTY_STORE
+        assert unify(nat_list([2, 3]), p, EMPTY_STORE, env()) is None
+        s = unify(nat_list([X, 2]), p, EMPTY_STORE, env())
         assert list(s.items()) == [(X.vid, Var(VarId("_7", NAT))), (VarId("_7", NAT), nat(2))]
 
     def test_a_slot_that_holds_a_term_is_read(self):
-        # Set by an eager `Exists` or by an earlier `First`, the slot is
-        # read as a plain index would read it, and keeps its term.
-        p = (NAT, "suc", (First(NAT, 0),))
+        # Once it holds a variable or a taken term, the slot is read as
+        # an argument's slot is, and keeps its term.
+        p = (NAT, "suc", (0,))
         two = nat(2)
         env = [two]
         assert unify(nat(3), p, EMPTY_STORE, env) is EMPTY_STORE and env[0] is two
         assert unify(nat(3), p, EMPTY_STORE, [nat(1)]) is None
         assert list(unify(suc(X), p, EMPTY_STORE, env).items()) == [(X.vid, two)]
-        assert list(unify(X, First(NAT, 0), EMPTY_STORE, env).items()) == [(X.vid, two)]
+        assert list(unify(X, 0, EMPTY_STORE, env).items()) == [(X.vid, two)]
         assert list(unify(nat(3), p, EMPTY_STORE, [Y]).items()) == [(Y.vid, two)]
         assert terms.instantiate(p, env) == nat(3) and env == [two]
 
+    def test_a_take_needs_the_exists_at_or_after_the_fence(self):
+        # A search store's fence is the counter value when its newest live
+        # choicepoint was pushed: a slot numbered below it makes its variable.
+        p = (NAT, "suc", (0,))
+        for n, fence in ((7, 8), (8, 8), (7, 0)):
+            store, env = terms._SearchStore(), [n, [NAT]]
+            store.fence = fence
+            assert unify(nat(3), p, store, env) is store
+            if n < fence:
+                assert list(store.items()) == [(VarId("_7", NAT), nat(2))]
+            else:
+                assert len(store) == 0 and env[0] == nat(2)
+
     def test_first_in_unify_order(self):
-        # Slots: x 0, y 1, then v 2 and w 3.  The first occurrence of each
-        # `exists` slot that the left side does not mention is a `First`.
+        # Slots: x 0, y 1, then v 2 and w 3.  A pattern names each slot by
+        # its index; the occurrence `unify` meets first takes.
         @predicate(lambda x, y: ((), (as_term(x, NAT_LIST), as_term(y, NAT))))
         def body(x, y):
             return exists(NAT, lambda v: exists(NAT_LIST, lambda w: eq(
@@ -286,8 +304,16 @@ class TestFirstOccurrence:
 
         [u] = unifies(body("X", 1).template)
         assert u.right == (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (
-            First(NAT, 2), (NAT_LIST, "cons", (2, First(NAT_LIST, 3)))))))
-        assert type(u.right[2][1][2][1][2][0]) is int
+            2, (NAT_LIST, "cons", (2, 3))))))
+        types = [NAT_LIST, NAT, NAT, NAT_LIST]
+
+        def env():
+            return [None, nat(1), 5, 6, types]
+        e = env()
+        xs = nat_list([1, 2, 2, 3])
+        assert unify(xs, u.right, EMPTY_STORE, e) is EMPTY_STORE
+        assert e[2] is xs.args[1].args[0] and e[3] is xs.args[1].args[1].args[1]
+        assert unify(nat_list([1, 2, 3, 3]), u.right, EMPTY_STORE, env()) is None
 
         @predicate(lambda x, y: ((), (as_term(x, NAT_LIST), as_term(y, NAT))))
         def mentioned(x, y):
@@ -295,14 +321,15 @@ class TestFirstOccurrence:
                 cons(v, x), cons(w, cons(v, x)))))
 
         [u] = unifies(mentioned("X", 1).template)
-        assert u.right == (NAT_LIST, "cons", (First(NAT, 3), (NAT_LIST, "cons", (2, 0))))
+        assert u.left == (NAT_LIST, "cons", (2, 0))
+        assert u.right == (NAT_LIST, "cons", (3, (NAT_LIST, "cons", (2, 0))))
 
         @predicate(lambda y: ((), (as_term(y, NAT),)))
         def whole(y):
             return exists(NAT, lambda v: eq(y, v))
 
         [u] = unifies(whole(1).template)
-        assert u.right == First(NAT, 1)
+        assert u.right == 1
 
     def test_first_in_a_shared_subpattern(self):
         tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
@@ -316,14 +343,14 @@ class TestFirstOccurrence:
 
         [u] = unifies(body(tree.var("T")).template)
         s, s2 = u.right[2]
-        assert s is s2 and s == (tree, "node", (First(tree, 1), 1))
+        assert s is s2 and s == (tree, "node", (1, 1))
         leaf = tree.make("leaf")
         pair = tree.make("node", leaf, leaf)
-        env = [None, 5]
+        env = [None, 5, [tree, tree]]
         assert unify(tree.make("node", pair, pair), u.right, EMPTY_STORE, env) is EMPTY_STORE
         assert env[1] is leaf
         odd = tree.make("node", pair, tree.make("node", leaf, pair))
-        assert unify(odd, u.right, EMPTY_STORE, [None, 5]) is None
+        assert unify(odd, u.right, EMPTY_STORE, [None, 5, [tree, tree]]) is None
 
 
 def unifies(template):
