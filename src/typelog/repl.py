@@ -94,6 +94,7 @@ _TOKEN_RE = re.compile(
     | (?P<var>[A-Z][A-Za-z0-9_]*|_(?![A-Za-z0-9_]))
     | (?P<int>\d+)
     | (?P<punct>\\\+|[(),;.\[\]|])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -108,14 +109,12 @@ class _Token:
 
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise QueryParseError(f"unexpected character {text[i]!r}", i + 1)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), i + 1))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):  # every character is in some match
+        kind = m.lastgroup
+        if kind == "bad":
+            raise QueryParseError(f"unexpected character {m.group()!r}", m.start() + 1)
+        if kind != "ws":
+            tokens.append(_Token(kind, m.group(), m.start() + 1))
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
@@ -209,36 +208,36 @@ class _QueryParser:
 
     def _parse_raw_term(self):
         # Lists nest over an explicit stack of open lists, each an
-        # [elements, in the tail, position] frame.
+        # [elements, in the tail] frame.
         open_lists = []
         while True:
             tok = self.take()
             if tok.kind == "var":
-                term = ("var", tok.text, tok.pos)
+                term = ("var", tok.text)
             elif tok.kind == "int":
                 try:
-                    term = ("int", int(tok.text), tok.pos)
+                    term = ("int", int(tok.text))
                 except ValueError:
                     raise QueryParseError(
                         f"integer literal of {len(tok.text)} digits is too long", tok.pos
                     ) from None
             elif tok.kind == "punct" and tok.text == "[":
                 if not self.at("]"):
-                    open_lists.append([[], False, tok.pos])
+                    open_lists.append([[], False])
                     continue
                 self.take()
-                term = ("list", [], None, tok.pos)
+                term = ("list", [], None)
             else:
                 shown = tok.text if tok.kind != "end" else "end of input"
                 raise QueryParseError(f"expected a term, found {shown!r}", tok.pos)
             # `term` is complete: it ends elements and tails of open lists
             # until one of them continues with "," or "|".
             while open_lists:
-                elems, in_tail, pos = open_lists[-1]
+                elems, in_tail = open_lists[-1]
                 if in_tail:
                     self.expect("]")
                     open_lists.pop()
-                    term = ("list", elems, term, pos)
+                    term = ("list", elems, term)
                     continue
                 elems.append(term)
                 if self.at(","):
@@ -250,7 +249,7 @@ class _QueryParser:
                     break
                 self.expect("]")
                 open_lists.pop()
-                term = ("list", elems, None, pos)
+                term = ("list", elems, None)
             else:
                 return term
 
@@ -278,25 +277,23 @@ class _QueryParser:
             if ltype.from_int is None:
                 raise QueryTypeError(f"expected {ltype.name}, got integer {raw[1]}")
             return ltype.from_int(raw[1])
-        if kind == "list":
-            if ltype.element is None:
-                raise QueryTypeError(f"expected {ltype.name}, got a list")
-            # Elements left to right, then the tail: first-occurrence order.
-            # A tail that is a list literal continues the same cons chain.
-            # An integer element is left to make_list, which builds large
-            # numerals in one pass.
-            built = []
-            ints = ltype.element.from_int is not None
-            while True:
-                _, elems, tail, _pos = raw
-                built.extend(e[1] if ints and e[0] == "int" else self._build_term(e, ltype.element)
-                             for e in elems)
-                if tail is None or tail[0] != "list":
-                    break
-                raw = tail
-            tail_term = None if tail is None else self._build_term(tail, ltype)
-            return prelude.make_list(built, ltype, tail_term)
-        raise QueryTypeError(f"cannot type term {raw!r} as {ltype.name}")
+        if ltype.element is None:  # a raw term is a var, an int or a list
+            raise QueryTypeError(f"expected {ltype.name}, got a list")
+        # Elements left to right, then the tail: first-occurrence order.
+        # A tail that is a list literal continues the same cons chain.
+        # An integer element is left to make_list, which builds large
+        # numerals in one pass.
+        built = []
+        ints = ltype.element.from_int is not None
+        while True:
+            _, elems, tail = raw
+            built.extend(e[1] if ints and e[0] == "int" else self._build_term(e, ltype.element)
+                         for e in elems)
+            if tail is None or tail[0] != "list":
+                break
+            raw = tail
+        tail_term = None if tail is None else self._build_term(tail, ltype)
+        return prelude.make_list(built, ltype, tail_term)
 
 
 def parse_term(text: str, ltype: LogicType) -> Term:
@@ -409,23 +406,19 @@ def _run_query(goal: Goal, qvars: List[VarId], want_next: Callable[[], bool],
         if sol is None:
             emit("false.")
             return _OK
-        line = format_solution(sol, qvars)
-        if line is None:
-            emit("true.")
-            return _OK
         while True:
-            lookahead = next(stream, None)
-            if lookahead is None:
+            line = format_solution(sol, qvars)
+            if line is None:
+                emit("true.")
+                return _OK
+            sol = next(stream, None)
+            if sol is None:
                 emit(line + ".")
                 return _OK
             if not want_next():
                 emit(line)
                 return _OK
             emit(line + " ;")
-            line = format_solution(lookahead, qvars)
-            if line is None:
-                emit("true.")
-                return _OK
     except StepBudgetExceeded:
         emit(_EXHAUSTED)
         return _BUDGET
@@ -445,19 +438,19 @@ def _run_transcript(text: str, registry: Optional[PredicateRegistry],
         out.write(line + "\n")
 
     i = 0
+
+    def want_next() -> bool:
+        nonlocal i
+        if i < len(lines) and lines[i] == "NEXT":
+            i += 1
+            return True
+        return False
+
     while i < len(lines):
         line = lines[i]
         i += 1
         if not line or line == "NEXT":
             continue
-
-        def want_next() -> bool:
-            nonlocal i
-            if i < len(lines) and lines[i] == "NEXT":
-                i += 1
-                return True
-            return False
-
         status = _run_line(line, registry, want_next, emit, max_steps)
         if status != _OK:
             return status

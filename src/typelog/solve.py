@@ -26,6 +26,10 @@ and each choicepoint saves and replaces the store's `fence`, as the
 `terms` module docstring describes with slots and takes.  Answers,
 names and counters are those of an eager `Exists`.
 
+A `Call` costs no step.  Under a step budget a run of step-free `Call`s
+is bounded too (see `_search`), so a budgeted search ends even when it
+loops through a function argument.
+
 A Scope sets the barrier to the height of the choicepoint stack; a cut
 truncates the stack to the barrier of its scope, discarding every
 alternative opened since the scope was entered.  Answers are yielded as
@@ -99,12 +103,17 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     the search.  Every goal node evaluated is one step against
     `max_steps`, except a `Call`, which is none: a predicate costs the
     steps its body's nodes cost, as if its goal tree were built in place.
+    Under a budget, a run of step-free `Call`s of function arguments and
+    uncompiled bodies is bounded too: more than `max_steps` of them with
+    no step between raise `StepBudgetExceeded`.  Such a run is the only
+    loop without steps, since `goals` rejects one made of templates alone.
     A continuation frame whose goal is None is the cut of a CutThen; it
     costs no step.  The frequent node types are tested first.
     """
     Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
     new_tuple = tuple.__new__  # skips VarId's Python-level __new__
     counter = steps = 0
+    run = run_at = 0  # step-free Calls of a function or body since step `run_at`
     store = _SearchStore()
     bindings = store._bindings
     barrier = low = 0
@@ -164,13 +173,21 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                     new.append(a)
                 template = goal.template
                 if type(template) is int:  # a function argument builds its goal
-                    goal = env[template](*new)
+                    build = env[template]
                 elif template.root is None:  # a body that is not compiled
-                    goal = template.body(*new)
+                    build = template.body
                 else:
                     new += template.pad
                     env = new
                     goal = template.root
+                    continue
+                if max_steps is not None:  # bound a run of step-free Calls
+                    if run_at != steps:
+                        run_at, run = steps, 0
+                    run += 1
+                    if run > max_steps:
+                        raise StepBudgetExceeded(f"step budget of {max_steps} exhausted")
+                goal = build(*new)
                 continue
             elif t is g.CutThen:
                 cont = (None, barrier, env, (goal.g2, barrier, env, cont))

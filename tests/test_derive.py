@@ -205,3 +205,9 @@ class TestAgainstHandWritten:
             assert cap.pretty(t) == ref.list_pretty_prefix(t)
         for a, b in _pairs(compounds):
             assert cap.unify_step(a, b, EMPTY_STORE) == ref.list_unify_step(a, b, EMPTY_STORE)
+
+
+class TestRegistryLookup:
+    def test_unknown_type_name(self):
+        with pytest.raises(DeriveError, match="unknown logical type 'nope'"):
+            TypeRegistry().get("nope")

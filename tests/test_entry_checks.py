@@ -4,7 +4,8 @@ the search: each public entry still rejects ill-typed input."""
 import pytest
 
 from typelog import goals
-from typelog.prelude import NAT, NAT_LIST, as_term, nat, nat_list, zero
+from typelog.derive import TypeRegistry
+from typelog.prelude import NAT, NAT_LIST, as_term, member, nat, nat_list, zero
 from typelog.repl import default_registry, run_script_text
 from typelog.solve import solve
 from typelog.terms import (
@@ -58,3 +59,17 @@ def test_instance_of_a_goal_node_subclass_is_not_a_goal():
 
     with pytest.raises(LogicError, match="not a goal"):
         list(solve(Always()))
+
+
+UNCONVERTIBLE = {
+    "a bool": lambda: as_term(True, NAT),
+    "an int at a type without numerals": lambda: as_term(1, TypeRegistry().declare("e", [("e", [])])),
+    "an object": lambda: as_term(object(), NAT),
+    "a nat where a list is due": lambda: member(1, nat(2)),
+}
+
+
+@pytest.mark.parametrize("entry", UNCONVERTIBLE.values(), ids=UNCONVERTIBLE.keys())
+def test_boundary_rejects_what_it_cannot_convert(entry):
+    with pytest.raises(TypeMismatchError):
+        entry()

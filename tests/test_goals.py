@@ -507,3 +507,37 @@ class TestFirstOccurrence:
                 nodes.add(id(n))
                 todo += n.args
         assert len(nodes) < 2 * 40
+
+
+class TestCompiledBodyPaths:
+    def test_body_that_mentions_an_outside_user_variable(self):
+        y = NAT.var("Y")
+
+        @predicate(nats)
+        def one_past_y(x):
+            return eq(x, suc(y))
+
+        g = one_past_y(3)
+        assert answers(g) == eager_answers(g) == [{"Y": nat(2)}]
+        assert one_past_y.templates[NAT].root is not None
+
+    def test_body_defining_a_predicate_over_its_own_variables(self):
+        @predicate(nats)
+        def outer(x):
+            @predicate(nats)
+            def inner(z):
+                return eq(z, x)
+
+            return inner(zero())
+
+        with pytest.raises(LogicError, match="refers to a variable of an enclosing predicate's body"):
+            outer(1)
+        assert outer.templates == {}
+
+    def test_body_that_returns_no_goal(self):
+        @predicate(nats)
+        def answer(x):
+            return 42
+
+        with pytest.raises(LogicError, match="not a goal: 42"):
+            answer(1)

@@ -5,7 +5,7 @@ import pytest
 
 from typelog.cli import main
 from typelog.goals import Conj, Disj
-from typelog.prelude import NAT, NAT_LIST, nat, nat_list
+from typelog.prelude import NAT, NAT_LIST, nat, nat_list, plus
 from typelog.repl import (
     QueryParseError,
     QueryTypeError,
@@ -15,7 +15,7 @@ from typelog.repl import (
     repl,
     run_script_text,
 )
-from typelog.terms import Var, VarId
+from typelog.terms import LogicError, Var, VarId
 
 
 REG = default_registry()
@@ -323,3 +323,39 @@ class TestInteractive:
 
     def test_eof_terminates(self):
         assert self.run("", quiet=True) == "?- "
+
+
+class TestOnePath:
+    def test_later_answer_that_binds_nothing_prints_true(self):
+        assert script("plus(X, 0, 0) ; succeed.\nNEXT") == (0, "X = 0 ;\ntrue.\n")
+        assert script("plus(X, 0, 0) ; succeed.") == (0, "X = 0\n")
+
+    def test_unexpected_character_reports_its_column(self):
+        assert script("plus(1,\t?, 2).") == (1, "parse error at column 9: unexpected character '?'\n")
+        assert script("isSuc(_a, X).") == (1, "parse error at column 7: unexpected character '_'\n")
+
+    @pytest.mark.parametrize("query, error", [
+        ("isHead(1, X).", "type error: isHead/2 argument 1: expected list(nat), got integer 1"),
+        ("plus(1, X, 2). x", "parse error at column 16: unexpected input after '.': 'x'"),
+        ("\\+ .", "parse error at column 4: expected a predicate name, found '.'"),
+    ])
+    def test_error_is_one_line_and_exit_1(self, query, error):
+        assert script(query + "\nsucceed.") == (1, error + "\n")
+
+    def test_registering_a_predicate_twice(self):
+        with pytest.raises(LogicError, match="plus/3 already registered"):
+            default_registry().register("plus", [NAT, NAT, NAT], plus)
+
+
+class TestInteractivePrompts:
+    def run(self, input_text):
+        out = io.StringIO()
+        repl(REG, stdin=io.StringIO(input_text), stdout=out, quiet=True)
+        return out.getvalue()
+
+    def test_other_answer_prompts_again(self):
+        assert self.run("leq(X, 1).\nyes\n;\n:q\n") == (
+            "?- type ';' for the next solution or '.' to stop\nX = 0 ;\nX = 1.\n?- ")
+
+    def test_blank_query_line_is_skipped(self):
+        assert self.run("\n  \nsucceed.\n:q\n") == "?- ?- ?- true.\n?- "

@@ -1,11 +1,13 @@
 import itertools
+import time
 
 import pytest
 
-from typelog.goals import eq, fail_goal, neg, scope, succeed
+from typelog.goals import eq, fail_goal, neg, predicate, scope, succeed
 from typelog.prelude import (
     NAT,
     append_list,
+    as_nat,
     is_head,
     is_suc,
     is_tail,
@@ -18,6 +20,7 @@ from typelog.prelude import (
     not_member,
     nat_list,
     nat_value,
+    nats,
     plus,
     remainder,
     sorted_nat,
@@ -246,3 +249,56 @@ class TestSearchStore:
         assert calls == []
         EMPTY_STORE.bind(X.vid, nat(1))
         assert calls == [X.vid]
+
+
+class TestFindAllN:
+    def test_rejects_non_variable(self):
+        with pytest.raises(TypeError):
+            find_all_n(nat(1), succeed(), 1)
+
+
+@predicate(lambda f, x: ((), (f, as_nat(x))))
+def apply(f, x):
+    """`f` on `x`: a template whose root calls a function argument."""
+    return f(x)
+
+
+def apply_self(x):
+    return apply(apply_self, x)
+
+
+def nested(k):
+    """A function that reaches `eq(x, 1)` through k calls of `apply`:
+    k + 1 function Calls with no step between."""
+    f = lambda x: eq(x, nat(1))
+    for _ in range(k):
+        f = (lambda inner: lambda x: apply(inner, x))(f)
+    return f
+
+
+class TestStepFreeCalls:
+    """A `Call` costs no step, so a loop of Calls takes none.  Under a
+    budget, more Calls of functions or uncompiled bodies in a row than
+    the budget exhaust it; without one, such a search diverges."""
+
+    def test_loop_through_a_function_argument_exhausts_the_budget(self):
+        start = time.perf_counter()
+        with pytest.raises(StepBudgetExceeded, match="step budget of 1000 exhausted"):
+            holds(apply(apply_self, 1), max_steps=1000)
+        assert time.perf_counter() - start < 1
+
+    def test_loop_through_an_uncompiled_body_exhausts_the_budget(self):
+        @predicate(nats)
+        def spin(x):
+            return apply(lambda y: spin(y), x)  # the lambda refers to spin
+
+        with pytest.raises(StepBudgetExceeded):
+            holds(spin(1), max_steps=1000)
+        assert spin.templates[NAT].root is None
+
+    def test_a_run_as_long_as_the_budget_completes(self):
+        assert holds(apply(nested(9), 1), max_steps=10)
+        with pytest.raises(StepBudgetExceeded):
+            holds(apply(nested(10), 1), max_steps=10)
+        assert holds(apply(nested(2000), 1))
+        assert not holds(apply(nested(2000), 2))
