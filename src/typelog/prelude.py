@@ -171,7 +171,10 @@ def as_term(x: TermLike, ltype: LogicType) -> Term:
     if isinstance(x, int):
         if ltype.from_int is None:
             raise TypeMismatchError(f"{ltype.name} has no numeral encoding")
-        return ltype.from_int(x)
+        try:
+            return ltype.from_int(x)
+        except ValueError:  # an int outside the encoding, such as -1 for nat
+            raise TypeMismatchError(f"cannot interpret {x!r} as a {ltype.name} term") from None
     if isinstance(x, (list, tuple)):
         return make_list(x, ltype)
     raise TypeMismatchError(f"cannot interpret {x!r} as a {ltype.name} term")

@@ -307,11 +307,28 @@ def parse_term(text: str, ltype: LogicType) -> Term:
     return parser._build_term(raw, ltype)
 
 
-def compile_query(text: str, registry: PredicateRegistry) -> Tuple[Goal, List[VarId]]:
+def compile_query(text: str, registry: PredicateRegistry,
+                  max_steps: Optional[int] = None) -> Tuple[Goal, List[VarId]]:
     """Parse and type-check one query; returns the goal plus the user
     variables in first-occurrence order.  A name stands for one variable
-    of one type: a name used at two types is a `QueryTypeError`."""
+    of one type: a name used at two types is a `QueryTypeError`.
+
+    With `max_steps`, integer literals that sum to more than it raise
+    `StepBudgetExceeded` before the query is parsed: the numeral n is n
+    nodes to build, so the budget bounds them too.  A literal too long
+    to read is left to the parser, which reports it."""
     parser = _QueryParser(text, registry)
+    if max_steps is not None:
+        total = 0
+        for tok in parser.tokens:
+            if tok.kind == "int":
+                try:
+                    total += int(tok.text)
+                except ValueError:
+                    pass
+        if total > max_steps:
+            raise StepBudgetExceeded(
+                f"integer literals sum to {total}, over the step budget of {max_steps}")
     goal = parser.parse_query()
     return goal, list(parser.qvars.values())
 
@@ -360,66 +377,38 @@ _BUDGET = 2
 _EXHAUSTED = "error: step budget exhausted."
 
 
-def _literals_exceed(text: str, max_steps: Optional[int]) -> bool:
-    """Whether the integer literals of query `text` sum to more than
-    `max_steps`: the numeral n is n nodes to build, so the budget bounds
-    them too.  A literal too long to read is left to the parser."""
-    if max_steps is None:
-        return False
-    total = 0
-    for tok in _tokenize(text):
-        if tok.kind == "int":
-            try:
-                total += int(tok.text)
-            except ValueError:
-                pass
-    return total > max_steps
-
-
 def _run_line(line: str, registry: PredicateRegistry, want_next: Callable[[], bool],
-              emit: Callable[[str], None], max_steps: Optional[int]) -> int:
-    """Compile and run one query line, printing a parse or type error or
-    a budget overrun as one line; returns the line's exit status."""
+              emit: Callable[..., None], max_steps: Optional[int]) -> int:
+    """Compile and run one query line and print its answers: "false.",
+    "true.", or each answer's bindings as soon as the answer is found.
+
+    An answer's terminator follows the search for the next answer: "."
+    when none is left, " ;" when the next was requested, nothing when the
+    user stopped.  A parse or type error or a budget overrun is one more
+    line; returns the line's exit status."""
+    open_line = False  # bindings printed, terminator not yet
     try:
-        if _literals_exceed(line, max_steps):
-            emit(_EXHAUSTED)
-            return _BUDGET
-        goal, qvars = compile_query(line, registry)
+        goal, qvars = compile_query(line, registry, max_steps)
+        for sol in solve(goal, max_steps=max_steps):
+            if open_line:
+                if not want_next():
+                    emit("")
+                    return _OK
+                emit(" ;")
+            shown = format_solution(sol, qvars)
+            if shown is None:
+                emit("true.")
+                return _OK
+            emit(shown, end="")
+            open_line = True
+        emit("." if open_line else "false.")
+        return _OK
     except (QueryParseError, QueryTypeError) as err:
         emit(str(err))
         return _ERROR
-    return _run_query(goal, qvars, want_next, emit, max_steps)
-
-
-def _run_query(goal: Goal, qvars: List[VarId], want_next: Callable[[], bool],
-               emit: Callable[[str], None], max_steps: Optional[int]) -> int:
-    """Drive one query: print "false.", "true.", or binding lines.
-
-    After a solution with bindings, the terminator depends on what
-    happens next: "." when the stream is exhausted, " ;" when the next
-    solution was requested, nothing when the user stopped.  Knowing a
-    solution is the last one requires searching ahead for another.
-    """
-    stream = solve(goal, max_steps=max_steps)
-    try:
-        sol = next(stream, None)
-        if sol is None:
-            emit("false.")
-            return _OK
-        while True:
-            line = format_solution(sol, qvars)
-            if line is None:
-                emit("true.")
-                return _OK
-            sol = next(stream, None)
-            if sol is None:
-                emit(line + ".")
-                return _OK
-            if not want_next():
-                emit(line)
-                return _OK
-            emit(line + " ;")
     except StepBudgetExceeded:
+        if open_line:
+            emit("")
         emit(_EXHAUSTED)
         return _BUDGET
 
@@ -434,8 +423,8 @@ def _run_transcript(text: str, registry: Optional[PredicateRegistry],
     registry = registry or default_registry()
     lines = [ln.strip() for ln in text.splitlines()]
 
-    def emit(line: str) -> None:
-        out.write(line + "\n")
+    def emit(text: str, end: str = "\n") -> None:
+        out.write(text + end)
 
     i = 0
 
@@ -462,7 +451,7 @@ def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
     """Run a transcript: one query per line, a "NEXT" line requests the
     next solution of the preceding query.  Returns (exit_code, output).
     Exit codes: 0 clean, 1 parse/type error, 2 budget exhausted, by the
-    search or by the query's integer literals (see `_literals_exceed`)."""
+    search or by the query's integer literals (see `compile_query`)."""
     out = io.StringIO()
     code = _run_transcript(text, registry, max_steps, out)
     return code, out.getvalue()
@@ -495,8 +484,8 @@ def repl(registry: Optional[PredicateRegistry] = None,
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
 
-    def emit(line: str) -> None:
-        stdout.write(line + "\n")
+    def emit(text: str, end: str = "\n") -> None:
+        stdout.write(text + end)
         stdout.flush()
 
     def read(prompt: str) -> Optional[str]:
@@ -508,13 +497,15 @@ def repl(registry: Optional[PredicateRegistry] = None,
         return line.strip()
 
     def want_next() -> bool:
+        start = "\n"  # the answer's line is still open
         while True:
             answer = read("")
             if answer is None or answer == ".":
                 return False
             if answer == ";":
                 return True
-            emit("type ';' for the next solution or '.' to stop")
+            emit(start + "type ';' for the next solution or '.' to stop")
+            start = ""
 
     if not quiet:
         emit(_BANNER)

@@ -5,7 +5,7 @@ import pytest
 
 from typelog import goals
 from typelog.derive import TypeRegistry
-from typelog.prelude import NAT, NAT_LIST, as_term, member, nat, nat_list, zero
+from typelog.prelude import NAT, NAT_LIST, as_term, member, nat, nat_list, plus, zero
 from typelog.repl import default_registry, run_script_text
 from typelog.solve import solve
 from typelog.terms import (
@@ -66,6 +66,8 @@ UNCONVERTIBLE = {
     "an int at a type without numerals": lambda: as_term(1, TypeRegistry().declare("e", [("e", [])])),
     "an object": lambda: as_term(object(), NAT),
     "a nat where a list is due": lambda: member(1, nat(2)),
+    "a negative int": lambda: as_term(-1, NAT),
+    "a negative int in a predicate call": lambda: plus(-1, "B", 1),
 }
 
 

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from typelog import repl as repl_module
 from typelog.cli import main
 from typelog.goals import Conj, Disj
 from typelog.prelude import NAT, NAT_LIST, nat, nat_list, plus
@@ -15,6 +16,7 @@ from typelog.repl import (
     repl,
     run_script_text,
 )
+from typelog.solve import StepBudgetExceeded
 from typelog.terms import LogicError, Var, VarId
 
 
@@ -342,6 +344,30 @@ class TestOnePath:
     def test_error_is_one_line_and_exit_1(self, query, error):
         assert script(query + "\nsucceed.") == (1, error + "\n")
 
+    def test_answer_found_before_the_budget_ran_out_is_printed(self):
+        # The budget runs out in the search for a second answer.
+        assert script("append(L, L, L).", max_steps=3000) == (
+            2, "L = []\nerror: step budget exhausted.\n")
+
+    def test_compile_query_checks_the_literal_budget_first(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(NAT, "from_int", lambda n: built.append(n))
+        with pytest.raises(StepBudgetExceeded):
+            compile_query("isSuc(500000, X).", REG, max_steps=10)
+        assert built == []
+
+    def test_a_budgeted_line_is_tokenized_once(self, monkeypatch):
+        calls = []
+        tokenize = repl_module._tokenize
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+        monkeypatch.setattr(repl_module, "_tokenize", counting)
+        assert script("plus(1, X, 5).\nleq(X, 1).\nNEXT", max_steps=1000) == (
+            0, "X = 4.\nX = 0 ;\nX = 1.\n")
+        assert calls == ["plus(1, X, 5).", "leq(X, 1)."]
+
     def test_registering_a_predicate_twice(self):
         with pytest.raises(LogicError, match="plus/3 already registered"):
             default_registry().register("plus", [NAT, NAT, NAT], plus)
@@ -355,7 +381,19 @@ class TestInteractivePrompts:
 
     def test_other_answer_prompts_again(self):
         assert self.run("leq(X, 1).\nyes\n;\n:q\n") == (
-            "?- type ';' for the next solution or '.' to stop\nX = 0 ;\nX = 1.\n?- ")
+            "?- X = 0\ntype ';' for the next solution or '.' to stop\n ;\nX = 1.\n?- ")
+
+    def test_answer_shows_before_the_choice_is_read(self):
+        out = io.StringIO()
+        lines = ["leq(X, 1).\n", ";\n"]
+        shown = []  # stdout at each read
+
+        class RecordingStdin:
+            def readline(self):
+                shown.append(out.getvalue())
+                return lines.pop(0) if lines else ""
+        repl(REG, stdin=RecordingStdin(), stdout=out, quiet=True)
+        assert shown == ["?- ", "?- X = 0", "?- X = 0 ;\nX = 1.\n?- "]
 
     def test_blank_query_line_is_skipped(self):
         assert self.run("\n  \nsucceed.\n:q\n") == "?- ?- ?- true.\n?- "

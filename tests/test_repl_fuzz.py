@@ -3,7 +3,8 @@ signatures: integers, lists with `| T` tails, variables, `_`, `,`, `;`,
 `\\+` and NEXT lines, sometimes a name used at two types, and sometimes a
 line mutated or cut short.  Whatever the text, script mode reports
 through its exit codes and raises nothing, the CLI prints the same
-transcript, and every ground value printed parses back to its term."""
+transcript, and every ground value printed parses back to its term.
+Ground queries also count their answers against the eager reference."""
 
 import contextlib
 import io
@@ -16,11 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from typelog import cli, repl
-from typelog.repl import default_registry, parse_term, run_script_text
+from typelog.repl import compile_query, default_registry, parse_term, run_script_text
+from typelog.solve import solve
 from typelog.terms import EMPTY_STORE, is_ground_term
 
+from reference import eager_answers
+
 BUDGET = 3000
-SIGNATURES = sorted((spec.name, spec.arg_types) for spec in default_registry()._preds.values())
+REGISTRY = default_registry()
+SIGNATURES = sorted((spec.name, spec.arg_types) for spec in REGISTRY._preds.values())
 NAMES = {"nat": ["X", "Y", "N"], "list(nat)": ["L", "T", "Zs"]}
 ALL_NAMES = sorted(n for names in NAMES.values() for n in names)
 NOISE = "()[],;.|\\+_ XLab019?\t"
@@ -50,18 +55,27 @@ def terms(draw, ltype, depth=0):
     return text + "]"
 
 
+def ground_terms(ltype):
+    """Query text for a ground term of `ltype`: an integer 0-4, or a list
+    of up to three of them."""
+    small = st.integers(0, 4).map(str)
+    if ltype.element is None:
+        return small
+    return st.lists(small, max_size=3).map(lambda elems: "[" + ", ".join(elems) + "]")
+
+
 @st.composite
-def atoms(draw):
+def atoms(draw, term=terms):
     name, arg_types = draw(st.sampled_from(SIGNATURES))
     negations = "\\+ " * draw(st.sampled_from([0, 0, 1, 2]))
     if not arg_types:
         return negations + name
-    return f"{negations}{name}({', '.join(draw(terms(t)) for t in arg_types)})"
+    return f"{negations}{name}({', '.join(draw(term(t)) for t in arg_types)})"
 
 
 @st.composite
-def queries(draw):
-    first, *rest = draw(st.lists(atoms(), min_size=1, max_size=3))
+def queries(draw, atom_texts=atoms()):
+    first, *rest = draw(st.lists(atom_texts, min_size=1, max_size=3))
     for atom in rest:
         first += draw(st.sampled_from([", ", "; "])) + atom
     return first + "."
@@ -131,8 +145,6 @@ def test_fuzzed_scripts(text):
     assert (cli_code, cli_out) == (code, out)
     shown = [(sol, qvars, line) for sol, qvars, line in shown if line is not None]
     printed = {re.sub(r"(\.| ;)$", "", ln) for ln in out.splitlines()}
-    if code == 2 and shown and shown[-1][2] not in printed:
-        shown.pop()  # the budget ran out in the search for a next answer
     for sol, qvars, line in shown:
         assert line in printed
         parts = BINDING.split(line)
@@ -143,3 +155,13 @@ def test_fuzzed_scripts(text):
             value = sol.bindings[vid]
             if is_ground_term(value, EMPTY_STORE):
                 assert parse_term(value_text, vid.ltype) == value
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(queries(atoms(ground_terms)))
+def test_ground_queries_match_the_eager_reference(text):
+    goal, qvars = compile_query(text, REGISTRY)
+    assert qvars == []
+    count = sum(1 for _ in solve(goal))
+    assert count == len(eager_answers(goal))
+    assert run_script_text(text, REGISTRY) == (0, "true.\n" if count else "false.\n")
