@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .repl import DEFAULT_SCRIPT_BUDGET, default_registry, repl, run_script
+from .repl import DEFAULT_SCRIPT_BUDGET, repl, run_script
 
 
 def main(argv=None) -> int:
@@ -32,16 +32,15 @@ def main(argv=None) -> int:
                         help="suppress the startup banner")
     args = parser.parse_args(argv)
 
-    registry = default_registry()
     if args.script is not None:
         budget = args.max_steps if args.max_steps is not None else DEFAULT_SCRIPT_BUDGET
         try:
-            return run_script(args.script, registry, max_steps=budget)
+            return run_script(args.script, max_steps=budget)
         except (OSError, UnicodeDecodeError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 3
     try:
-        repl(registry, max_steps=args.max_steps, quiet=args.quiet)
+        repl(max_steps=args.max_steps, quiet=args.quiet)
     except KeyboardInterrupt:
         pass
     return 0

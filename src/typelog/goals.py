@@ -24,13 +24,13 @@ becomes a pattern (`terms.pattern`).  An argument that is not a term,
 such as a comparison function, is a slot too, and is called when the
 search reaches the call the body makes of it.  Calling the predicate
 converts the arguments and builds one `Call` node; the solver runs a
-`Call` by instantiating its argument patterns into a fresh environment
-and jumping to the template's root, so no goal node and no closure is
-built per unfolding (Warren, "An abstract Prolog instruction set", SRI
-TN 309, 1983, renames clause templates the same way).  An `exists`
-slot's variable is made only when a read needs it, and a slot may
-instead take the compound it meets: the `terms` module docstring says
-when.  The contract that makes compiling sound: a predicate's body may
+`Call` by reading its argument patterns into a fresh environment
+(`terms.terms_of`) and jumping to the template's root, so no goal node
+and no closure is built per unfolding (Warren, "An abstract Prolog
+instruction set", SRI TN 309, 1983, renames clause templates the same
+way).  An `exists` slot's variable is made only when a read needs it,
+and a slot may instead take the compound it meets: the `terms` module
+docstring says when.  The contract that makes compiling sound: a predicate's body may
 depend on its arguments' types, not on their values.  A body that
 cannot be compiled, such as one that calls a plain function recursing
 under `exists`, is run on each call instead.

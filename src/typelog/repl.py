@@ -377,21 +377,21 @@ _BUDGET = 2
 _EXHAUSTED = "error: step budget exhausted."
 
 
-def _run_line(line: str, registry: PredicateRegistry, want_next: Callable[[], bool],
+def _run_line(line: str, registry: PredicateRegistry, want_next: Callable[[str], bool],
               emit: Callable[..., None], max_steps: Optional[int]) -> int:
     """Compile and run one query line and print its answers: "false.",
     "true.", or each answer's bindings as soon as the answer is found.
 
     An answer's terminator follows the search for the next answer: "."
-    when none is left, " ;" when the next was requested, nothing when the
-    user stopped.  A parse or type error or a budget overrun is one more
-    line; returns the line's exit status."""
-    open_line = False  # bindings printed, terminator not yet
+    when none is left, " ;" when `want_next(bindings)` asked for it,
+    nothing when the user stopped.  A parse or type error or a budget
+    overrun is one more line; returns the line's exit status."""
+    shown = None  # the open answer's bindings: printed, terminator not yet
     try:
         goal, qvars = compile_query(line, registry, max_steps)
         for sol in solve(goal, max_steps=max_steps):
-            if open_line:
-                if not want_next():
+            if shown is not None:
+                if not want_next(shown):
                     emit("")
                     return _OK
                 emit(" ;")
@@ -400,14 +400,13 @@ def _run_line(line: str, registry: PredicateRegistry, want_next: Callable[[], bo
                 emit("true.")
                 return _OK
             emit(shown, end="")
-            open_line = True
-        emit("." if open_line else "false.")
+        emit("false." if shown is None else ".")
         return _OK
     except (QueryParseError, QueryTypeError) as err:
         emit(str(err))
         return _ERROR
     except StepBudgetExceeded:
-        if open_line:
+        if shown is not None:
             emit("")
         emit(_EXHAUSTED)
         return _BUDGET
@@ -428,7 +427,7 @@ def _run_transcript(text: str, registry: Optional[PredicateRegistry],
 
     i = 0
 
-    def want_next() -> bool:
+    def want_next(_shown: str) -> bool:
         nonlocal i
         if i < len(lines) and lines[i] == "NEXT":
             i += 1
@@ -458,14 +457,14 @@ def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
 
 
 def run_script(path: str, registry: Optional[PredicateRegistry] = None,
-               max_steps: Optional[int] = DEFAULT_SCRIPT_BUDGET,
-               stdout: Optional[TextIO] = None) -> int:
-    """Run the transcript in file `path`, writing each line to `stdout`
-    as it is produced, so an error that escapes a later query leaves the
-    answers of the earlier ones in place.  Returns the exit code."""
+               max_steps: Optional[int] = DEFAULT_SCRIPT_BUDGET) -> int:
+    """Run the transcript in file `path`, writing each line to
+    `sys.stdout` as it is produced, so an error that escapes a later
+    query leaves the answers of the earlier ones in place.  Returns the
+    exit code."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return _run_transcript(text, registry, max_steps, stdout or sys.stdout)
+    return _run_transcript(text, registry, max_steps, sys.stdout)
 
 
 # --- interactive mode -----------------------------------------------------
@@ -496,16 +495,16 @@ def repl(registry: Optional[PredicateRegistry] = None,
             return None
         return line.strip()
 
-    def want_next() -> bool:
-        start = "\n"  # the answer's line is still open
+    def want_next(shown: str) -> bool:
         while True:
             answer = read("")
             if answer is None or answer == ".":
                 return False
             if answer == ";":
                 return True
-            emit(start + "type ';' for the next solution or '.' to stop")
-            start = ""
+            # Shown again, so that the terminator follows the bindings.
+            emit("\ntype ';' for the next solution or '.' to stop")
+            emit(shown, end="")
 
     if not quiet:
         emit(_BANNER)

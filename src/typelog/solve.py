@@ -6,20 +6,23 @@ One loop runs every query.  It keeps a continuation, a linked list of
 choicepoint stack of (goal, barrier, env, mark, continuation) entries to
 resume on failure.  A conjunction pushes its right goal onto the
 continuation, a disjunction pushes its right goal as a choicepoint, and
-failure resumes the newest choicepoint.  A `Call` of a compiled
-predicate instantiates its argument patterns into a fresh environment
-`env` and continues at the template's root; in a template, a slot
-`Exists` stores its counter value in `env`, `Unify` hands its right
-pattern and `env` to `unify`, which matches the pattern in place and
-builds it only to bind a variable (see `terms.unify`), `IsGround`
-instantiates its pattern in `env` (`terms.instantiate`), and a `Call`
-of a function argument continues at the goal the function builds.  A
-`Call` of a body that could not be compiled continues at the goal the
-body builds on the call's arguments.  Frames and choicepoints keep the
-environment their goal runs in.  A slot is set in place, which is safe:
-within one call, a slot's `Exists` runs again only after backtracking
-to a choicepoint older than its last run, and that discards every frame
-and choicepoint that could read the old value.
+failure resumes the newest choicepoint.  The search keeps the
+environments and the term layer reads them: a `Call` of a compiled
+predicate builds a fresh environment `env`, its arguments' terms
+(`terms.terms_of`) followed by the template's `pad`, and continues at
+the template's root.  In a template, a slot `Exists` stores its counter
+value in `env`, and every goal hands its operands (slot indexes,
+patterns or terms) and `env` to `terms`: `Unify` to `unify`, which
+reads its left side and matches its right side in place, building it
+only to bind a variable (see `terms.unify`), and `IsGround` and a
+`Call`'s arguments to `terms_of`.  A `Call` of a function argument
+continues at the goal the function in its slot builds, and a `Call` of
+a body that could not be compiled at the goal the body builds on the
+call's arguments.  Frames and choicepoints keep the environment their
+goal runs in.  A slot is set in place, which is safe: within one call,
+a slot's `Exists` runs again only after backtracking to a choicepoint
+older than its last run, and that discards every frame and choicepoint
+that could read the old value.
 
 A slot `Exists` costs a step and a counter value but makes no variable,
 and each choicepoint saves and replaces the store's `fence`, as the
@@ -72,10 +75,9 @@ from .terms import (
     Var,
     VarId,
     _SearchStore,
-    _fresh,
-    instantiate,
     is_ground_term,
     resolve,
+    terms_of,
     unify,
 )
 
@@ -136,14 +138,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 goal = goal.g1
                 continue
             if t is Unify:
-                a = goal.left
-                if type(a) is int:
-                    a = env[a]
-                    if type(a) is int:
-                        a = _fresh(env, goal.left)
-                elif type(a) is tuple:
-                    a = instantiate(a, env)
-                ok = unify(a, goal.right, store, env) is not None
+                ok = unify(goal.left, goal.right, store, env) is not None
             elif t is Disj:
                 choices.append((goal.g2, barrier, env, len(bindings), cont, store.fence))
                 store.fence = counter
@@ -160,17 +155,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 continue
             elif t is Call:
                 steps -= 1  # a Call costs no step
-                new = []
-                for p in goal.args:
-                    if type(p) is int:
-                        a = env[p]
-                        if type(a) is int:
-                            a = _fresh(env, p)
-                    elif type(p) is tuple:
-                        a = instantiate(p, env)
-                    else:
-                        a = p
-                    new.append(a)
+                new = terms_of(goal.args, env)
                 template = goal.template
                 if type(template) is int:  # a function argument builds its goal
                     build = env[template]
@@ -202,14 +187,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
             elif t is g.Fail:
                 ok = False
             elif t is g.IsGround:
-                a = goal.term
-                if type(a) is int:
-                    a = env[a]
-                    if type(a) is int:
-                        a = _fresh(env, goal.term)
-                elif type(a) is tuple:
-                    a = instantiate(a, env)
-                ok = is_ground_term(a, store)
+                ok = is_ground_term(terms_of((goal.term,), env)[0], store)
             else:
                 raise LogicError(f"not a goal: {goal!r}")
         if ok:

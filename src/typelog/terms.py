@@ -16,15 +16,16 @@ work over `Compound.args`: one definition for every type.
 A compiled predicate (`goals.predicate`) holds its terms as patterns
 over an environment of slots: a slot index, a tuple ``(ltype, ctor,
 subpatterns)``, or a term that mentions no slot.  This module alone
-builds, reads and instantiates them: `pattern` turns a term into one,
-`instantiate` builds the compound a pattern denotes, and `unify` takes
-a pattern on its right side, as the WAM unifies a clause head with a
-call's argument (Aït-Kaci, "Warren's Abstract Machine: A Tutorial
-Reconstruction", 1991): a pattern met by a compound is matched in read
-mode, constructor against constructor and child against subpattern,
-building nothing; a pattern met by an unbound variable is matched in
-write mode, built only to be bound.  `pattern` and `instantiate` keep
-shared subterms shared, so their cost is linear in the distinct nodes.
+builds and reads them: `pattern` makes one, `instantiate` builds the
+compound a pattern denotes, `terms_of` reads a tuple of goal operands,
+and `unify` reads one on its left and takes one on its right, as the
+WAM unifies a clause head with a call's argument (Aït-Kaci, "Warren's
+Abstract Machine: A Tutorial Reconstruction", 1991): a pattern met by
+a compound is matched in read mode, constructor against constructor
+and child against subpattern, building nothing; a pattern met by an
+unbound variable is matched in write mode, built only to be bound.
+`pattern` and `instantiate` keep shared subterms shared, so their cost
+is linear in the distinct nodes.
 
 Slots, takes and the fence.  An environment holds a call's arguments,
 then one slot per `exists` of the body, then the list of the slots'
@@ -412,7 +413,7 @@ def _fresh(env: list, k: int) -> Var:
     return v
 
 
-def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Optional[BindingStore]:
+def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[BindingStore]:
     """Compute the least extension of `store` making `a` and `b` equal.
 
     Returns None on clash (constructor mismatch or occurs-check
@@ -445,7 +446,15 @@ def unify(a: Term, b, store: BindingStore, env: Optional[list] = None) -> Option
     variable (the module docstring says when and why).  The bindings
     of variables other than the slots' own are those made with each
     slot's variable made beforehand and bound to what it meets.
+
+    With `env`, `a` may be a slot index or a pattern too, read first, as
+    ``terms_of((a,), env)[0]``: a slot on the left never takes.
     """
+    if type(a) is int:  # a slot: its term, or its variable made now
+        t = env[a]
+        a = _fresh(env, a) if type(t) is int else t
+    elif type(a) is tuple:
+        a = instantiate(a, env)
     ta = a.vid.ltype if type(a) is Var else a.ltype
     if type(b) is int:
         t = env[b]
@@ -573,6 +582,19 @@ def instantiate(p: tuple, env: list) -> Compound:
         ltype, ctor, subs, i, out, k = frames.pop()
         built[k] = t
         out.append(t)
+
+
+def terms_of(operands: tuple, env: Optional[list]) -> list:
+    """The terms `operands` stand for in `env`, each read as
+    `instantiate` reads a subpattern.  One call reads a whole tuple."""
+    out = []
+    for p in operands:
+        if type(p) is int:
+            t = env[p]
+            out.append(_fresh(env, p) if type(t) is int else t)
+        else:
+            out.append(instantiate(p, env) if type(p) is tuple else p)
+    return out
 
 
 def unify_args(p: Compound, q: Compound, store: BindingStore) -> Optional[BindingStore]:

@@ -1,5 +1,10 @@
+import sys
+import threading
+import time
+
 import pytest
 
+from typelog import goals
 from typelog.derive import TypeRegistry
 from typelog.goals import (
     Call,
@@ -374,6 +379,41 @@ class TestPredicate:
 
         g = in_pair("A", 1, "C")
         assert answers(g) == eager_answers(g) == [{"A": nat(1)}, {"A": suc(NAT.var("C"))}]
+
+    def test_a_call_waiting_on_a_compilation_gets_its_template(self):
+        # The second thread finds no template when it calls, waits on the
+        # compile lock while the first compiles, then gets the published one.
+        compiling, release, ran = threading.Event(), threading.Event(), []
+
+        @predicate(nats)
+        def slow(x):
+            ran.append(x)
+            compiling.set()
+            release.wait(10)
+            return eq(x, zero())
+
+        results = {}
+
+        def query(name):
+            results[name] = holds(slow(0))
+
+        first = threading.Thread(target=query, args=("first",))
+        second = threading.Thread(target=query, args=("second",))
+        first.start()
+        try:
+            assert compiling.wait(10)
+            second.start()
+            deadline = time.monotonic() + 10
+            while sys._current_frames()[second.ident].f_code is not goals._template.__code__:
+                assert time.monotonic() < deadline, "the second call never reached the lock"
+                time.sleep(0.001)
+        finally:
+            release.set()
+            first.join(10)
+            if second.ident is not None:
+                second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+        assert results == {"first": True, "second": True} and len(ran) == 1
 
 
 def engine_entries(goal):

@@ -73,6 +73,7 @@ from typelog.terms import (
     occurs_in,
     pattern,
     resolve,
+    terms_of,
     unify,
     walk,
 )
@@ -201,16 +202,28 @@ def test_ground_results_are_variable_free(pair):
 
 
 NAT_SLOT_TERMS, LIST_SLOT_TERMS = nat_terms(3), list_terms(2)
-NAT_PATTERNS = st.recursive(
-    st.one_of(st.sampled_from([0, 1]), nat_terms(2)),
-    lambda sub: sub.map(lambda p: (NAT, "suc", (p,))),
-    max_leaves=4,
-)
-LIST_PATTERNS = st.recursive(
-    st.one_of(st.sampled_from([2, 3]), LIST_SLOT_TERMS),
-    lambda sub: st.tuples(NAT_PATTERNS, sub).map(lambda ps: (NAT_LIST, "cons", ps)),
-    max_leaves=4,
-)
+
+
+def nat_patterns(slots):
+    return st.recursive(
+        st.one_of(st.sampled_from(slots), nat_terms(2)),
+        lambda sub: sub.map(lambda p: (NAT, "suc", (p,))),
+        max_leaves=4,
+    )
+
+
+def list_patterns(nat_slots, slots):
+    return st.recursive(
+        st.one_of(st.sampled_from(slots), LIST_SLOT_TERMS),
+        lambda sub: st.tuples(nat_patterns(nat_slots), sub).map(lambda ps: (NAT_LIST, "cons", ps)),
+        max_leaves=4,
+    )
+
+
+# Right sides read slots 0-3, which hold terms; left sides may also read
+# slots 4 (nat) and 5 (list), which hold the numbers of their `exists`.
+NAT_PATTERNS, LIST_PATTERNS = nat_patterns([0, 1]), list_patterns([0, 1], [2, 3])
+NAT_LEFT, LIST_LEFT = nat_patterns([0, 1, 4]), list_patterns([0, 1, 4], [2, 3, 5])
 PREBOUND = st.lists(st.one_of(
     st.tuples(st.sampled_from(NAT_VARS).map(NAT.var), nat_terms(2)),
     st.tuples(st.sampled_from(LIST_VARS).map(NAT_LIST.var), LIST_SLOT_TERMS),
@@ -220,18 +233,23 @@ PREBOUND = st.lists(st.one_of(
 @st.composite
 def pattern_cases(draw):
     """(a, b, env, prebound): `b` a slot, a pattern or a term of `a`'s
-    type over `env`, whose slots 0-1 hold nat terms and 2-3 list terms.
-    Patterns nest and repeat slots, and their leaves may be terms.
-    `prebound` pairs are unified first, so slots can hold bound chains;
-    `a` may be a slot's term, so `b` can contain the variable `a` binds."""
+    type over `env`, whose slots 0-1 hold nat terms, 2-3 list terms, and
+    4-5 the numbers 40 and 50 of a nat and a list `exists`.  `a` is a
+    term, a slot or a pattern; `b` reads only slots 0-3.  Patterns nest
+    and repeat slots, and their leaves may be terms.  `prebound` pairs
+    are unified first, so slots can hold bound chains; `a` may be a
+    slot's term, so `b` can contain the variable `a` binds."""
     env = [draw(NAT_SLOT_TERMS), draw(NAT_SLOT_TERMS),
-           draw(LIST_SLOT_TERMS), draw(LIST_SLOT_TERMS)]
+           draw(LIST_SLOT_TERMS), draw(LIST_SLOT_TERMS),
+           40, 50, [NAT, NAT, NAT_LIST, NAT_LIST, NAT, NAT_LIST]]
     own_slot = draw(st.booleans())
     if draw(st.booleans()):
-        a = draw(st.sampled_from(env[:2]) if own_slot else NAT_SLOT_TERMS)
+        a = draw(st.one_of(st.sampled_from(env[:2]) if own_slot else NAT_SLOT_TERMS,
+                           st.sampled_from([0, 1, 4]), NAT_LEFT))
         b = draw(NAT_PATTERNS)
     else:
-        a = draw(st.sampled_from(env[2:]) if own_slot else LIST_SLOT_TERMS)
+        a = draw(st.one_of(st.sampled_from(env[2:4]) if own_slot else LIST_SLOT_TERMS,
+                           st.sampled_from([2, 3, 5]), LIST_LEFT))
         b = draw(LIST_PATTERNS)
     return a, b, env, draw(PREBOUND)
 
@@ -244,13 +262,15 @@ def test_pattern_unify_matches_unify_of_the_instantiated_pattern(case):
     for store in (s1, s2):
         for v, t in prebound:
             unify(v, t, store)
-    built = instantiate(b, env) if type(b) is tuple else env[b] if type(b) is int else b
+    read = list(env)  # the left side is read first, as `unify` reads it
+    [left, right] = terms_of((a, b), read)
     r1 = unify(a, b, s1, env)
-    r2 = unify(a, built, s2)
+    r2 = unify(left, right, s2)
     assert (r1 is None) == (r2 is None)
     assert list(s1) == list(s2)
     for vid in s1:
         assert s1.lookup(vid) == s2.lookup(vid)
+    assert env == read
 
 
 TREE = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])

@@ -287,6 +287,18 @@ class TestCli:
         assert main(["--script", str(f)]) == 0
         assert capsys.readouterr().out == "X = 4.\nA = V1, C = 2000 + V1.\n"
 
+    def test_interactive_session(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("plus(1, X, 2).\n:q\n"))
+        assert main(["--quiet"]) == 0
+        assert capsys.readouterr().out == "?- X = 1.\n?- "
+
+    def test_interrupted_session_exits_0(self, monkeypatch):
+        class Interrupted:
+            def readline(self):
+                raise KeyboardInterrupt
+        monkeypatch.setattr("sys.stdin", Interrupted())
+        assert main(["--quiet"]) == 0
+
 
 class TestInteractive:
     def run(self, input_text, **kwargs):
@@ -381,7 +393,11 @@ class TestInteractivePrompts:
 
     def test_other_answer_prompts_again(self):
         assert self.run("leq(X, 1).\nyes\n;\n:q\n") == (
-            "?- X = 0\ntype ';' for the next solution or '.' to stop\n ;\nX = 1.\n?- ")
+            "?- X = 0\ntype ';' for the next solution or '.' to stop\nX = 0 ;\nX = 1.\n?- ")
+
+    def test_stop_after_another_answer(self):
+        assert self.run("leq(X, 1).\nyes\n.\n:q\n") == (
+            "?- X = 0\ntype ';' for the next solution or '.' to stop\nX = 0\n?- ")
 
     def test_answer_shows_before_the_choice_is_read(self):
         out = io.StringIO()

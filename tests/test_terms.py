@@ -353,6 +353,29 @@ class TestFirstOccurrence:
         assert unify(odd, u.right, EMPTY_STORE, [None, 5, [tree, tree]]) is None
 
 
+class TestOperands:
+    """What a template operand stands for: `terms_of` reads a tuple of
+    them, and `unify` reads one on its left side."""
+
+    def test_terms_of_reads_each_operand(self):
+        two = nat(2)
+        env = [two, 7, [NAT, NAT]]
+        [held, made, built, plain] = terms.terms_of((0, 1, (NAT, "suc", (0,)), X), env)
+        assert held is two and plain is X and built == nat(3) and built.args[0] is two
+        assert made == Var(VarId("_7", NAT)) and env[1] is made
+        assert env == [two, made, [NAT, NAT]]
+
+    def test_left_slot_gets_its_variable_and_takes_nothing(self):
+        env = [7, [NAT]]
+        s = unify(0, nat(3), EMPTY_STORE, env)
+        assert env[0] == Var(VarId("_7", NAT))
+        assert list(s.items()) == [(VarId("_7", NAT), nat(3))]
+
+    def test_left_operand_type_checked_at_entry(self):
+        with pytest.raises(TypeMismatchError):
+            unify(0, nil(NAT_LIST), EMPTY_STORE, [7, [NAT]])
+
+
 def unifies(template):
     """The `Unify` nodes of a compiled template, in pre-order."""
     found, todo = [], [template.root]
