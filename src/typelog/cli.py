@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse/type error, 2 step budget exhausted,
-3 script unreadable (I/O error or not UTF-8).  Term size and search
-depth are bounded only by memory and the step budget.
+3 script unreadable (I/O error or not UTF-8), 130 script interrupted
+(^C, `KeyboardInterrupt`, while a query ran: the transcript so far and
+``error: interrupted.`` are printed).  An interactive session answers
+an interrupt during a query with ``error: interrupted.`` and prompts
+again; at the prompt, it ends the session with exit 0.  Term size and
+search depth are bounded only by memory and the step budget.
 """
 
 from __future__ import annotations
@@ -39,10 +43,7 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 3
-    try:
-        repl(max_steps=args.max_steps, quiet=args.quiet)
-    except KeyboardInterrupt:
-        pass
+    repl(max_steps=args.max_steps, quiet=args.quiet)
     return 0
 
 

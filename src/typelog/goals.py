@@ -34,6 +34,15 @@ docstring says when.  The contract that makes compiling sound: a predicate's bod
 depend on its arguments' types, not on their values.  A body that
 cannot be compiled, such as one that calls a plain function recursing
 under `exists`, is run on each call instead.
+
+Compiling also indexes a template's disjunctions on their first
+argument, as the WAM's `switch_on_term` does: a `Disj` whose left
+branch opens, through `Conj` and `exists`, with a unification of a slot
+against a constructor records that slot, that constructor and what the
+opening costs in steps and counter values (`Disj`, `_index`).  The
+solver skips the branch when the slot holds another constructor and
+charges those costs instead, so no step count, counter or answer
+changes (see the `solve` module docstring).
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import FunctionType
 from typing import Callable, Optional
 
@@ -98,8 +107,22 @@ class Conj(Goal):
 
 @dataclass(slots=True, unsafe_hash=True)
 class Disj(Goal):
+    """Try `g1`, then `g2`.
+
+    In a template, `index` may be ``(slot, ctor, steps, ticks)``: `g1`
+    runs, through `Conj` left sides and slot `Exists`, to a first
+    `Unify` of `slot`, which none of those `Exists` introduced, against
+    a pattern or compound of constructor `ctor`, and the nodes up to it
+    cost `steps` steps and `ticks` counter values (see `_index`).  When
+    `slot` follows to a compound of another constructor, `g1` must clash
+    there, binding nothing, so the solver charges those steps and
+    counter values and goes on at `g2` without a choicepoint: every
+    count is the one the run of `g1` would have left.  The index is not
+    part of equality; a `Disj` built outside a template has none."""
+
     g1: Goal
     g2: Goal
+    index: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -384,6 +407,9 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     `_Function` -> environment index).  Post-order over an explicit
     stack, so each node is built once, final.
 
+    Each `Disj` gets the index `_index` finds for its left branch, which
+    is final when the `Disj` is assembled.
+
     Raises `_Uncompilable` where the template cannot stand for the goal:
     at an `Exists` whose closure's code already runs on the path of
     expansions above it, since a plain function that recurses under
@@ -422,6 +448,9 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
                 done.append(Exists(ltype, g, k))
             elif kind is Scope:
                 done.append(Scope(g))
+            elif kind is Disj:
+                g1 = done.pop()
+                done.append(Disj(g1, g, _index(g1)))
             else:
                 done.append(kind(done.pop(), g))
         elif t is Conj or t is Disj or t is CutThen:
@@ -452,3 +481,31 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
         else:
             raise LogicError(f"not a goal: {node!r}")
     return done.pop()
+
+
+def _index(goal: Goal) -> Optional[tuple]:
+    """The index of a template `Disj` whose left branch is `goal`, or
+    None (see `Disj`).  `steps` counts the nodes from `goal` to the
+    `Unify`, both included, and `ticks` the `Exists` among them."""
+    steps = ticks = 0
+    introduced = set()
+    while True:
+        steps += 1
+        t = type(goal)
+        if t is Conj:
+            goal = goal.g1
+        elif t is Exists:
+            introduced.add(goal.slot)
+            ticks += 1
+            goal = goal.body
+        elif t is Unify:
+            left, right = goal.left, goal.right
+            if type(left) is not int or left in introduced:
+                return None
+            if type(right) is tuple:
+                return left, right[1], steps, ticks
+            if type(right) is Compound:
+                return left, right.ctor, steps, ticks
+            return None
+        else:
+            return None

@@ -374,6 +374,7 @@ def format_solution(sol: Solution, qvars: List[VarId]) -> Optional[str]:
 _OK = 0
 _ERROR = 1
 _BUDGET = 2
+_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process a ^C ended
 _EXHAUSTED = "error: step budget exhausted."
 
 
@@ -384,8 +385,10 @@ def _run_line(line: str, registry: PredicateRegistry, want_next: Callable[[str],
 
     An answer's terminator follows the search for the next answer: "."
     when none is left, " ;" when `want_next(bindings)` asked for it,
-    nothing when the user stopped.  A parse or type error or a budget
-    overrun is one more line; returns the line's exit status."""
+    nothing when the user stopped.  A parse or type error, a budget
+    overrun or an interrupt (`KeyboardInterrupt`, while the query is
+    compiled, searched or waits at the `want_next` choice) is one more
+    line, after the open answer's; returns the line's exit status."""
     shown = None  # the open answer's bindings: printed, terminator not yet
     try:
         goal, qvars = compile_query(line, registry, max_steps)
@@ -410,6 +413,11 @@ def _run_line(line: str, registry: PredicateRegistry, want_next: Callable[[str],
             emit("")
         emit(_EXHAUSTED)
         return _BUDGET
+    except KeyboardInterrupt:
+        if shown is not None:
+            emit("")
+        emit("error: interrupted.")
+        return _INTERRUPTED
 
 
 # --- script mode ----------------------------------------------------------
@@ -450,7 +458,9 @@ def run_script_text(text: str, registry: Optional[PredicateRegistry] = None,
     """Run a transcript: one query per line, a "NEXT" line requests the
     next solution of the preceding query.  Returns (exit_code, output).
     Exit codes: 0 clean, 1 parse/type error, 2 budget exhausted, by the
-    search or by the query's integer literals (see `compile_query`)."""
+    search or by the query's integer literals (see `compile_query`),
+    130 interrupted (`KeyboardInterrupt`) while a query ran.  Each ends
+    the transcript with its error line."""
     out = io.StringIO()
     code = _run_transcript(text, registry, max_steps, out)
     return code, out.getvalue()
@@ -478,7 +488,10 @@ Commands:  :h  this help   :q  quit"""
 def repl(registry: Optional[PredicateRegistry] = None,
          max_steps: Optional[int] = None, quiet: bool = False,
          stdin: TextIO = None, stdout: TextIO = None) -> None:
-    """Interactive session: prompt "?- ", one query at a time."""
+    """Interactive session: prompt "?- ", one query at a time.  An
+    interrupt (`KeyboardInterrupt`) while a query runs, or while it waits
+    for ';' or '.', ends that query with "error: interrupted." and
+    prompts again; one anywhere else ends the line and the session."""
     registry = registry or default_registry()
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
@@ -506,15 +519,18 @@ def repl(registry: Optional[PredicateRegistry] = None,
             emit("\ntype ';' for the next solution or '.' to stop")
             emit(shown, end="")
 
-    if not quiet:
-        emit(_BANNER)
-    while True:
-        line = read("?- ")
-        if line is None or line == ":q":
-            break
-        if line == ":h":
-            emit(_HELP)
-            continue
-        if not line:
-            continue
-        _run_line(line, registry, want_next, emit, max_steps)
+    try:
+        if not quiet:
+            emit(_BANNER)
+        while True:
+            line = read("?- ")
+            if line is None or line == ":q":
+                break
+            if line == ":h":
+                emit(_HELP)
+                continue
+            if not line:
+                continue
+            _run_line(line, registry, want_next, emit, max_steps)
+    except KeyboardInterrupt:
+        emit("")

@@ -29,6 +29,25 @@ and each choicepoint saves and replaces the store's `fence`, as the
 `terms` module docstring describes with slots and takes.  Answers,
 names and counters are those of an eager `Exists`.
 
+A template `Disj` may carry an index ``(slot, ctor, steps, ticks)``
+(`goals.Disj`): its left branch runs, through `Conj` left sides and slot
+`Exists`, to a first `Unify` of `slot`, which the branch did not
+introduce, against a pattern or compound of constructor `ctor`.  When
+the slot follows to a compound of another constructor, that `Unify`
+must clash, so the search adds `steps` to its steps and `ticks` to its
+counter and goes on at the right branch with no choicepoint, as the
+WAM's `switch_on_term` does (Warren, SRI TN 309, 1983).  The right
+branch's own step checks the budget at once, so a search that runs out
+does so exactly when it would have run out in or after the skipped
+branch.  No count changes: the branch would have cost exactly those
+steps and counter values, its `Unify` would have clashed in read mode
+at the top constructor, before any bind or take, nothing outside the
+branch reads the slots its `Exists` set, and the pop that followed
+would have restored the store length, fence, barrier, environment and
+continuation the search still has.  So answers, names,
+`counter_at_yield`, raw stores and the budget a search needs are those
+of the same search without indexes.
+
 A `Call` costs no step.  Under a step budget a run of step-free `Call`s
 is bounded too (see `_search`), so a budgeted search ends even when it
 loops through a function argument.
@@ -70,6 +89,7 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 from . import goals as g
 from .terms import (
     BindingStore,
+    Compound,
     LogicError,
     Term,
     Var,
@@ -110,7 +130,9 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     no step between raise `StepBudgetExceeded`.  Such a run is the only
     loop without steps, since `goals` rejects one made of templates alone.
     A continuation frame whose goal is None is the cut of a CutThen; it
-    costs no step.  The frequent node types are tested first.
+    costs no step.  An indexed `Disj` may skip its left branch at that
+    branch's cost (see the module docstring).  The frequent node types
+    are tested first.
     """
     Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
     new_tuple = tuple.__new__  # skips VarId's Python-level __new__
@@ -140,6 +162,19 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
             if t is Unify:
                 ok = unify(goal.left, goal.right, store, env) is not None
             elif t is Disj:
+                index = goal.index
+                if index is not None:  # skip a left branch that must clash
+                    k, ctor, n, ticks = index
+                    a = env[k]
+                    while type(a) is Var:
+                        a = bindings.get(a.vid)
+                        if a is None:
+                            break
+                    if type(a) is Compound and a.ctor != ctor:
+                        steps += n  # g2's step, next, checks the budget
+                        counter += ticks
+                        goal = goal.g2
+                        continue
                 choices.append((goal.g2, barrier, env, len(bindings), cont, store.fence))
                 store.fence = counter
                 goal = goal.g1

@@ -16,6 +16,7 @@ from typelog.goals import (
     Disj,
     Exists,
     Scope,
+    Template,
     eq,
     exists,
     fail_goal,
@@ -769,3 +770,73 @@ def test_generated_bodies_match_their_expanded_form(shape, x, y):
     for v in (NAT.var("A"), NAT.var("B")):
         assert ([resolve(v, s) for s in solve_stores(goal)]
                 == [resolve(v, s) for s in solve_stores(plain)])
+
+
+# A template `Disj` whose left branch must clash at its first unification
+# is skipped with the steps and counter values that branch would cost (see
+# `goals.Disj`).  The same template with no index pushes a choicepoint at
+# every `Disj` and runs each dead branch to its clash: it must give the
+# same answers, counters and raw stores, and run out of budget at the same
+# point, under every budget.
+
+def unindexed(goal):
+    """`goal` with each compiled template it reaches replaced by a copy
+    whose `Disj` nodes have no index."""
+    copies = {}
+
+    def template(t):
+        if t not in copies:
+            c = copies[t] = Template(t.body)
+            c.pad = t.pad
+            c.root = None if t.root is None else node(t.root)
+        return copies[t]
+
+    def node(n):
+        t = type(n)
+        if t in (Conj, Disj, CutThen):
+            return t(node(n.g1), node(n.g2))
+        if t is Scope:
+            return Scope(node(n.g))
+        if t is Exists and n.slot is not None:
+            return Exists(n.ltype, node(n.body), n.slot)
+        if t is Call and type(n.template) is Template:
+            return Call(template(n.template), n.args)
+        return n
+    return node(goal)
+
+
+def outcome(goal, max_steps):
+    """The answers found within `max_steps`, and whether the search ended."""
+    found = []
+    try:
+        found.extend(solve(goal, max_steps=max_steps))
+    except StepBudgetExceeded:
+        return found, False
+    return found, True
+
+
+# Left branches that open, maybe under `exists`, with an equation of a
+# variable and a constructor, as the prelude's cases do.  A left side
+# ("v", 0) under `exists` is the slot that `exists` introduced.
+GUARDS = st.tuples(
+    st.just("eq"), st.sampled_from([("p", 0), ("p", 1), ("v", 0), ("v", 1)]),
+    st.sampled_from([("z",), ("s", ("z",)), ("s", ("v", 0)), ("s", ("p", 1))]))
+
+
+@st.composite
+def guarded_shapes(draw):
+    left = ("and", draw(GUARDS), draw(body_shapes(2)))
+    if draw(st.booleans()):
+        left = ("exists", left)
+    shape = ("or", left, draw(st.one_of(body_shapes(2), guarded_shapes())))
+    return ("exists", shape) if draw(st.booleans()) else shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(body_shapes(), guarded_shapes(), guarded_shapes()), SHAPE_ARGS, SHAPE_ARGS)
+def test_indexed_bodies_match_their_unindexed_form(shape, x, y):
+    goal = predicate(nats)(lambda x, y: shape_goal(shape, [x, y]))(x, y)
+    plain = unindexed(goal)
+    assert list(solve_stores(goal)) == list(solve_stores(plain))
+    for steps in range(1, smallest_budget(plain) + 1):
+        assert outcome(goal, steps) == outcome(plain, steps)

@@ -5,7 +5,7 @@ import pytest
 
 from typelog import repl as repl_module
 from typelog.cli import main
-from typelog.goals import Conj, Disj
+from typelog.goals import Conj, Disj, exists
 from typelog.prelude import NAT, NAT_LIST, nat, nat_list, plus
 from typelog.repl import (
     QueryParseError,
@@ -299,6 +299,19 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", Interrupted())
         assert main(["--quiet"]) == 0
 
+    def test_interrupt_at_the_prompt_ends_the_line(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", Interrupting("plus(1, X, 2).\n", None))
+        assert main(["--quiet"]) == 0
+        assert capsys.readouterr().out == "?- X = 1.\n?- \n"
+
+    def test_interrupted_script_exit_130(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(repl_module, "default_registry", lambda: INTERRUPTING)
+        f = tmp_path / "queries.txt"
+        f.write_text("plus(1, X, 5).\nplus(X, 0, 0) ; interrupt.\nsucceed.\n")
+        assert main(["--script", str(f)]) == 130
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("X = 4.\nX = 0\nerror: interrupted.\n", "")
+
 
 class TestInteractive:
     def run(self, input_text, **kwargs):
@@ -413,3 +426,55 @@ class TestInteractivePrompts:
 
     def test_blank_query_line_is_skipped(self):
         assert self.run("\n  \nsucceed.\n:q\n") == "?- ?- ?- true.\n?- "
+
+
+def _interrupt(v):
+    raise KeyboardInterrupt
+
+
+# `interrupt` stands for a ^C that arrives mid-search: the search raises
+# KeyboardInterrupt when it reaches the goal.
+INTERRUPTING = default_registry()
+INTERRUPTING.register("interrupt", [], lambda: exists(NAT, _interrupt))
+
+
+class Interrupting:
+    """A stdin whose lines are given in order; None raises KeyboardInterrupt
+    in place of a line, as ^C does at a read."""
+
+    def __init__(self, *lines):
+        self.lines = list(lines)
+
+    def readline(self):
+        line = self.lines.pop(0) if self.lines else ""
+        if line is None:
+            raise KeyboardInterrupt
+        return line
+
+
+class TestInterrupt:
+    def run(self, *lines):
+        out = io.StringIO()
+        repl(INTERRUPTING, stdin=Interrupting(*lines), stdout=out, quiet=True)
+        return out.getvalue()
+
+    def test_interrupt_in_a_search_ends_the_query_not_the_session(self):
+        assert self.run("interrupt.\n", "plus(1, X, 2).\n") == (
+            "?- error: interrupted.\n?- X = 1.\n?- ")
+
+    def test_interrupt_while_an_answer_is_open_ends_its_line(self):
+        # The search for a next answer runs before the choice is read.
+        assert self.run("plus(X, 0, 0) ; interrupt.\n", "succeed.\n") == (
+            "?- X = 0\nerror: interrupted.\n?- true.\n?- ")
+
+    def test_interrupt_at_the_choice_ends_the_query(self):
+        assert self.run("leq(X, 1).\n", None, "plus(1, X, 2).\n") == (
+            "?- X = 0\nerror: interrupted.\n?- X = 1.\n?- ")
+
+    def test_interrupt_at_the_prompt_ends_the_session(self):
+        assert self.run("plus(1, X, 2).\n", None, "succeed.\n") == "?- X = 1.\n?- \n"
+
+    def test_script_prints_the_transcript_so_far_and_exits_130(self):
+        text = "plus(1, X, 5).\nplus(X, 0, 0) ; interrupt.\nNEXT\nsucceed.\n"
+        assert run_script_text(text, INTERRUPTING) == (
+            130, "X = 4.\nX = 0\nerror: interrupted.\n")

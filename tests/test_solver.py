@@ -1,9 +1,10 @@
 import itertools
+import sys
 import time
 
 import pytest
 
-from typelog.goals import eq, fail_goal, neg, predicate, scope, succeed
+from typelog.goals import eq, exists, fail_goal, neg, predicate, scope, succeed
 from typelog.prelude import (
     NAT,
     append_list,
@@ -28,14 +29,16 @@ from typelog.prelude import (
     zero,
 )
 from typelog.solve import (
+    Solution,
     StepBudgetExceeded,
+    _search,
     find_all,
     find_all_n,
     holds,
     solve,
     solve_stores,
 )
-from typelog.terms import EMPTY_STORE, BindingStore, resolve
+from typelog.terms import EMPTY_STORE, BindingStore, Var, VarId, resolve
 
 from reference import eager_answers
 
@@ -152,6 +155,60 @@ class TestLaziness:
         assert len(list(solve(goal, max_steps=steps))) == len(list(solve(goal)))
         with pytest.raises(StepBudgetExceeded):
             list(solve(goal, max_steps=steps - 1))
+
+
+class TestFirstArgumentIndex:
+    # A template `Disj` whose left branch must clash at its first
+    # unification is skipped: the search charges the branch's steps and
+    # counter values and goes on at the right branch with no choicepoint.
+
+    def test_prelude_cases_are_indexed(self):
+        leq_root = leq(0, 0).template.root  # exists x1, exists y1, then the Disj
+        assert leq_root.body.body.index == (0, "zero", 1, 0)
+        # member's first case: exists tl (slot 2), then xs (slot 1) = cons(x, tl).
+        assert member(0, [0]).template.root.index == (1, "cons", 2, 1)
+
+    @staticmethod
+    def pushes(goal):
+        """The choicepoints a search of `goal` pushes: the calls of the
+        append of its choicepoint stack, seen by a profile hook."""
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if (event == "c_call" and frame.f_code is _search.__code__
+                    and arg.__name__ == "append" and arg.__self__ is frame.f_locals["choices"]):
+                count += 1
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            list(solve(goal))
+        finally:
+            sys.setprofile(before)
+        return count
+
+    @pytest.mark.parametrize("goal, pushes", [
+        # Each level of leq and plus on a successor skips the zero case,
+        # where the search without the index pushed a choicepoint (4 each).
+        (leq(5, 3), 0),
+        (leq(3, 5), 1),
+        (plus(3, "B", 5), 1),
+        # A cons pushes at each element; nil, at the end, skips (4 before).
+        (member(2, [0, 1, 2]), 3),
+    ])
+    def test_a_skip_pushes_no_choicepoint(self, goal, pushes):
+        assert self.pushes(goal) == pushes
+
+    def test_a_skip_charges_the_counter_values_of_its_exists(self):
+        # member(0, []) skips `exists tl, xs = cons(x, tl)` for 2 steps
+        # and counter value 0; its second case's two `exists` take 1 and 2
+        # before it clashes, so the answer's variable is _3.
+        y = NAT.var("Y")
+        goal = (member(0, nat_list([])) | succeed()) & exists(NAT, lambda v: eq(y, v))
+        answer = Solution({y.vid: Var(VarId("_3", NAT))}, 4)
+        assert list(solve(goal, max_steps=12)) == [answer]
+        with pytest.raises(StepBudgetExceeded):
+            list(solve(goal, max_steps=11))
 
 
 class TestDeepSearch:
