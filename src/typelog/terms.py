@@ -9,8 +9,8 @@ any number of holders may share it.  Each search instead owns one
 keeps insertion order, so a choicepoint's mark is the dict's length and
 backtracking pops back to it (Warren, "An abstract Prolog instruction
 set", SRI TN 309, 1983); a bind costs O(1) however long the store.
-`unify` binds at one site for both kinds: a public store is copied once,
-at its first bind, and the copy returned.  The structural operations
+`unify` binds at one site for both kinds: a public store is copied at
+a call's first bind, and the copy returned.  The structural operations
 work over `Compound.args`: one definition for every type.
 
 A compiled predicate (`goals.predicate`) holds its terms as patterns
@@ -26,6 +26,18 @@ and child against subpattern, building nothing; a pattern met by an
 unbound variable is matched in write mode, built only to be bound.
 `pattern` and `instantiate` keep shared subterms shared, so their cost
 is linear in the distinct nodes.
+
+The commonest unification of a search is a clause head such as
+``eq(x, suc(x1))``: a slot that holds a compound against a pattern
+whose children are fresh slots.  `unify` matches it at its entry, the
+head match (the WAM's ``get_structure`` in read mode, then
+``unify_variable``): it follows the slot's bindings, checks the type,
+compares constructors, lets each fresh slot take the compound child it
+meets, and unifies each other child by a nested call.  That call has a
+term on its left, so it runs the general path and never nests again.
+The pair loop also finishes each child before the next, so bindings,
+their order, takes, names and verdicts are the same either way; the
+head match only skips the loop's operand dispatch and pair list.
 
 Slots, takes and the fence.  An environment holds a call's arguments,
 then one slot per `exists` of the body, then the list of the slots'
@@ -43,8 +55,9 @@ a search store's `fence` is the counter value when the newest live
 choicepoint was pushed, 0 with none: each choicepoint saves the fence it
 replaces, a pop restores that value, and a cut restores the value the
 first entry it removes saved (`solve._search`).  A public store has no
-choicepoints.  A take changes no answer, name or counter, and a raw
-store only lacks the entries of variables never made.
+choicepoints, and its `fence` is always 0.  A take changes no answer,
+name or counter, and a raw store only lacks the entries of variables
+never made.
 
 Every walk over a term runs over an explicit stack, so terms of any depth
 are accepted: `unify`, `instantiate`, `Compound` equality
@@ -219,6 +232,7 @@ class BindingStore:
     """
 
     __slots__ = ("_bindings",)
+    fence = 0  # no choicepoints, so `unify` may always take
 
     def __init__(self, bindings: Optional[dict] = None):
         self._bindings = {} if bindings is None else bindings
@@ -413,6 +427,13 @@ def _fresh(env: list, k: int) -> Var:
     return v
 
 
+def _type_clash(ta, tb) -> TypeMismatchError:
+    return TypeMismatchError(
+        f"cannot unify terms of types {getattr(ta, 'name', '?')} "
+        f"and {getattr(tb, 'name', '?')}"
+    )
+
+
 def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[BindingStore]:
     """Compute the least extension of `store` making `a` and `b` equal.
 
@@ -425,8 +446,8 @@ def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[Bin
     then a right-side variable to the left, then constructor payloads are
     matched, children left to right and depth first, over an explicit
     stack of pairs.  Bindings are followed in the dict directly, as
-    `walk` would.  Types are checked here, at entry, once: the children
-    of matching constructors of one type have matching types by
+    `walk` would.  Types are checked here, at entry, once per call: the
+    children of matching constructors of one type have matching types by
     construction (`LogicType.make`).  A variable is bound only while
     unbound, since both sides are followed first, and only after the
     occurs check, so `BindingStore.bind`'s checks are not needed.
@@ -449,10 +470,46 @@ def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[Bin
 
     With `env`, `a` may be a slot index or a pattern too, read first, as
     ``terms_of((a,), env)[0]``: a slot on the left never takes.
+
+    A left slot whose term, its bindings followed, is a compound, met by
+    a pattern, is matched at entry (the head match of the module
+    docstring): the type and constructor are checked as above, a child
+    that is a compound is taken by a subpattern slot that still holds
+    its number if the fence allows, and each other child, a variable
+    bound to a compound too, is unified by a nested call, left to right,
+    whose store the next child gets.  The pair loop
+    would do the same in the same order, so every binding, take, name,
+    verdict and step count is unchanged; with a public store, each
+    nested call copies at its own first bind.
     """
     if type(a) is int:  # a slot: its term, or its variable made now
         t = env[a]
-        a = _fresh(env, a) if type(t) is int else t
+        if type(t) is int:
+            a = _fresh(env, a)
+        elif type(b) is tuple:  # the head match
+            bindings = store._bindings
+            while type(t) is Var:
+                bound = bindings.get(t.vid)
+                if bound is None:
+                    break
+                t = bound
+            if type(t) is Compound:
+                if t.ltype is not b[0]:
+                    raise _type_clash(t.ltype, b[0])
+                if t.ctor != b[1]:
+                    return None
+                for c, s in zip(t.args, b[2]):
+                    if (type(s) is int and type(c) is Compound
+                            and type(n := env[s]) is int and n >= store.fence):
+                        env[s] = c  # a take
+                        continue
+                    store = unify(c, s, store, env)
+                    if store is None:
+                        return None
+                return store
+            a = t  # an unbound variable: write mode
+        else:
+            a = t
     elif type(a) is tuple:
         a = instantiate(a, env)
     ta = a.vid.ltype if type(a) is Var else a.ltype
@@ -469,12 +526,9 @@ def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[Bin
     else:  # a slot that holds its number
         tb = env[-1][b]
     if ta is not tb:
-        raise TypeMismatchError(
-            f"cannot unify terms of types {getattr(ta, 'name', '?')} "
-            f"and {getattr(tb, 'name', '?')}"
-        )
+        raise _type_clash(ta, tb)
     bindings = store._bindings
-    public = shared = type(store) is not _SearchStore
+    shared = type(store) is not _SearchStore
     pairs = [(a, b)]
     while pairs:
         a, b = pairs.pop()
@@ -487,7 +541,7 @@ def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[Bin
         if tb is int:
             k, b = b, env[b]
             if type(b) is int:  # the slot's first read
-                if type(a) is not Var and (public or b >= store.fence):
+                if type(a) is not Var and b >= store.fence:
                     env[k] = a  # a take
                     continue
                 b = _fresh(env, k)

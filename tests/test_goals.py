@@ -416,6 +416,55 @@ class TestPredicate:
         assert results == {"first": True, "second": True} and len(ran) == 1
 
 
+def _interrupt(v):
+    raise KeyboardInterrupt
+
+
+class TestInterrupts:
+    """A ^C reaches an API caller as `KeyboardInterrupt` and leaves no
+    shared state half-built: the tests raise it where a signal handler
+    would, inside a body or a search."""
+
+    def queries(self):
+        return (answers(leq("X", 2)), holds(plus(2, 3, 5)), holds(plus(2, 3, 6)),
+                [s.bindings for s in solve(member("A", [1, 2]))])
+
+    def test_an_interrupted_compile_compiles_again(self):
+        before = self.queries()
+        interrupts, runs = [KeyboardInterrupt], []
+
+        @predicate(nats)
+        def inner(x):
+            runs.append("inner")
+            if interrupts:
+                raise interrupts.pop()
+            return eq(x, zero())
+
+        @predicate(nats)
+        def outer(x):
+            runs.append("outer")
+            return exists(NAT, lambda y: eq(x, suc(y)) & inner(y))
+
+        with pytest.raises(KeyboardInterrupt):
+            outer(1)
+        assert outer.templates == {} and inner.templates == {} and goals._pending == {}
+        assert answers(outer("X")) == [{"X": nat(1)}]
+        assert holds(outer(1)) and not holds(outer(2))
+        assert runs == ["outer", "inner", "outer", "inner"]
+        assert self.queries() == before
+
+    def test_an_interrupted_search_leaves_later_queries_as_they_were(self):
+        before = self.queries()
+        with pytest.raises(KeyboardInterrupt):
+            holds(plus("X", 0, 0) & exists(NAT, _interrupt))
+        x = NAT.var("X")
+        stream = solve(leq(x, 3) & (eq(x, nat(1)) & exists(NAT, _interrupt) | succeed()))
+        assert next(stream).bindings == {x.vid: nat(0)}
+        with pytest.raises(KeyboardInterrupt):
+            next(stream)
+        assert self.queries() == before
+
+
 def engine_entries(goal):
     """The engine-variable keys of each raw store `goal` answers with."""
     return [[vid.name for vid in store if vid.name.startswith("_")]

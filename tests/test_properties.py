@@ -274,6 +274,88 @@ def test_pattern_unify_matches_unify_of_the_instantiated_pattern(case):
     assert env == read
 
 
+# Right sides that also read slots 4 and 5, as often as the others
+# together, so that they take.  Most are a compound at the top, as a
+# clause head is, with a slot as a child more often than deeper down,
+# and the slots they meet hold compounds more often.
+NAT_TAKING = nat_patterns([4, 0, 4, 1])
+LIST_TAKING = list_patterns([4, 0, 4, 1], [5, 2, 5, 3])
+NAT_HELD = st.one_of(NAT_SLOT_TERMS, NAT_SLOT_TERMS.map(suc))
+LIST_HELD = st.one_of(LIST_SLOT_TERMS, st.tuples(NAT_HELD, LIST_SLOT_TERMS).map(lambda p: cons(*p)))
+NAT_CHILDREN = st.one_of(st.sampled_from([4, 0, 4, 1]), NAT_TAKING)
+NAT_HEADS = st.one_of(NAT_TAKING, NAT_CHILDREN.map(lambda p: (NAT, "suc", (p,))))
+LIST_HEADS = st.one_of(LIST_TAKING, st.tuples(
+    NAT_CHILDREN, st.one_of(st.sampled_from([5, 2, 5, 3]), LIST_TAKING),
+).map(lambda ps: (NAT_LIST, "cons", ps)))
+
+
+def slots_read(p):
+    """The slot indexes a pattern reads."""
+    if type(p) is int:
+        return {p}
+    if type(p) is tuple:
+        return set().union(*map(slots_read, p[2]))
+    return set()
+
+
+@st.composite
+def taking_cases(draw):
+    """(a, b, env, prebound, fence), as `pattern_cases` draws them, but
+    slots 0-3 hold compounds more often, `b` may read slots 4 and 5,
+    which still hold their numbers 40 and 50, and `a` is one of slots
+    0-3 half of the time, to reach the head match; `a` reads slots 4 and
+    5 only through a left pattern.  `fence` is None for a public store,
+    or else a search store's fence, below, at, between or above those
+    numbers."""
+    env = [draw(NAT_HELD), draw(NAT_HELD), draw(LIST_HELD), draw(LIST_HELD),
+           40, 50, [NAT, NAT, NAT_LIST, NAT_LIST, NAT, NAT_LIST]]
+    slot = draw(st.booleans())
+    if draw(st.booleans()):
+        a = draw(st.sampled_from([0, 1]) if slot else st.one_of(NAT_SLOT_TERMS, NAT_LEFT))
+        b = draw(NAT_HEADS)
+    else:
+        a = draw(st.sampled_from([2, 3]) if slot else st.one_of(LIST_SLOT_TERMS, LIST_LEFT))
+        b = draw(LIST_HEADS)
+    fence = draw(st.sampled_from([None, 0, 40, 41, 50, 51]))
+    return a, b, env, draw(PREBOUND), fence
+
+
+@settings(max_examples=500)
+@given(taking_cases())
+def test_takes_match_unify_with_the_fresh_variables_made_first(case):
+    # The contract in `unify`'s docstring: a take binds nothing, and
+    # every other binding is that made when each fresh slot the right
+    # side reads holds its `_n` variable beforehand.
+    a, b, env, prebound, fence = case
+    numbers = {k: env[k] for k in slots_read(b) if type(env[k]) is int}
+    made = list(env)
+    for k, n in numbers.items():
+        made[k] = Var(VarId(f"_{n}", env[-1][k]))
+    own = {made[k].vid for k in numbers}
+
+    def store():
+        s = EMPTY_STORE if fence is None else _SearchStore()
+        for v, t in prebound:
+            s = unify(v, t, s) or s
+        if fence is not None:
+            s.fence = fence
+        return s
+    s1 = unify(a, b, store(), env)
+    s2 = unify(a, b, store(), made)
+    assert (s1 is None) == (s2 is None)
+    if s1 is None:
+        return
+    for vid in (set(s1) | set(s2)) - own:
+        assert resolve(Var(vid), s1) == resolve(Var(vid), s2)
+    for k, n in numbers.items():
+        if type(env[k]) is Var:
+            assert env[k] == made[k]
+        else:  # taken
+            assert type(env[k]) is Compound and made[k].vid not in s1
+            assert fence is None or n >= fence
+            assert resolve(env[k], s1) == resolve(made[k], s2)
+
+
 TREE = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
 TREE_VARS = [TREE.var(n) for n in ("a", "b", "c", "d")]
 

@@ -375,6 +375,76 @@ class TestOperands:
         with pytest.raises(TypeMismatchError):
             unify(0, nil(NAT_LIST), EMPTY_STORE, [7, [NAT]])
 
+    # The head match: a left slot that holds a compound, against a pattern
+    # whose fresh slots take its children directly.
+
+    def test_head_match_takes_at_or_after_the_fence(self):
+        three = nat(3)
+        for n, fence in ((7, 0), (7, 7)):
+            store, env = terms._SearchStore(), [three, n, [NAT, NAT]]
+            store.fence = fence
+            assert unify(0, (NAT, "suc", (1,)), store, env) is store
+            assert len(store) == 0 and env[1] is three.args[0]
+
+    def test_head_match_below_the_fence_makes_and_binds_the_variable(self):
+        store, env = terms._SearchStore(), [nat(3), 7, [NAT, NAT]]
+        store.fence = 8
+        assert unify(0, (NAT, "suc", (1,)), store, env) is store
+        assert env[1] == Var(VarId("_7", NAT))
+        assert list(store.items()) == [(VarId("_7", NAT), nat(2))]
+
+    def test_head_match_in_a_public_store_always_takes(self):
+        three = nat(3)
+        env = [three, 7, [NAT, NAT]]
+        assert unify(0, (NAT, "suc", (1,)), EMPTY_STORE, env) is EMPTY_STORE
+        assert env[1] is three.args[0]
+
+    def test_head_match_clash_of_constructors(self):
+        env = [zero(), 7, [NAT, NAT]]
+        assert unify(0, (NAT, "suc", (1,)), EMPTY_STORE, env) is None
+        assert env == [zero(), 7, [NAT, NAT]]
+        env = [nat_list([1, 2]), nat(2), 7, [NAT_LIST, NAT, NAT_LIST]]
+        p = (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (1, 2))))
+        assert unify(0, p, EMPTY_STORE, env) is None
+
+    def test_head_match_unbound_child_gets_the_slots_variable(self):
+        env = [suc(X), 7, [NAT, NAT]]
+        s = unify(0, (NAT, "suc", (1,)), EMPTY_STORE, env)
+        assert env[1] == Var(VarId("_7", NAT))
+        assert list(s.items()) == [(X.vid, env[1])]
+
+    def test_head_match_follows_a_bound_variable_chain(self):
+        three = nat(3)
+        start = store_of((X, Y), (Y, three))
+        env = [X, 7, [NAT, NAT]]
+        assert unify(0, (NAT, "suc", (1,)), start, env) is start
+        assert env[1] is three.args[0]
+        # So is a child's: the slot takes the compound its binding ends at.
+        env = [suc(X), 7, [NAT, NAT]]
+        assert unify(0, (NAT, "suc", (1,)), start, env) is start and env[1] is three
+        # An unbound variable at the end of the chain is matched in write mode.
+        env = [X, 7, [NAT, NAT]]
+        s = unify(0, (NAT, "suc", (1,)), store_of((X, Y)), env)
+        assert list(s.items()) == [(X.vid, Y), (Y.vid, suc(Var(VarId("_7", NAT))))]
+
+    def test_head_match_children_in_order_with_one_public_result(self):
+        # The first child binds X to slot 1's term; the second meets X
+        # again, bound now, and then nil, which slot 2 takes.  The start
+        # store is left as it was.
+        start = store_of((Z, zero()))
+        xs = nat_list([X, X])
+        env = [xs, nat(4), 5, [NAT_LIST, NAT, NAT_LIST]]
+        p = (NAT_LIST, "cons", (1, (NAT_LIST, "cons", (1, 2))))
+        s = unify(0, p, start, env)
+        assert list(s.items()) == [(Z.vid, zero()), (X.vid, nat(4))]
+        assert env[2] is xs.args[1].args[1]
+        assert list(start.items()) == [(Z.vid, zero())]
+
+    def test_head_match_checks_the_pattern_type(self):
+        with pytest.raises(TypeMismatchError):
+            unify(0, (NAT_LIST, "cons", (1, 2)), EMPTY_STORE,
+                  [nat(3), 7, 8, [NAT, NAT, NAT_LIST]])
+
 
 def unifies(template):
     """The `Unify` nodes of a compiled template, in pre-order."""
