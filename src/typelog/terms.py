@@ -63,7 +63,13 @@ Every walk over a term runs over an explicit stack, so terms of any depth
 are accepted: `unify`, `instantiate`, `Compound` equality
 and hashing, the occurs/groundness walk (`_free_vids`), the rebuild
 behind `resolve`, `substitute` and `pattern` (`_rebuild`), and the
-prefix renderer behind `repr` and `pretty` (`_render`).
+prefix renderer behind `repr` and `pretty` (`_render`).  The rebuild
+projects every answer, and the answers of one query can hold nodes
+quadratic in its size (`append(X, Y, xs)` answers with every prefix
+of `xs`), so it keeps one frame per node, with an iterator over the
+node's children and a flag for whether all of them kept their
+identity: a node costs one frame and one constructor call, with no
+rescan of its children.
 
 Terms are immutable by contract: `VarId` is a tuple, and `Var` and
 `Compound` are slotted classes whose attributes no code assigns after
@@ -91,7 +97,6 @@ fresh, cannot contain it either, and is not walked.
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Iterator, NamedTuple, Optional, Union
 
 
@@ -318,15 +323,21 @@ def _same(v: Var) -> Term:
 
 def _rebuild(t: Term, store: BindingStore, leaf, make=Compound):
     """`t` with each position walked through `store` and each unbound
-    variable `v` replaced by `leaf(v)`, called left to right, depth first.
+    variable `v` replaced by `leaf(v)`, called left to right, depth first,
+    once per occurrence the walk enters.
 
-    Post-order over an explicit stack.  What `leaf` returns is not
-    entered.  Ground subterms, and nodes none of whose children change,
-    are kept as they are; any other node becomes ``make(ltype, ctor,
-    children)``.  Each entered compound is rebuilt once, keyed by `id`
-    (all stay reachable during the walk), so bindings and subterms that
-    are shared cost time linear in the distinct nodes, and the result
-    keeps their sharing."""
+    Post-order over an explicit stack of frames, one per compound being
+    rebuilt: the node, an iterator over its children, the children
+    rebuilt so far, whether every one of them kept its identity, and the
+    child being entered, which its rebuilt form is compared with.  So a
+    node costs one frame, one pass over its children and at most one
+    `make` call.  What `leaf`
+    returns is not entered.  Ground subterms, and nodes none of whose
+    children change, are kept as they are; any other node becomes
+    ``make(ltype, ctor, children)``.  Each entered compound is rebuilt
+    once, keyed by `id` (all stay reachable during the walk), so
+    bindings and subterms that are shared cost time linear in the
+    distinct nodes, and the result keeps their sharing."""
     bindings = store._bindings
     while type(t) is Var:
         bound = bindings.get(t.vid)
@@ -336,37 +347,37 @@ def _rebuild(t: Term, store: BindingStore, leaf, make=Compound):
     if t.ground:
         return t
     built = {}
-    frames = []  # (node, next child index, children rebuilt so far)
-    node, i, out = t, 0, []
+    frames = []
+    node, it, out, same = t, iter(t.args), [], True
     while True:
-        args = node.args
-        if i < len(args):
-            a = args[i]
-            i += 1
-            while type(a) is Var:
-                bound = bindings.get(a.vid)
+        for a in it:
+            b = a
+            while type(b) is Var:
+                bound = bindings.get(b.vid)
                 if bound is None:
+                    b = leaf(b)
                     break
-                a = bound
-            if type(a) is Var:
-                out.append(leaf(a))
-            elif a.ground:
-                out.append(a)
-            elif id(a) in built:
-                out.append(built[id(a)])
-            else:
-                frames.append((node, i, out))
-                node, i, out = a, 0, []
-            continue
-        if all(map(operator.is_, out, args)):
-            new = node
+                b = bound
+            else:  # a compound
+                if not b.ground:
+                    new = built.get(id(b))
+                    if new is None:  # enter it; the `for`'s `else` finishes it
+                        frames.append((node, it, out, same, a))
+                        node, it, out, same = b, iter(b.args), [], True
+                        break
+                    b = new
+            out.append(b)
+            if b is not a:
+                same = False
         else:
-            new = make(node.ltype, node.ctor, tuple(out))
-        built[id(node)] = new
-        if not frames:
-            return new
-        node, i, out = frames.pop()
-        out.append(new)
+            new = node if same else make(node.ltype, node.ctor, tuple(out))
+            built[id(node)] = new
+            if not frames:
+                return new
+            node, it, out, same, a = frames.pop()
+            out.append(new)
+            if new is not a:
+                same = False
 
 
 def _free_vids(t: Term, store: BindingStore) -> Iterator[VarId]:

@@ -4,9 +4,12 @@ Deliberately simple and eager: the interpreter here materializes every
 solution of a goal up front with plain recursion, sharing nothing with
 the lazy solver except the goal and term datatypes it interprets.  A
 predicate call runs the predicate's undecorated body on the call's
-arguments, so the compiled templates are not part of the oracle.  The
-hand-written per-type operations mirror what derivation is supposed to
-produce for naturals and lists.
+arguments, so the compiled templates are not part of the oracle.
+Answers are projected, and the hand-written substitutions rebuild
+terms, through the oracle's own resolver (`replace_vars`), which calls
+no `terms` function but the constructors, so a fault in the engine's
+rebuild cannot hide in both.  The hand-written per-type operations
+mirror what derivation is supposed to produce for naturals and lists.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from typelog.terms import (
     Var,
     VarId,
     is_ground_term,
-    resolve,
-    substitute,
     unify,
 )
 from typelog import prelude
@@ -94,12 +95,59 @@ def eager_solve(goal) -> list:
     return stores
 
 
+def replace_vars(t: Term, replace) -> Term:
+    """`t` with each variable `v` replaced by ``replace(v)``, a pair
+    ``(term, enter)``: the term is walked in turn when `enter` is true.
+
+    The oracle's own rebuild, independent of the engine's: post-order
+    over an explicit stack, so terms of any depth work, with no memo and
+    no groundness shortcut; every compound is built anew, and only the
+    `Compound` constructor is used."""
+    todo = [(t, False)]
+    done = []
+    while todo:
+        u, children_done = todo.pop()
+        if children_done:
+            n = len(u.args)
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(Compound(u.ltype, u.ctor, args))
+        elif isinstance(u, Var):
+            new, enter = replace(u)
+            if enter:
+                todo.append((new, False))
+            else:
+                done.append(new)
+        else:
+            todo.append((u, True))
+            todo.extend((a, False) for a in reversed(u.args))
+    return done[0]
+
+
+def resolve_in(t: Term, store: BindingStore) -> Term:
+    """`t` with every bound variable replaced by its binding, followed
+    through the store's dict and resolved in turn."""
+    bindings = dict(store.items())
+
+    def replace(v):
+        bound = bindings.get(v.vid)
+        return (v, False) if bound is None else (bound, True)
+
+    return replace_vars(t, replace)
+
+
+def substitute_syntactic(vid: VarId, replacement: Term, t: Term) -> Term:
+    """`t` with every occurrence of `vid` replaced by `replacement`, which
+    is not entered."""
+    return replace_vars(t, lambda v: (replacement if v.vid == vid else v, False))
+
+
 def project_user_bindings(store: BindingStore) -> dict:
     """Resolved bindings of user-named variables, keyed by name."""
     out = {}
     for vid in store:
         if not vid.name.startswith("_"):
-            out[vid.name] = resolve(Var(vid), store)
+            out[vid.name] = resolve_in(Var(vid), store)
     return out
 
 
@@ -132,7 +180,7 @@ def nat_occurs(vid: VarId, p: Compound) -> bool:
 def nat_substitute(vid: VarId, replacement: Term, p: Compound) -> Compound:
     if p.ctor == "zero":
         return p
-    return Compound(p.ltype, "suc", (substitute(vid, replacement, p.args[0]),))
+    return Compound(p.ltype, "suc", (substitute_syntactic(vid, replacement, p.args[0]),))
 
 
 def nat_is_ground(p: Compound) -> bool:
@@ -175,7 +223,8 @@ def list_substitute(vid: VarId, replacement: Term, p: Compound) -> Compound:
     return Compound(
         p.ltype,
         "cons",
-        (substitute(vid, replacement, p.args[0]), substitute(vid, replacement, p.args[1])),
+        (substitute_syntactic(vid, replacement, p.args[0]),
+         substitute_syntactic(vid, replacement, p.args[1])),
     )
 
 
@@ -267,5 +316,5 @@ def instantiate(t: Term, assignment: dict) -> Term:
     """Apply a VarId -> Term assignment syntactically."""
     out = t
     for vid, value in assignment.items():
-        out = substitute(vid, value, out)
+        out = substitute_syntactic(vid, value, out)
     return out

@@ -68,7 +68,9 @@ from typelog.terms import (
     Compound,
     Var,
     VarId,
+    _pattern_node,
     _rebuild,
+    _same,
     instantiate,
     is_ground_term,
     occurs_in,
@@ -516,6 +518,100 @@ def test_resolve_matches_recursive_definition(pair):
     for t in terms:
         for sub in subterms(t):
             assert equal_syntactic(resolve(sub, store), resolve_recursive(sub, store))
+
+
+# The contract of `_rebuild`, the one walk behind `resolve`, `substitute`,
+# `pattern` and the REPL's renaming, against plain recursion.
+
+def rebuild_recursive(t, store, leaf, make):
+    """`_rebuild`'s result by plain recursion that enters each compound
+    once (a memo by `id`), and the variables it calls `leaf` on, in order."""
+    calls, memo = [], {}
+
+    def go(t):
+        t = walk(t, store)
+        if isinstance(t, Var):
+            calls.append(t.vid)
+            return leaf(t)
+        if id(t) not in memo:
+            kids = tuple(go(a) for a in t.args)
+            memo[id(t)] = t if all(map(operator.is_, kids, t.args)) else make(t.ltype, t.ctor, kids)
+        return memo[id(t)]
+
+    return go(t), calls
+
+
+def check_rebuild(t, store, leaf, make):
+    """`_rebuild(t, store, leaf, make)` against `rebuild_recursive`: the
+    same result and `leaf` calls; an input compound with no bound
+    variable and no variable `leaf` changes comes back as itself; and a
+    compound met at two positions gives one output object."""
+    called = []
+
+    def recording(v):
+        called.append(v.vid)
+        return leaf(v)
+
+    out = _rebuild(t, store, recording, make)
+    expected, calls = rebuild_recursive(t, store, leaf, make)
+    assert called == calls
+    assert out == expected
+
+    @functools.lru_cache(maxsize=None)
+    def kept(t):
+        if isinstance(t, Var):
+            return t.vid not in store and leaf(t) is t
+        return all(map(kept, t.args))
+
+    outputs = {}  # id of each input compound reached -> its output
+    pairs = [(t, out)]
+    while pairs:
+        t, o = pairs.pop()
+        t = walk(t, store)
+        if isinstance(t, Var):
+            continue
+        if id(t) in outputs:
+            assert outputs[id(t)] is o
+            continue
+        outputs[id(t)] = o
+        if kept(t):
+            assert o is t
+        else:
+            pairs.extend(zip(t.args, o.args if type(o) is Compound else o[2]))
+    return out
+
+
+@st.composite
+def rebuild_cases(draw):
+    """Terms, a store binding some of their variables, and slots for some
+    variables: shared trees with each of some variables bound to a shared
+    tree over the variables after it, or shade terms and their unifier."""
+    if draw(st.booleans()):
+        store = BindingStore()
+        for k, v in enumerate(TREE_VARS):
+            if draw(st.booleans()):
+                store = store.bind(v.vid, draw(shared_trees(TREE_VARS[k + 1:] + [TREE.make("leaf")])))
+        t = draw(shared_trees(TREE_VARS + [TREE.make("leaf")]))
+        terms, pool = [t] + [store.lookup(vid) for vid in store], TREE_VARS
+    else:
+        terms, store = unified_cases(draw(st.tuples(shade_terms(), shade_terms())))
+        pool = [SHADE.var("s"), SHADE.var("t")]
+    slot_vars = draw(st.lists(st.sampled_from(pool), unique=True))
+    return terms, store, {v.vid: k for k, v in enumerate(slot_vars)}
+
+
+@settings(max_examples=300)
+@given(rebuild_cases())
+def test_rebuild_keeps_its_contract(case):
+    terms, store, slots = case
+    slot_of = lambda v: slots.get(v.vid, v)
+    # A leaf that returns a term with variables, which must not be entered.
+    swap = lambda v: terms[0] if v.vid in slots else v
+    for t in terms:
+        assert equal_syntactic(check_rebuild(t, store, _same, Compound), resolve_recursive(t, store))
+        check_rebuild(t, store, swap, Compound)
+        check_rebuild(t, store, slot_of, _pattern_node)
+        assert pattern(t, slot_of) == check_rebuild(t, EMPTY_STORE, slot_of, _pattern_node)
 
 
 # Random goal trees over every connective: the lazy solver must give the
