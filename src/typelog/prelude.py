@@ -124,7 +124,10 @@ def cons(head: Term, tail: Term) -> Compound:
 def make_list(elems: Sequence[TermLike], ltype: LogicType,
               tail: Optional[TermLike] = None) -> Term:
     """A right-nested cons chain over `elems`, ending in nil or in the
-    given tail (a list-typed term or variable name)."""
+    given tail (a list-typed term or variable name).  Each cell is built
+    with `Compound`, not `ltype.make`: `as_term` has already checked the
+    type of each element and of the tail, and `ltype.element` that
+    `ltype` is a list type."""
     elem_type = ltype.element
     if elem_type is None:
         raise TypeMismatchError(f"{ltype.name} is not a list type")
@@ -133,7 +136,7 @@ def make_list(elems: Sequence[TermLike], ltype: LogicType,
     if elem_type is NAT:
         _share_numerals(elems)
     for e in reversed(elems):
-        out = ltype.make("cons", as_term(e, elem_type), out)
+        out = Compound(ltype, "cons", (as_term(e, elem_type), out))
     return out
 
 

@@ -68,20 +68,25 @@ projects every answer, and the answers of one query can hold nodes
 quadratic in its size (`append(X, Y, xs)` answers with every prefix
 of `xs`), so it keeps one frame per node, with an iterator over the
 node's children and a flag for whether all of them kept their
-identity: a node costs one frame and one constructor call, with no
-rescan of its children.
+identity: a node costs one frame and one allocation, and one pass over
+its new children for its `ground` flag.
 
 Terms are immutable by contract: `VarId` is a tuple, and `Var` and
-`Compound` are slotted classes whose attributes no code assigns after
-`__init__`.  This is not enforced by a `__setattr__` guard, because the
-engine allocates variables and compounds per unfolding,
+`Compound` are slotted classes whose attributes no code assigns once
+the term is built.  This is not enforced by a `__setattr__` guard,
+because the engine allocates variables and compounds per unfolding,
 and a guarded (frozen) constructor costs more than twice as much.
 Code that mutates a term breaks sharing between search branches, the
 `ground` flag and hashing.
 
 Groundness invariant: every `Compound` carries a `ground` flag, computed
 once at construction from its children's flags (O(arity), no recursion),
-and true iff the term contains no variable as written.  A ground term
+and true iff the term contains no variable as written.  One rule sets
+it in three places: `Compound.__init__`, and the two builders that
+allocate a compound without calling its class and set every slot in
+place, which costs less than the call into `__init__`: `_rebuild`
+(behind `resolve`, `substitute` and the REPL's renaming) and
+`instantiate` (write mode).  A ground term
 cannot change under any store, so `resolve`, `occurs_in`,
 `is_ground_term` and `substitute` return at a ground subterm without
 entering it, and their cost is linear in the part of the term that is
@@ -154,12 +159,13 @@ class Var:
 class Compound:
     """A constructor application: `ctor` of type `ltype` over `args`.
 
-    `ground` is true iff no variable occurs in the term; it is set here
-    from the children's flags and is not part of equality.  Equality and
-    hashing are structural and walk the term over an explicit stack, so
-    terms of any depth compare and hash.  Each enters a node, or a pair of
-    nodes, once, so terms that share subterms cost their distinct nodes,
-    not their paths.
+    `ground` is true iff no variable occurs in the term; it is set from
+    the children's flags, here and by the same rule in `_rebuild` and
+    `instantiate` (see the module docstring), and is not part of
+    equality.  Equality and hashing are structural and walk the term
+    over an explicit stack, so terms of any depth compare and hash.
+    Each enters a node, or a pair of nodes, once, so terms that share
+    subterms cost their distinct nodes, not their paths.
     """
 
     __slots__ = ("ltype", "ctor", "args", "ground")
@@ -218,6 +224,10 @@ class Compound:
 
 
 Term = Union[Var, Compound]
+
+# Allocates a term without calling its class; `_rebuild` and
+# `instantiate` then set every slot in place.
+_new = object.__new__
 
 
 def term_type(t: Term):
@@ -331,10 +341,12 @@ def _rebuild(t: Term, store: BindingStore, leaf, make=Compound):
     rebuilt so far, whether every one of them kept its identity, and the
     child being entered, which its rebuilt form is compared with.  So a
     node costs one frame, one pass over its children and at most one
-    `make` call.  What `leaf`
-    returns is not entered.  Ground subterms, and nodes none of whose
-    children change, are kept as they are; any other node becomes
-    ``make(ltype, ctor, children)``.  Each entered compound is rebuilt
+    `make`.  What `leaf` returns is not entered.  Ground subterms, and
+    nodes none of whose children change, are kept as they are; any
+    other node becomes ``make(ltype, ctor, children)``.  When `make` is
+    `Compound`, the node is allocated without the class call and its
+    slots set in place, `ground` by `Compound.__init__`'s rule: true iff
+    every child is a ground compound.  Each entered compound is rebuilt
     once, keyed by `id` (all stay reachable during the walk), so
     bindings and subterms that are shared cost time linear in the
     distinct nodes, and the result keeps their sharing."""
@@ -370,7 +382,19 @@ def _rebuild(t: Term, store: BindingStore, leaf, make=Compound):
             if b is not a:
                 same = False
         else:
-            new = node if same else make(node.ltype, node.ctor, tuple(out))
+            if same:
+                new = node
+            elif make is Compound:  # built in place: see the docstring
+                new = _new(Compound)
+                new.ltype, new.ctor, new.args = node.ltype, node.ctor, tuple(out)
+                for b in out:
+                    if type(b) is not Compound or not b.ground:
+                        new.ground = False
+                        break
+                else:
+                    new.ground = True
+            else:
+                new = make(node.ltype, node.ctor, tuple(out))
             built[id(node)] = new
             if not frames:
                 return new
@@ -617,7 +641,9 @@ def instantiate(p: tuple, env: list) -> Compound:
     type check is needed: `make` checked every position when the
     template was built.  Post-order over an explicit stack.  Each
     subpattern object is built once, keyed by `id` (the pattern keeps
-    all of them alive), so the compound keeps the pattern's sharing."""
+    all of them alive), so the compound keeps the pattern's sharing.
+    As in `_rebuild`, each compound is allocated without the class call
+    and its slots set in place, `ground` by `Compound.__init__`'s rule."""
     built = {}
     frames = []
     ltype, ctor, subs = p
@@ -641,7 +667,14 @@ def instantiate(p: tuple, env: list) -> Compound:
             else:
                 out.append(s)
             continue
-        t = Compound(ltype, ctor, tuple(out))
+        t = _new(Compound)  # built in place: see the docstring
+        t.ltype, t.ctor, t.args = ltype, ctor, tuple(out)
+        for b in out:
+            if type(b) is not Compound or not b.ground:
+                t.ground = False
+                break
+        else:
+            t.ground = True
         if not frames:
             return t
         ltype, ctor, subs, i, out, k = frames.pop()

@@ -76,6 +76,8 @@ from typelog.terms import (
     occurs_in,
     pattern,
     resolve,
+    substitute,
+    term_type,
     terms_of,
     unify,
     walk,
@@ -394,6 +396,22 @@ def is_ground_syntactic(t):
     return all(is_ground_syntactic(child) for child in t.args)
 
 
+def assert_ground_flags(t):
+    """Every compound of `t` has ``ground == is_ground_syntactic(node)``,
+    by the same recursion, entering each distinct node once."""
+    memo = {}
+
+    def ground(t):
+        if isinstance(t, Var):
+            return False
+        if id(t) not in memo:
+            memo[id(t)] = all([ground(child) for child in t.args])
+            assert t.ground == memo[id(t)]
+        return memo[id(t)]
+
+    ground(t)
+
+
 def occurs_syntactic(vid, t):
     if isinstance(t, Var):
         return t.vid == vid
@@ -544,8 +562,10 @@ def rebuild_recursive(t, store, leaf, make):
 def check_rebuild(t, store, leaf, make):
     """`_rebuild(t, store, leaf, make)` against `rebuild_recursive`: the
     same result and `leaf` calls; an input compound with no bound
-    variable and no variable `leaf` changes comes back as itself; and a
-    compound met at two positions gives one output object."""
+    variable and no variable `leaf` changes comes back as itself; a
+    compound met at two positions gives one output object; and, with
+    `Compound` as `make`, every compound of the result has the `ground`
+    flag its definition gives, rebuilt in place or kept."""
     called = []
 
     def recording(v):
@@ -556,6 +576,8 @@ def check_rebuild(t, store, leaf, make):
     expected, calls = rebuild_recursive(t, store, leaf, make)
     assert called == calls
     assert out == expected
+    if make is Compound:
+        assert_ground_flags(out)
 
     @functools.lru_cache(maxsize=None)
     def kept(t):
@@ -600,6 +622,16 @@ def rebuild_cases(draw):
     return terms, store, {v.vid: k for k, v in enumerate(slot_vars)}
 
 
+LEAF = TREE.make("leaf")
+# For each type of `rebuild_cases`, a variable its terms may hold, and a
+# ground and a non-ground replacement for it (one that holds it too).
+SUBSTITUTIONS = {
+    TREE: (TREE_VARS[0], [TREE.make("node", LEAF, LEAF), TREE.make("node", TREE_VARS[0], LEAF)]),
+    SHADE: (SHADE.var("s"), [SHADE.make("light", SHADE.make("red")),
+                             SHADE.make("mix", SHADE.var("s"), SHADE.var("t"))]),
+}
+
+
 @settings(max_examples=300)
 @given(rebuild_cases())
 def test_rebuild_keeps_its_contract(case):
@@ -607,11 +639,86 @@ def test_rebuild_keeps_its_contract(case):
     slot_of = lambda v: slots.get(v.vid, v)
     # A leaf that returns a term with variables, which must not be entered.
     swap = lambda v: terms[0] if v.vid in slots else v
+    var, replacements = SUBSTITUTIONS[term_type(terms[0])]
     for t in terms:
         assert equal_syntactic(check_rebuild(t, store, _same, Compound), resolve_recursive(t, store))
         check_rebuild(t, store, swap, Compound)
         check_rebuild(t, store, slot_of, _pattern_node)
         assert pattern(t, slot_of) == check_rebuild(t, EMPTY_STORE, slot_of, _pattern_node)
+        for r in replacements:
+            leaf = lambda v: r if v.vid == var.vid else v
+            assert substitute(var.vid, r, t) == check_rebuild(t, EMPTY_STORE, leaf, Compound)
+
+
+# Write mode: `instantiate` and `terms_of` against a plain recursive build
+# with the `Compound` constructor.
+
+def instantiate_recursive(p, env):
+    """The term a subpattern `p` denotes in `env`, by plain recursion
+    with `Compound(...)`: a slot that holds the number n of its `exists`
+    stands for the variable ``_n``.  Reads `env` without changing it."""
+    if type(p) is int:
+        t = env[p]
+        return Var(VarId(f"_{t}", env[-1][p])) if type(t) is int else t
+    if type(p) is tuple:
+        return Compound(p[0], p[1], tuple(instantiate_recursive(s, env) for s in p[2]))
+    return p
+
+
+HELD = st.one_of(
+    st.sampled_from(TREE_VARS),
+    shared_trees([LEAF]),  # ground
+    st.tuples(shared_trees(TREE_VARS + [LEAF]), st.sampled_from(TREE_VARS)).map(
+        lambda p: TREE.make("node", *p)),  # not ground
+)
+
+
+@st.composite
+def instantiate_cases(draw):
+    """(p, operands, env): a tree pattern `p` and a tuple of operands
+    over `env`, whose four slots each hold the number of an `exists`, a
+    variable, a ground compound or a non-ground compound.  Patterns grow
+    bottom-up from the slots and from terms, so any subpattern may be
+    shared by several parents; `operands` are drawn from the same nodes."""
+    env = [draw(st.one_of(st.just(40 + k), HELD)) for k in range(4)] + [[TREE] * 4]
+    nodes = [0, 1, 2, 3] + draw(st.lists(st.one_of(st.just(LEAF), HELD), max_size=3))
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, len(nodes) - 1))
+        j = draw(st.integers(0, len(nodes) - 1))
+        nodes.append((TREE, "node", (nodes[i], nodes[j])))
+    operands = tuple(draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4)))
+    return nodes[-1], operands, env
+
+
+@settings(max_examples=300)
+@given(instantiate_cases())
+def test_instantiate_builds_what_the_constructor_builds(case):
+    p, operands, env = case
+    read = list(env)
+    out = instantiate(p, read)
+    assert equal_syntactic(out, instantiate_recursive(p, env))
+    assert_ground_flags(out)
+    # One output object per subpattern object; a slot gives its term,
+    # or the variable made for it, which the slot then holds.
+    outputs = {}
+    pairs = [(p, out)]
+    while pairs:
+        q, o = pairs.pop()
+        if type(q) is int:
+            assert o is read[q]
+        elif type(q) is not tuple:
+            assert o is q
+        elif id(q) in outputs:
+            assert outputs[id(q)] is o
+        else:
+            outputs[id(q)] = o
+            pairs.extend(zip(q[2], o.args))
+    read = list(env)
+    got = terms_of(operands, read)
+    assert len(got) == len(operands)
+    for q, o in zip(operands, got):
+        assert equal_syntactic(o, instantiate_recursive(q, env))
+        assert_ground_flags(o)
 
 
 # Random goal trees over every connective: the lazy solver must give the

@@ -3,9 +3,15 @@ the work (a store copied at every bind, answers projected from the
 whole store, a quadratic parser, a term walked path by path) takes far
 longer than the bound.  Each check times its whole body, building its
 input included, against a 10 s bound; on a 2-core host they take
-0.03-1.4 s."""
+0.03-1.4 s.  That bound is checked once the work returns, so each check
+also has a hard deadline of three times the bound, at which a timer
+signal fails it: a cost gone exponential fails the check instead of
+hanging the run."""
 
+import signal
 import time
+
+import pytest
 
 from typelog.derive import TypeRegistry
 from typelog.goals import eq, predicate
@@ -15,6 +21,23 @@ from typelog.solve import find_all, solve
 from typelog.terms import EMPTY_STORE, unify
 
 BOUND_S = 10
+DEADLINE_S = 3 * BOUND_S
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail the check running when DEADLINE_S has passed, from a SIGALRM
+    handler, and put the previous handler back afterwards."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after the {DEADLINE_S} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_deep_answers_in_a_script():
