@@ -14,9 +14,8 @@ refer to types by name and are resolved through a registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import terms
 from .terms import EMPTY_STORE, Compound, LogicError, Term, TypeMismatchError, Var, VarId
@@ -26,20 +25,17 @@ class DeriveError(LogicError):
     """A datatype descriptor is malformed."""
 
 
-@dataclass(frozen=True)
-class ConstructorSpec:
+class ConstructorSpec(NamedTuple):
     name: str
     children: tuple  # child logical-type names, resolved via the registry
 
 
-@dataclass(frozen=True)
-class DatatypeDescriptor:
+class DatatypeDescriptor(NamedTuple):
     type_name: str
     constructors: tuple
 
 
-@dataclass(frozen=True)
-class LogicCapability:
+class LogicCapability(NamedTuple):
     """The logic operations on constructor applications, the same for
     every type: `STRUCTURAL` is the one instance.  `unify_step` only ever
     extends the store; on clash it returns None and the caller keeps the

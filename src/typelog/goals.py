@@ -12,9 +12,10 @@ so ``eq(a, b) ^ fail_goal() | c & d`` groups as
 ``(eq(a, b) ^ fail_goal()) | (c & d)``.
 
 Immutability is kept by contract, not enforced: the nodes are slotted
-classes, compared and hashed by value, but not frozen, because a frozen
-node pays a guarded `__setattr__` per field.  No code assigns a field
-of a goal node after construction.
+classes, compared, hashed and printed by value by `Goal`'s methods over
+each class's `_fields`, but not frozen, because a frozen node pays a
+guarded `__setattr__` per field.  No code assigns a field of a goal
+node after construction.
 
 A predicate defined with `@predicate` is compiled once per key (its
 arguments' types) into a `Template`: its body is run once on
@@ -50,7 +51,6 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass, field
 from types import FunctionType
 from typing import Callable, Optional
 
@@ -67,9 +67,28 @@ from .terms import (
 
 
 class Goal:
-    """Base class for goal-tree nodes."""
+    """Base class for goal-tree nodes: values over the fields each class
+    lists in `_fields`.  Equality (same class, equal fields), hashing and
+    `repr` are a dataclass's, written once here, since `@dataclass` runs
+    generated source for each class at import."""
 
     __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({shown})"
 
     def __and__(self, other: "Goal") -> "Goal":
         return Conj(self, other)
@@ -81,31 +100,32 @@ class Goal:
         return CutThen(self, other)
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Succeed(Goal):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Fail(Goal):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Unify(Goal):
     """Unify two terms; in a template, two patterns."""
 
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Conj(Goal):
-    g1: Goal
-    g2: Goal
+    __slots__ = _fields = ("g1", "g2")
+
+    def __init__(self, g1: Goal, g2: Goal):
+        self.g1 = g1
+        self.g2 = g2
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Disj(Goal):
     """Try `g1`, then `g2`.
 
@@ -118,14 +138,18 @@ class Disj(Goal):
     there, binding nothing, so the solver charges those steps and
     counter values and goes on at `g2` without a choicepoint: every
     count is the one the run of `g1` would have left.  The index is not
-    part of equality; a `Disj` built outside a template has none."""
+    part of equality, hashing or `repr`; a `Disj` built outside a
+    template has none."""
 
-    g1: Goal
-    g2: Goal
-    index: Optional[tuple] = field(default=None, compare=False, repr=False)
+    __slots__ = ("g1", "g2", "index")
+    _fields = ("g1", "g2")
+
+    def __init__(self, g1: Goal, g2: Goal, index: Optional[tuple] = None):
+        self.g1 = g1
+        self.g2 = g2
+        self.index = index
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Exists(Goal):
     """Introduce a fresh variable of `ltype` at evaluation time and
     evaluate `body(fresh_var)`.  Bodies must be pure: the engine may
@@ -137,41 +161,52 @@ class Exists(Goal):
     variable or takes a term in its place (see the `terms` module
     docstring)."""
 
-    ltype: object
-    body: Callable[[Term], Goal]
-    slot: Optional[int] = None
+    __slots__ = _fields = ("ltype", "body", "slot")
+
+    def __init__(self, ltype: object, body: Callable[[Term], Goal], slot: Optional[int] = None):
+        self.ltype = ltype
+        self.body = body
+        self.slot = slot
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Scope(Goal):
     """Delimits how far a cut fired inside `g` prunes alternatives."""
 
-    g: Goal
+    __slots__ = _fields = ("g",)
+
+    def __init__(self, g: Goal):
+        self.g = g
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class CutThen(Goal):
-    g1: Goal
-    g2: Goal
+    __slots__ = _fields = ("g1", "g2")
+
+    def __init__(self, g1: Goal, g2: Goal):
+        self.g1 = g1
+        self.g2 = g2
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class IsGround(Goal):
     """Succeeds once, binding nothing, iff `term` is ground under the
     store at evaluation time."""
 
-    term: Term
+    __slots__ = _fields = ("term",)
+
+    def __init__(self, term: Term):
+        self.term = term
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Call(Goal):
     """Run a compiled predicate: `template` on argument terms or, inside
     a template, on argument patterns.  Inside a template, `template` may
     instead be the environment index of a function argument, which is
     called on the arguments.  Costs no solver step."""
 
-    template: object
-    args: tuple
+    __slots__ = _fields = ("template", "args")
+
+    def __init__(self, template: object, args: tuple):
+        self.template = template
+        self.args = args
 
     def __repr__(self):
         return f"Call({getattr(self.template, 'name', self.template)}, {self.args!r})"

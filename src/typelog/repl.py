@@ -14,8 +14,7 @@ from __future__ import annotations
 import io
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import prelude
 from .derive import LogicType
@@ -36,8 +35,7 @@ class QueryTypeError(LogicError):
     pass
 
 
-@dataclass
-class PredicateSpec:
+class PredicateSpec(NamedTuple):
     name: str
     arg_types: Tuple[LogicType, ...]
     impl: Callable[..., Goal]
@@ -100,11 +98,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
 class _Token:
-    kind: str  # name | var | int | punct | end
-    text: str
-    pos: int  # 1-based column
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # name | var | int | punct | end
+        self.text = text
+        self.pos = pos  # 1-based column
 
 
 def _tokenize(text: str) -> List[_Token]:

@@ -109,7 +109,9 @@ class StepBudgetExceeded(LogicError):
 @dataclass(frozen=True)
 class Solution:
     """One answer: bindings of user-named variables, fully resolved,
-    plus the fresh-variable counter at the moment it was produced."""
+    plus the fresh-variable counter at the moment it was produced.  The
+    package's one dataclass, kept for callers of `dataclasses.replace`;
+    the other records skip `@dataclass`'s code generation at import."""
 
     bindings: Mapping[VarId, Term]
     counter_at_yield: int

@@ -7,6 +7,7 @@ from typelog.derive import (
     ConstructorSpec,
     DatatypeDescriptor,
     DeriveError,
+    LogicCapability,
     TypeRegistry,
     derive_capability,
 )
@@ -29,6 +30,50 @@ from typelog.terms import EMPTY_STORE, TypeMismatchError, pretty, unify
 
 def make_descriptor(name, ctors):
     return DatatypeDescriptor(name, tuple(ConstructorSpec(c, tuple(ch)) for c, ch in ctors))
+
+
+# The public records: field names, field values whose reprs are stable,
+# and the repr of the record built from them.
+RECORDS = [
+    (ConstructorSpec, ("name", "children"), ("suc", ("nat",)),
+     "ConstructorSpec(name='suc', children=('nat',))"),
+    (DatatypeDescriptor, ("type_name", "constructors"),
+     ("nat", (ConstructorSpec("zero", ()), ConstructorSpec("suc", ("nat",)))),
+     "DatatypeDescriptor(type_name='nat', constructors=(ConstructorSpec(name='zero', children=()), "
+     "ConstructorSpec(name='suc', children=('nat',))))"),
+    (LogicCapability, ("unify_step", "occurs", "substitute", "is_ground", "pretty"),
+     (len, abs, min, max, repr),
+     "LogicCapability(unify_step=<built-in function len>, occurs=<built-in function abs>, "
+     "substitute=<built-in function min>, is_ground=<built-in function max>, "
+     "pretty=<built-in function repr>)"),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, shown", RECORDS,
+                         ids=[row[0].__name__ for row in RECORDS])
+class TestRecords:
+    """The derive records are read-only values."""
+
+    def test_positional_and_keyword_construction(self, cls, names, values, shown):
+        a, b = cls(*values), cls(**dict(zip(names, values)))
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert tuple(getattr(a, n) for n in names) == values
+
+    def test_each_field_is_compared(self, cls, names, values, shown):
+        for i in range(len(values)):
+            changed = list(values)
+            changed[i] = "other"
+            assert cls(*changed) != cls(*values)
+
+    def test_repr(self, cls, names, values, shown):
+        assert repr(cls(*values)) == shown
+
+    def test_fields_are_read_only(self, cls, names, values, shown):
+        record = cls(*values)
+        for n in names:
+            with pytest.raises(AttributeError):
+                setattr(record, n, "other")
+        assert tuple(getattr(record, n) for n in names) == values
 
 
 class TestDescriptorValidation:

@@ -12,7 +12,10 @@ from typelog.goals import (
     CutThen,
     Disj,
     Exists,
+    Fail,
+    IsGround,
     Scope,
+    Succeed,
     Unify,
     cut_then,
     eq,
@@ -146,6 +149,90 @@ class TestGoalNodes:
 
     def test_no_instance_dict(self):
         assert not hasattr(eq(X, zero()) & succeed(), "__dict__")
+
+
+# Every goal node class: its field names, a function returning fresh
+# field values (equal, not identical, on each call where the values allow
+# it), and the repr of the node built from them.
+GOAL_NODES = [
+    (Succeed, (), lambda: (), "Succeed()"),
+    (Fail, (), lambda: (), "Fail()"),
+    (Unify, ("left", "right"), lambda: (NAT.var("x"), nat(1)),
+     "Unify(left=Var(x:nat), right=suc(zero))"),
+    (Conj, ("g1", "g2"), lambda: (Succeed(), Fail()), "Conj(g1=Succeed(), g2=Fail())"),
+    (Disj, ("g1", "g2"), lambda: (Succeed(), Fail()), "Disj(g1=Succeed(), g2=Fail())"),
+    (Exists, ("ltype", "body", "slot"), lambda: (NAT, Unify(0, 1), 3),
+     "Exists(ltype=LogicType(nat), body=Unify(left=0, right=1), slot=3)"),
+    (Scope, ("g",), lambda: (Fail(),), "Scope(g=Fail())"),
+    (CutThen, ("g1", "g2"), lambda: (Succeed(), Fail()), "CutThen(g1=Succeed(), g2=Fail())"),
+    (IsGround, ("term",), lambda: (nat_list([2]),),
+     "IsGround(term=cons(suc(suc(zero)), nil))"),
+    (Call, ("template", "args"), lambda: (plus(0, 0, 0).template, (nat(1), NAT.var("A"))),
+     "Call(plus, (suc(zero), Var(A:nat)))"),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, shown", GOAL_NODES,
+                         ids=[row[0].__name__ for row in GOAL_NODES])
+class TestGoalNodeValues:
+    """Goal nodes are values: equality, hashing and repr over their fields."""
+
+    def test_equal_fields_equal_nodes(self, cls, names, values, shown):
+        a, b = cls(*values()), cls(*values())
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+
+    def test_keyword_construction(self, cls, names, values, shown):
+        node = cls(**dict(zip(names, values())))
+        assert node == cls(*values())
+        assert tuple(getattr(node, n) for n in names) == values()
+
+    def test_never_equal_to_another_value(self, cls, names, values, shown):
+        node = cls(*values())
+        assert (node == 3) is False and node != 3
+        assert node != values() and node.__eq__(3) is NotImplemented
+
+    def test_each_field_is_compared(self, cls, names, values, shown):
+        base = values()
+        for i in range(len(base)):
+            changed = list(base)
+            changed[i] = Fail() if base[i] != Fail() else Succeed()
+            assert cls(*changed) != cls(*base)
+
+    def test_repr(self, cls, names, values, shown):
+        assert repr(cls(*values())) == shown
+
+    def test_no_instance_dict(self, cls, names, values, shown):
+        assert not hasattr(cls(*values()), "__dict__")
+
+
+class TestGoalNodeClasses:
+    def test_classes_with_the_same_fields_are_unequal(self):
+        nodes = [Conj(Succeed(), Fail()), Disj(Succeed(), Fail()), CutThen(Succeed(), Fail())]
+        for a in nodes:
+            for b in nodes:
+                assert (a == b) is (a is b)
+                if a is not b:
+                    assert a.__eq__(b) is NotImplemented
+        assert Succeed() != Fail() and Succeed().__eq__(Fail()) is NotImplemented
+
+    def test_disj_index_is_ignored(self):
+        indexed = Disj(Succeed(), Fail(), (0, "zero", 2, 1))
+        plain = Disj(Succeed(), Fail())
+        assert indexed == plain and hash(indexed) == hash(plain)
+        assert repr(indexed) == repr(plain) == "Disj(g1=Succeed(), g2=Fail())"
+        assert indexed.index == (0, "zero", 2, 1)
+
+    def test_exists_slot_is_compared(self):
+        body = Unify(0, 1)
+        assert Exists(NAT, body, 3) != Exists(NAT, body, 4)
+        assert Exists(NAT, body, 3) != Exists(NAT, body)
+
+    def test_constructor_defaults(self):
+        assert Disj(Succeed(), Fail()).index is None
+        assert Exists(NAT, succeed).slot is None
+        assert repr(Exists(NAT, Succeed())) == (
+            "Exists(ltype=LogicType(nat), body=Succeed(), slot=None)")
 
 
 class TestCutAndScope:

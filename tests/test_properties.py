@@ -15,8 +15,12 @@ from typelog.goals import (
     CutThen,
     Disj,
     Exists,
+    Fail,
+    IsGround,
     Scope,
+    Succeed,
     Template,
+    Unify,
     eq,
     exists,
     fail_goal,
@@ -1125,3 +1129,66 @@ def test_indexed_bodies_match_their_unindexed_form(shape, x, y):
     assert list(solve_stores(goal)) == list(solve_stores(plain))
     for steps in range(1, smallest_budget(plain) + 1):
         assert outcome(goal, steps) == outcome(plain, steps)
+
+
+# Goal nodes are values: a tree built again node by node, over the same
+# terms, patterns, functions and templates, is equal to the original,
+# with the same hash and repr, and a `Disj`'s index is not part of its
+# value.  Checked on random goal trees and on compiled template roots.
+
+def copied(goal):
+    """A structural copy of `goal`: each goal node built again."""
+    t = type(goal)
+    if t is Disj:
+        return Disj(copied(goal.g1), copied(goal.g2), goal.index)
+    if t in (Conj, CutThen):
+        return t(copied(goal.g1), copied(goal.g2))
+    if t is Scope:
+        return Scope(copied(goal.g))
+    if t is Exists:
+        body = goal.body if goal.slot is None else copied(goal.body)
+        return Exists(goal.ltype, body, goal.slot)
+    if t is Unify:
+        return Unify(goal.left, goal.right)
+    if t is IsGround:
+        return IsGround(goal.term)
+    if t is Call:
+        return Call(goal.template, tuple([*goal.args]))
+    assert t in (Succeed, Fail)
+    return t()
+
+
+def disjunctions(goal):
+    """The `Disj` nodes of `goal`, not entering closures or templates."""
+    found, todo = [], [goal]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is Disj:
+            found.append(n)
+        if t in (Conj, Disj, CutThen):
+            todo += (n.g1, n.g2)
+        elif t is Scope:
+            todo.append(n.g)
+        elif t is Exists and n.slot is not None:
+            todo.append(n.body)
+    return found
+
+
+def template_root(call):
+    """The compiled root of a prelude call's template, or the call itself
+    when its body could not be compiled."""
+    return call.template.root if call.template.root is not None else call
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(goal_trees(), prelude_calls().map(template_root)), st.integers(0, 20))
+def test_goal_nodes_are_values(goal, which):
+    copy = copied(goal)
+    assert copy is not goal
+    assert copy == goal and hash(copy) == hash(goal) and repr(copy) == repr(goal)
+    found = disjunctions(copy)
+    if found:
+        d = found[which % len(found)]
+        d.index = (-1, "other", 1, 0) if d.index is None else None
+        assert copy == goal and hash(copy) == hash(goal) and repr(copy) == repr(goal)
