@@ -12,6 +12,7 @@ wildcard, and decimal integers are Peano numerals.  Example::
 from __future__ import annotations
 
 import io
+import itertools
 import re
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
@@ -85,115 +86,128 @@ def default_registry() -> PredicateRegistry:
 
 # --- tokenizer / parser ---------------------------------------------------
 
+# Skips whitespace, then captures a token (group 1: a name, a variable or
+# "_", an integer, or punctuation) or else the one character that starts
+# none (group 2).  Only trailing whitespace is in no match.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-    | (?P<name>[a-z][A-Za-z0-9_]*)
-    | (?P<var>[A-Z][A-Za-z0-9_]*|_(?![A-Za-z0-9_]))
-    | (?P<int>\d+)
-    | (?P<punct>\\\+|[(),;.\[\]|])
-    | (?P<bad>.)
+    \s*
+    (?:(
+        [a-z][A-Za-z0-9_]*
+      | [A-Z][A-Za-z0-9_]* | _(?![A-Za-z0-9_])
+      | \d+
+      | \\\+ | [(),;.\[\]|]
+    ) | (\S))
     """,
     re.VERBOSE,
 )
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # name | var | int | punct | end
-        self.text = text
-        self.pos = pos  # 1-based column
+# The most digits an integer literal may have: Python's default limit for
+# int(), kept as the parser's own whatever the interpreter's limit is.
+LONGEST_LITERAL = 4300
+# int() reads this many digits under any limit the interpreter accepts.
+_ALWAYS_READ = 640
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):  # every character is in some match
-        kind = m.lastgroup
-        if kind == "bad":
-            raise QueryParseError(f"unexpected character {m.group()!r}", m.start() + 1)
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), m.start() + 1))
-    tokens.append(_Token("end", "", len(text) + 1))
-    return tokens
+def _tokenize(text: str) -> List[str]:
+    """The tokens of `text` as strings, then "" for its end.  A character
+    that starts no token is a parse error, at its column."""
+    found = _TOKEN_RE.findall(text)
+    if not found:
+        return [""]
+    tokens, bad = zip(*found)
+    if any(bad):
+        m = next(m for m in _TOKEN_RE.finditer(text) if m.group(2))
+        raise QueryParseError(f"unexpected character {m.group(2)!r}", m.start(2) + 1)
+    return [*tokens, ""]
+
+
+def _column(text: str, i: int) -> int:
+    """The 1-based column of token `i` of `text`, found by scanning it
+    again: columns are only needed for an error."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i, None), None)
+    return len(text) + 1 if m is None else m.start(1) + 1
+
+
+def _literal(text: str) -> int:
+    """The value of an integer token of at most LONGEST_LITERAL digits,
+    read in pieces that int() takes under any digit limit."""
+    value = 0
+    for k in range(0, len(text), _ALWAYS_READ):
+        piece = text[k:k + _ALWAYS_READ]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
 
 
 class _QueryParser:
     """Recursive-descent parser producing a Goal directly, type-checking
-    each predicate argument against its registered signature."""
+    each predicate argument against its registered signature.  Tokens
+    are told apart by their first character."""
 
     def __init__(self, text: str, registry: PredicateRegistry):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.registry = registry
         self.qvars: Dict[str, VarId] = {}  # user variables by name, first-occurrence order
         self._wildcards = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def error(self, message: str, i: int) -> QueryParseError:
+        return QueryParseError(message, _column(self.text, i))
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
+    def expected(self, what: str, i: int) -> QueryParseError:
+        found = self.tokens[i] or "end of input"
+        return self.error(f"expected {what}, found {found!r}", i)
+
+    def expect(self, text: str) -> None:
+        if self.tokens[self.i] != text:
+            raise self.expected(repr(text), self.i)
         self.i += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def expect(self, text: str) -> _Token:
-        if self.at(text):
-            return self.take()
-        tok = self.peek()
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise QueryParseError(f"expected {text!r}, found {shown!r}", tok.pos)
 
     def parse_query(self) -> Goal:
         goal = self.parse_disj()
         self.expect(".")
-        tok = self.peek()
-        if tok.kind != "end":
-            raise QueryParseError(f"unexpected input after '.': {tok.text!r}", tok.pos)
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected input after '.': {self.tokens[self.i]!r}", self.i)
         return goal
 
     def parse_disj(self) -> Goal:
         goal = self.parse_conj()
-        while self.at(";"):
-            self.take()
+        while self.tokens[self.i] == ";":
+            self.i += 1
             goal = goal | self.parse_conj()
         return goal
 
     def parse_conj(self) -> Goal:
         goal = self.parse_atom()
-        while self.at(","):
-            self.take()
+        while self.tokens[self.i] == ",":
+            self.i += 1
             goal = goal & self.parse_atom()
         return goal
 
     def parse_atom(self) -> Goal:
+        tokens, i = self.tokens, self.i
         negations = 0
-        while self.at("\\+"):
-            self.take()
+        while tokens[i] == "\\+":
+            i += 1
             negations += 1
-        tok = self.peek()
-        if tok.kind != "name":
-            shown = tok.text if tok.kind != "end" else "end of input"
-            raise QueryParseError(f"expected a predicate name, found {shown!r}", tok.pos)
-        self.take()
+        name = tokens[i]
+        if not name[:1].islower():
+            raise self.expected("a predicate name", i)
+        self.i = i + 1
         args: List[Term] = []
-        if self.at("("):
-            self.take()
+        if tokens[self.i] == "(":
+            self.i += 1
             while True:
                 args.append(self._parse_raw_term())
-                if self.at(","):
-                    self.take()
+                if tokens[self.i] == ",":
+                    self.i += 1
                     continue
                 self.expect(")")
                 break
-        spec = self.registry.lookup(tok.text, len(args))
+        spec = self.registry.lookup(name, len(args))
         if spec is None:
-            raise QueryTypeError(f"type error: unknown predicate {tok.text}/{len(args)}")
+            raise QueryTypeError(f"type error: unknown predicate {name}/{len(args)}")
         typed = [
             self._type_arg(raw, spec, idx)
             for idx, raw in enumerate(args)
@@ -204,53 +218,60 @@ class _QueryParser:
         return goal
 
     # Terms are parsed shape-first and typed against the signature, so a
-    # raw parse tree is kept until the expected type is known.
+    # raw term is kept until the expected type is known: an int, a
+    # variable name, or an (elements, tail) list whose tail is None for
+    # nil.
 
     def _parse_raw_term(self):
         # Lists nest over an explicit stack of open lists, each an
         # [elements, in the tail] frame.
+        tokens, i = self.tokens, self.i
         open_lists = []
         while True:
-            tok = self.take()
-            if tok.kind == "var":
-                term = ("var", tok.text)
-            elif tok.kind == "int":
-                try:
-                    term = ("int", int(tok.text))
-                except ValueError:
-                    raise QueryParseError(
-                        f"integer literal of {len(tok.text)} digits is too long", tok.pos
-                    ) from None
-            elif tok.kind == "punct" and tok.text == "[":
-                if not self.at("]"):
+            tok = tokens[i]
+            i += 1
+            first = tok[:1]
+            if first.isdigit():
+                if len(tok) <= _ALWAYS_READ:
+                    term = int(tok)
+                elif len(tok) <= LONGEST_LITERAL:
+                    term = _literal(tok)
+                else:
+                    raise self.error(f"integer literal of {len(tok)} digits is too long", i - 1)
+            elif first.isupper() or first == "_":
+                term = tok
+            elif tok == "[":
+                if tokens[i] != "]":
                     open_lists.append([[], False])
                     continue
-                self.take()
-                term = ("list", [], None)
+                i += 1
+                term = ([], None)
             else:
-                shown = tok.text if tok.kind != "end" else "end of input"
-                raise QueryParseError(f"expected a term, found {shown!r}", tok.pos)
+                raise self.expected("a term", i - 1)
             # `term` is complete: it ends elements and tails of open lists
             # until one of them continues with "," or "|".
             while open_lists:
                 elems, in_tail = open_lists[-1]
                 if in_tail:
-                    self.expect("]")
-                    open_lists.pop()
-                    term = ("list", elems, term)
-                    continue
-                elems.append(term)
-                if self.at(","):
-                    self.take()
-                    break
-                if self.at("|"):
-                    self.take()
-                    open_lists[-1][1] = True
-                    break
-                self.expect("]")
+                    tail = term
+                else:
+                    elems.append(term)
+                    tok = tokens[i]
+                    if tok == ",":
+                        i += 1
+                        break
+                    if tok == "|":
+                        i += 1
+                        open_lists[-1][1] = True
+                        break
+                    tail = None
+                if tokens[i] != "]":
+                    raise self.expected("']'", i)
+                i += 1
                 open_lists.pop()
-                term = ("list", elems, None)
+                term = (elems, tail)
             else:
+                self.i = i
                 return term
 
     def _type_arg(self, raw, spec: PredicateSpec, idx: int) -> Term:
@@ -262,21 +283,20 @@ class _QueryParser:
             ) from None
 
     def _build_term(self, raw, ltype: LogicType) -> Term:
-        kind = raw[0]
-        if kind == "var":
-            name = raw[1]
-            if name == "_":
+        kind = type(raw)
+        if kind is str:
+            if raw == "_":
                 self._wildcards += 1
                 return Var(VarId(f"_w{self._wildcards}", ltype))
-            vid = self.qvars.setdefault(name, VarId(name, ltype))
+            vid = self.qvars.setdefault(raw, VarId(raw, ltype))
             if vid.ltype is not ltype:
                 raise QueryTypeError(
-                    f"variable {name} is used at types {vid.ltype.name} and {ltype.name}")
+                    f"variable {raw} is used at types {vid.ltype.name} and {ltype.name}")
             return Var(vid)
-        if kind == "int":
+        if kind is int:
             if ltype.from_int is None:
-                raise QueryTypeError(f"expected {ltype.name}, got integer {raw[1]}")
-            return ltype.from_int(raw[1])
+                raise QueryTypeError(f"expected {ltype.name}, got integer {raw}")
+            return ltype.from_int(raw)
         if ltype.element is None:  # a raw term is a var, an int or a list
             raise QueryTypeError(f"expected {ltype.name}, got a list")
         # Elements left to right, then the tail: first-occurrence order.
@@ -286,10 +306,10 @@ class _QueryParser:
         built = []
         ints = ltype.element.from_int is not None
         while True:
-            _, elems, tail = raw
-            built.extend(e[1] if ints and e[0] == "int" else self._build_term(e, ltype.element)
+            elems, tail = raw
+            built.extend(e if ints and type(e) is int else self._build_term(e, ltype.element)
                          for e in elems)
-            if tail is None or tail[0] != "list":
+            if type(tail) is not tuple:
                 break
             raw = tail
         tail_term = None if tail is None else self._build_term(tail, ltype)
@@ -301,9 +321,9 @@ def parse_term(text: str, ltype: LogicType) -> Term:
     logical type.  Inverse of pretty() for ground terms."""
     parser = _QueryParser(text, PredicateRegistry())
     raw = parser._parse_raw_term()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise QueryParseError(f"unexpected input after term: {tok.text!r}", tok.pos)
+    tok = parser.tokens[parser.i]
+    if tok:
+        raise parser.error(f"unexpected input after term: {tok!r}", parser.i)
     return parser._build_term(raw, ltype)
 
 
@@ -313,22 +333,29 @@ def compile_query(text: str, registry: PredicateRegistry,
     variables in first-occurrence order.  A name stands for one variable
     of one type: a name used at two types is a `QueryTypeError`.
 
-    With `max_steps`, integer literals that sum to more than it raise
-    `StepBudgetExceeded` before the query is parsed: the numeral n is n
-    nodes to build, so the budget bounds them too.  A literal too long
-    to read is left to the parser, which reports it."""
+    Errors come in a fixed order.  A character that starts no token is
+    reported first, wherever it is.  Then, with `max_steps`, integer
+    literals that sum to more than it raise `StepBudgetExceeded` before
+    the query is parsed: the numeral n is n nodes to build, so the
+    budget bounds them too.  Then parse and type errors are reported
+    left to right, each predicate's type errors once its arguments are
+    parsed.  An integer literal may have at most LONGEST_LITERAL digits,
+    whatever Python's own limit for int() is; a longer one counts for
+    nothing in the budget and is a parse error at its column."""
     parser = _QueryParser(text, registry)
     if max_steps is not None:
-        total = 0
-        for tok in parser.tokens:
-            if tok.kind == "int":
-                try:
-                    total += int(tok.text)
-                except ValueError:
-                    pass
+        literals = [*filter(str.isdigit, parser.tokens)]
+        if max(map(len, literals), default=0) <= _ALWAYS_READ:
+            total = sum(map(int, literals))
+        else:
+            total = sum(_literal(tok) for tok in literals if len(tok) <= LONGEST_LITERAL)
         if total > max_steps:
+            try:
+                shown = str(total)
+            except ValueError:  # more digits than Python writes out
+                shown = f"a number of over {sys.get_int_max_str_digits()} digits"
             raise StepBudgetExceeded(
-                f"integer literals sum to {total}, over the step budget of {max_steps}")
+                f"integer literals sum to {shown}, over the step budget of {max_steps}")
     goal = parser.parse_query()
     return goal, list(parser.qvars.values())
 

@@ -225,8 +225,8 @@ class Compound:
 
 Term = Union[Var, Compound]
 
-# Allocates a term without calling its class; `_rebuild` and
-# `instantiate` then set every slot in place.
+# Allocates a term without calling its class; `_rebuild`, `instantiate`
+# and `prelude.make_list` then set every slot in place.
 _new = object.__new__
 
 

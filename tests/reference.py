@@ -10,13 +10,17 @@ terms, through the oracle's own resolver (`replace_vars`), which calls
 no `terms` function but the constructors, so a fault in the engine's
 rebuild cannot hide in both.  The hand-written per-type operations
 mirror what derivation is supposed to produce for naturals and lists.
+The query tokenizer is kept here as it was before tokens became plain
+strings.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from typelog import goals as g
+from typelog.repl import QueryParseError
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
@@ -318,3 +322,40 @@ def instantiate(t: Term, assignment: dict) -> Term:
     for vid, value in assignment.items():
         out = substitute_syntactic(vid, value, out)
     return out
+
+
+# The query tokenizer as it was when each token was an object with a kind
+# and a column: one `finditer` over a pattern with a named group per kind.
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+    | (?P<name>[a-z][A-Za-z0-9_]*)
+    | (?P<var>[A-Z][A-Za-z0-9_]*|_(?![A-Za-z0-9_]))
+    | (?P<int>\d+)
+    | (?P<punct>\\\+|[(),;.\[\]|])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+class Token:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # name | var | int | punct | end
+        self.text = text
+        self.pos = pos  # 1-based column
+
+
+def tokenize(text: str) -> list:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):  # every character is in some match
+        kind = m.lastgroup
+        if kind == "bad":
+            raise QueryParseError(f"unexpected character {m.group()!r}", m.start() + 1)
+        if kind != "ws":
+            tokens.append(Token(kind, m.group(), m.start() + 1))
+    tokens.append(Token("end", "", len(text) + 1))
+    return tokens

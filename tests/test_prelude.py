@@ -34,7 +34,7 @@ from typelog.prelude import (
 )
 from typelog.repl import parse_term
 from typelog.solve import find_all, holds, solve
-from typelog.terms import pretty
+from typelog.terms import TypeMismatchError, pretty
 
 from reference import ground_nat_lists
 
@@ -139,6 +139,16 @@ class TestListBuilder:
 
     def test_string_elements_are_variables(self):
         assert nat_list([0, "x"]) == cons(nat(0), cons(NAT.var("x"), nil(NAT_LIST)))
+
+    def test_kept_numerals_are_shared(self):
+        t = nat_list([3, 3])
+        assert t.args[0] is nat(3) and t.args[1].args[0] is nat(3)
+
+    def test_an_int_no_numeral_stands_for_is_rejected(self):
+        for x in (True, -1):
+            with pytest.raises(TypeMismatchError) as err:
+                nat_list([1, x, 2])
+            assert str(err.value) == f"cannot interpret {x!r} as a nat term"
 
 
 class TestPlus:

@@ -5,6 +5,7 @@ import functools
 import operator
 from types import FunctionType
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,14 +34,17 @@ from typelog.goals import (
 from typelog.prelude import (
     NAT,
     NAT_LIST,
+    NUMERAL_CACHE_SIZE,
     append_list,
     cons,
     is_head,
     is_suc,
     is_tail,
     leq,
+    list_of,
     list_plus_one,
     lt,
+    make_list,
     map_p,
     member,
     nat,
@@ -70,6 +74,7 @@ from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
     Compound,
+    TypeMismatchError,
     Var,
     VarId,
     _pattern_node,
@@ -723,6 +728,76 @@ def test_instantiate_builds_what_the_constructor_builds(case):
     for q, o in zip(operands, got):
         assert equal_syntactic(o, instantiate_recursive(q, env))
         assert_ground_flags(o)
+
+
+# `make_list` allocates its cells and sets their slots in place: against
+# the chain built cell by cell with `Compound(...)`.
+
+NAT_LIST_LIST = list_of(NAT_LIST)
+# Ints below and past the kept numerals, variable names, and terms,
+# ground or not, for a NAT list; lists of those, names and list terms
+# for a list of NAT lists.
+MADE_NATS = st.one_of(st.integers(0, 5), st.integers(0, NUMERAL_CACHE_SIZE + 3),
+                      st.sampled_from(["A", "B"]), nat_terms(3))
+MADE_LISTS = st.one_of(st.lists(st.one_of(st.integers(0, 5), st.just("A")), max_size=3),
+                       st.just("L"), list_terms(3))
+MADE_TAILS = st.one_of(st.none(), st.just("T"), list_terms(3))
+
+
+def chain_of(elems, ltype, tail):
+    """What ``make_list(elems, ltype, tail)`` should build, one cell at a
+    time with `Compound(...)`."""
+    out = Compound(ltype, "nil", ()) if tail is None else ltype.var(tail) if type(tail) is str else tail
+    for e in reversed(elems):
+        if type(e) is int:
+            e = nat(e)
+        elif type(e) is str:
+            e = ltype.element.var(e)
+        elif type(e) is list:
+            e = chain_of(e, ltype.element, None)
+        out = Compound(ltype, "cons", (e, out))
+    return out
+
+
+def cells(t):
+    while type(t) is Compound and t.ctor == "cons":
+        yield t
+        t = t.args[1]
+
+
+@st.composite
+def make_list_cases(draw):
+    """(elems, ltype, tail): a NAT list of mixed elements over a NAT list
+    tail, or a list of NAT lists over a variable or nil."""
+    if draw(st.booleans()):
+        return draw(st.lists(MADE_NATS, max_size=6)), NAT_LIST, draw(MADE_TAILS)
+    return draw(st.lists(MADE_LISTS, max_size=4)), NAT_LIST_LIST, draw(st.sampled_from([None, "T"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(make_list_cases(), st.none() | st.tuples(st.sampled_from([True, False, -1, -3]), st.integers(0, 6)))
+def test_make_list_builds_what_the_constructor_builds(case, bad):
+    elems, ltype, tail = case
+    if bad is not None and ltype is NAT_LIST:
+        # One element no numeral stands for: the error `as_term` raises.
+        x, i = bad
+        with pytest.raises(TypeMismatchError) as err:
+            make_list(elems[:i] + [x] + elems[i:], ltype, tail)
+        assert str(err.value) == f"cannot interpret {x!r} as a nat term"
+        return
+    out = make_list(elems, ltype, tail)
+    want = chain_of(elems, ltype, tail)
+    assert out == want
+    # Each cell's flag by the constructor's rule; the whole term's where
+    # its numerals are shallow enough for the recursive oracle.
+    for got, made in zip(cells(out), cells(want)):
+        assert got.ground is made.ground
+    if not any(type(e) is int and e > 500 for e in elems):
+        assert_ground_flags(out)
+    # A kept numeral is shared, not built again.
+    for cell, e in zip(cells(out), elems):
+        if type(e) is int and e <= NUMERAL_CACHE_SIZE:
+            assert cell.args[0] is nat(e)
 
 
 # Random goal trees over every connective: the lazy solver must give the

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import re
+import sys
 
 import pytest
 
@@ -25,6 +27,18 @@ REG = default_registry()
 
 def script(text, **kwargs):
     return run_script_text(text, REG, **kwargs)
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Python's limit on the digits int() reads, set to `limit` and then
+    restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 class TestParser:
@@ -104,6 +118,38 @@ class TestParser:
         assert script("isSuc(" + "7" * 5000 + ", X).") == (
             1, "parse error at column 7: integer literal of 5000 digits is too long\n")
 
+    def test_longest_integer_literal_is_the_parsers_limit(self):
+        # With no limit on int(), a literal over LONGEST_LITERAL digits is
+        # still a parse error, and counts for nothing in the budget.
+        long = "isSuc(" + "7" * 5000 + ", X)."
+        with int_digit_limit(0):
+            with pytest.raises(QueryParseError) as err:
+                compile_query(long, REG, max_steps=1000)
+            assert err.value.position == 7
+            assert script(long, max_steps=1000) == (
+                1, "parse error at column 7: integer literal of 5000 digits is too long\n")
+            assert script("isSuc(" + "7" * 4300 + ", X).", max_steps=1000) == (
+                2, "error: step budget exhausted.\n")
+
+    def test_literal_up_to_the_longest_reads_under_any_int_limit(self):
+        with int_digit_limit(640):
+            assert parse_term("0" * 4299 + "3", NAT) == nat(3)
+            compile_query("isSuc(" + "0" * 4299 + "9, X).", REG, max_steps=10)
+            assert script("isSuc(" + "9" * 700 + ", X).", max_steps=1000) == (
+                2, "error: step budget exhausted.\n")
+            assert script("isSuc(" + "0" * 700 + "2, X).", max_steps=1000) == (0, "X = 3.\n")
+
+    def test_a_sum_too_long_to_write_out_is_over_the_budget(self):
+        query = "plus(" + "9" * 4300 + ", " + "9" * 4300 + ", X)."
+        with int_digit_limit(4300):
+            assert script(query) == (2, "error: step budget exhausted.\n")
+            with pytest.raises(StepBudgetExceeded, match=(
+                    "sum to a number of over 4300 digits, over the step budget of 10$")):
+                compile_query(query, REG, max_steps=10)
+
+    def test_unicode_digits_are_integers(self):
+        assert script("isSuc(\u0663\u0664, X).") == (0, "X = 35.\n")
+
 
 class TestParseTerm:
     def test_integer(self):
@@ -118,6 +164,12 @@ class TestParseTerm:
     def test_trailing_junk_rejected(self):
         with pytest.raises(QueryParseError):
             parse_term("3 4", NAT)
+
+    def test_trailing_junk_reports_its_column(self):
+        with pytest.raises(QueryParseError) as err:
+            parse_term("3 4", NAT)
+        assert (err.value.position, str(err.value)) == (
+            3, "parse error at column 3: unexpected input after term: '4'")
 
     def test_list_nested_in_tails_deeper_than_recursion_limit(self):
         depth = 2000
@@ -360,11 +412,28 @@ class TestOnePath:
     def test_unexpected_character_reports_its_column(self):
         assert script("plus(1,\t?, 2).") == (1, "parse error at column 9: unexpected character '?'\n")
         assert script("isSuc(_a, X).") == (1, "parse error at column 7: unexpected character '_'\n")
+        # Before the literal budget and before type errors, wherever it is.
+        assert script("minus(1), ?.") == (1, "parse error at column 11: unexpected character '?'\n")
+        assert script("isSuc(9000000, X), ?.") == (
+            1, "parse error at column 20: unexpected character '?'\n")
+        assert script("plus(__, X, 1).") == (1, "parse error at column 6: unexpected character '_'\n")
+        assert script("isSuc(X,\u00a0Y) ?") == (1, "parse error at column 13: unexpected character '?'\n")
+        assert script("isSuc(1\u00b2, X).") == (1, "parse error at column 8: unexpected character '\u00b2'\n")
+        assert script("plus(X, Y, Z) \u00e9") == (
+            1, "parse error at column 15: unexpected character '\u00e9'\n")
 
     @pytest.mark.parametrize("query, error", [
         ("isHead(1, X).", "type error: isHead/2 argument 1: expected list(nat), got integer 1"),
         ("plus(1, X, 2). x", "parse error at column 16: unexpected input after '.': 'x'"),
         ("\\+ .", "parse error at column 4: expected a predicate name, found '.'"),
+        ("plus(a_b, X, 1).", "parse error at column 6: expected a term, found 'a_b'"),
+        ("a_b.", "type error: unknown predicate a_b/0"),
+        ("\u3000isSuc(\u2003X, Y) x", "parse error at column 14: expected '.', found 'x'"),
+        ("isSuc(\u0663 \u0664, X).", "parse error at column 9: expected ')', found '\u0664'"),
+        ("isHead(\u0663, X).", "type error: isHead/2 argument 1: expected list(nat), got integer 3"),
+        ("isHead([1 | T | U], X).", "parse error at column 15: expected ']', found '|'"),
+        ("isHead([1, 2", "parse error at column 13: expected ']', found 'end of input'"),
+        ("minus(X), isSuc(X, Y)", "type error: unknown predicate minus/1"),
     ])
     def test_error_is_one_line_and_exit_1(self, query, error):
         assert script(query + "\nsucceed.") == (1, error + "\n")
@@ -380,6 +449,10 @@ class TestOnePath:
         with pytest.raises(StepBudgetExceeded):
             compile_query("isSuc(500000, X).", REG, max_steps=10)
         assert built == []
+
+    def test_the_literal_budget_comes_before_parse_and_type_errors(self):
+        for query in ["minus(1), isSuc(9000000, X).", "isSuc(9000000, X), )."]:
+            assert script(query) == (2, "error: step budget exhausted.\n")
 
     def test_a_budgeted_line_is_tokenized_once(self, monkeypatch):
         calls = []

@@ -4,7 +4,8 @@ signatures: integers, lists with `| T` tails, variables, `_`, `,`, `;`,
 line mutated or cut short.  Whatever the text, script mode reports
 through its exit codes and raises nothing, the CLI prints the same
 transcript, and every ground value printed parses back to its term.
-Ground queries also count their answers against the eager reference."""
+Ground queries also count their answers against the eager reference,
+and the tokenizer reads any text as the reference tokenizer does."""
 
 import contextlib
 import io
@@ -13,15 +14,16 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from typelog import cli, repl
-from typelog.repl import compile_query, default_registry, parse_term, run_script_text
+from typelog.repl import QueryParseError, compile_query, default_registry, parse_term, run_script_text
 from typelog.solve import solve
 from typelog.terms import EMPTY_STORE, is_ground_term
 
-from reference import eager_answers
+from reference import eager_answers, tokenize
 
 BUDGET = 3000
 REGISTRY = default_registry()
@@ -29,6 +31,9 @@ SIGNATURES = sorted((spec.name, spec.arg_types) for spec in REGISTRY._preds.valu
 NAMES = {"nat": ["X", "Y", "N"], "list(nat)": ["L", "T", "Zs"]}
 ALL_NAMES = sorted(n for names in NAMES.values() for n in names)
 NOISE = "()[],;.|\\+_ XLab019?\t"
+# NOISE and characters past ASCII: letters, decimal digits (which \d
+# reads), a superscript digit (which it does not), spaces, a newline.
+TOKEN_TEXT = NOISE + "zZ\u00e9\u03a9\u0663\u0664\u00b2\u00a0\u2003\u3000\n"
 # Printed bindings are "Name = value" joined by ", "; no value contains " = ".
 BINDING = re.compile(r"(?:^|, )([A-Z][A-Za-z0-9_]*) = ")
 
@@ -165,3 +170,17 @@ def test_ground_queries_match_the_eager_reference(text):
     count = sum(1 for _ in solve(goal))
     assert count == len(eager_answers(goal))
     assert run_script_text(text, REGISTRY) == (0, "true.\n" if count else "false.\n")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(TOKEN_TEXT, max_size=30) | queries().flatmap(mutated))
+def test_tokenizer_matches_the_reference(text):
+    try:
+        expected = tokenize(text)
+    except QueryParseError as err:
+        with pytest.raises(QueryParseError) as got:
+            repl._tokenize(text)
+        assert (str(got.value), got.value.position) == (str(err), err.position)
+        return
+    assert repl._tokenize(text) == [tok.text for tok in expected]
+    assert [repl._column(text, i) for i in range(len(expected))] == [tok.pos for tok in expected]
