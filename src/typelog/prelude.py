@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .derive import DeriveError, LogicType, TypeRegistry
 from .goals import Goal, eq, exists, fail_goal, neg, predicate, scope
-from .terms import Compound, Term, TypeMismatchError, Var, _new, pretty, term_type
+from .terms import Compound, Term, TypeMismatchError, Var, _cons_chain, pretty, term_type
 
 TermLike = Union[Term, int, str, Sequence]
 
@@ -126,32 +126,21 @@ def make_list(elems: Sequence[TermLike], ltype: LogicType,
     """A right-nested cons chain over `elems`, ending in nil or in the
     given tail (a list-typed term or variable name).  An int element of
     a NAT list that is a kept numeral is read from the kept ones; every
-    other element goes through `as_term`, which checks its type.  Each
-    cell is allocated without the class call and its slots set in
-    place, `ground` by `Compound.__init__`'s rule: `as_term` has checked
-    the type of each element and of the tail, and `ltype.element` that
-    `ltype` is a list type."""
+    other element goes through `as_term`, which checks its type, as it
+    does the tail's, so the cells can be built without a check."""
     elem_type = ltype.element
     if elem_type is None:
         raise TypeMismatchError(f"{ltype.name} is not a list type")
     out = nil(ltype) if tail is None else as_term(tail, ltype)
-    ground = type(out) is Compound and out.ground
     elems = list(elems)
     numerals = ()
     if elem_type is NAT:
         _share_numerals(elems)
         numerals = _NUMERALS
     kept = len(numerals)
-    for e in reversed(elems):
-        if type(e) is int and 0 <= e < kept:
-            head = numerals[e]
-        else:
-            head = as_term(e, elem_type)
-            ground = ground and type(head) is Compound and head.ground
-        cell = _new(Compound)  # built in place: see the docstring
-        cell.ltype, cell.ctor, cell.args, cell.ground = ltype, "cons", (head, out), ground
-        out = cell
-    return out
+    return _cons_chain(ltype, out, [
+        numerals[e] if type(e) is int and 0 <= e < kept else as_term(e, elem_type)
+        for e in reversed(elems)])
 
 
 def _share_numerals(elems: list) -> None:

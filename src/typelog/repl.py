@@ -105,8 +105,9 @@ _TOKEN_RE = re.compile(
 # The most digits an integer literal may have: Python's default limit for
 # int(), kept as the parser's own whatever the interpreter's limit is.
 LONGEST_LITERAL = 4300
-# int() reads this many digits under any limit the interpreter accepts.
-_ALWAYS_READ = 640
+# int() reads this many digits under any limit the interpreter accepts
+# (any number of them before Python 3.10.7, which has no limit).
+_ALWAYS_READ = getattr(sys.int_info, "str_digits_check_threshold", LONGEST_LITERAL)
 
 
 def _tokenize(text: str) -> List[str]:
@@ -132,6 +133,8 @@ def _column(text: str, i: int) -> int:
 def _literal(text: str) -> int:
     """The value of an integer token of at most LONGEST_LITERAL digits,
     read in pieces that int() takes under any digit limit."""
+    if len(text) <= _ALWAYS_READ:
+        return int(text)
     value = 0
     for k in range(0, len(text), _ALWAYS_READ):
         piece = text[k:k + _ALWAYS_READ]
@@ -232,12 +235,9 @@ class _QueryParser:
             i += 1
             first = tok[:1]
             if first.isdigit():
-                if len(tok) <= _ALWAYS_READ:
-                    term = int(tok)
-                elif len(tok) <= LONGEST_LITERAL:
-                    term = _literal(tok)
-                else:
+                if len(tok) > LONGEST_LITERAL:
                     raise self.error(f"integer literal of {len(tok)} digits is too long", i - 1)
+                term = _literal(tok)
             elif first.isupper() or first == "_":
                 term = tok
             elif tok == "[":
@@ -344,11 +344,8 @@ def compile_query(text: str, registry: PredicateRegistry,
     nothing in the budget and is a parse error at its column."""
     parser = _QueryParser(text, registry)
     if max_steps is not None:
-        literals = [*filter(str.isdigit, parser.tokens)]
-        if max(map(len, literals), default=0) <= _ALWAYS_READ:
-            total = sum(map(int, literals))
-        else:
-            total = sum(_literal(tok) for tok in literals if len(tok) <= LONGEST_LITERAL)
+        total = sum(_literal(tok) for tok in filter(str.isdigit, parser.tokens)
+                    if len(tok) <= LONGEST_LITERAL)
         if total > max_steps:
             try:
                 shown = str(total)

@@ -226,7 +226,7 @@ class Compound:
 Term = Union[Var, Compound]
 
 # Allocates a term without calling its class; `_rebuild`, `instantiate`
-# and `prelude.make_list` then set every slot in place.
+# and `_cons_chain` then set every slot in place.
 _new = object.__new__
 
 
@@ -680,6 +680,22 @@ def instantiate(p: tuple, env: list) -> Compound:
         ltype, ctor, subs, i, out, k = frames.pop()
         built[k] = t
         out.append(t)
+
+
+def _cons_chain(ltype, tail: Term, heads) -> Term:
+    """The right-nested chain of `ltype`'s "cons" cells ending in
+    `tail`, over `heads` given from the last one back.  The caller has
+    checked that `ltype` is a list type and each head and the tail are
+    of its types.  As in `_rebuild`, each cell is allocated without the
+    class call and its slots set in place, `ground` by
+    `Compound.__init__`'s rule."""
+    ground = type(tail) is Compound and tail.ground
+    for head in heads:
+        ground = ground and type(head) is Compound and head.ground
+        cell = _new(Compound)  # built in place: see the docstring
+        cell.ltype, cell.ctor, cell.args, cell.ground = ltype, "cons", (head, tail), ground
+        tail = cell
+    return tail
 
 
 def terms_of(operands: tuple, env: Optional[list]) -> list:
