@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse/type error, 2 step budget exhausted,
-3 script unreadable (I/O error or not UTF-8), 130 script interrupted
-(^C, `KeyboardInterrupt`, while a query ran: the transcript so far and
-``error: interrupted.`` are printed).  An interactive session answers
-an interrupt during a query with ``error: interrupted.`` and prompts
-again; at the prompt, it ends the session with exit 0.  Term size and
-search depth are bounded only by memory and the step budget.
+Exit codes: 0 success, 1 parse/type error, 2 step budget exhausted or
+a usage error (a bad option, such as a negative ``--max-steps``: the
+usage line goes to stderr), 3 script unreadable (I/O error or not
+UTF-8), 130 script interrupted (^C, `KeyboardInterrupt`, while a query
+ran: the transcript so far and ``error: interrupted.`` are printed).
+An interactive session answers an interrupt during a query with
+``error: interrupted.`` and prompts again; at the prompt, it ends the
+session with exit 0.  Term size and search depth are bounded only by
+memory and the step budget.
 """
 
 from __future__ import annotations
@@ -15,6 +17,17 @@ import argparse
 import sys
 
 from .repl import DEFAULT_SCRIPT_BUDGET, repl, run_script
+
+
+def _step_budget(text: str) -> int:
+    """The value of ``--max-steps``: an integer of 0 or more."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = None
+    if steps is None or steps < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
+    return steps
 
 
 def main(argv=None) -> int:
@@ -27,7 +40,7 @@ def main(argv=None) -> int:
                         help="run queries from FILE (one per line, 'NEXT' "
                              "requests the next solution) instead of "
                              "starting an interactive session")
-    parser.add_argument("--max-steps", type=int, metavar="N", default=None,
+    parser.add_argument("--max-steps", type=_step_budget, metavar="N", default=None,
                         help="bound on solver node expansions per query, "
                              "and on the sum of its integer literals: a "
                              "query over it is not run (default: unlimited "

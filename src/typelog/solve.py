@@ -83,8 +83,7 @@ answer, the price of its immutable stores.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import goals as g
 from .terms import (
@@ -106,12 +105,13 @@ class StepBudgetExceeded(LogicError):
     """Raised when a solver step budget runs out mid-search."""
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """One answer: bindings of user-named variables, fully resolved,
-    plus the fresh-variable counter at the moment it was produced.  The
-    package's one dataclass, kept for callers of `dataclasses.replace`;
-    the other records skip `@dataclass`'s code generation at import."""
+    plus the fresh-variable counter at the moment it was produced.  An
+    immutable value, compared and printed field by field; `_replace`
+    builds a changed copy and `_asdict` a dict of the fields.  A
+    NamedTuple, since importing `dataclasses` would load `inspect` and
+    more than triple the package's import time."""
 
     bindings: Mapping[VarId, Term]
     counter_at_yield: int

@@ -329,6 +329,24 @@ class TestCli:
         f.write_text("plus(A, 1, C), fail.\n")
         assert main(["--script", str(f), "--max-steps", "200"]) == 2
 
+    @pytest.mark.parametrize("value", ["-5", "x"])
+    def test_bad_max_steps_is_a_usage_error(self, tmp_path, capsys, value):
+        f = tmp_path / "queries.txt"
+        f.write_text("plus(1, X, 5).\n")
+        with pytest.raises(SystemExit) as raised:
+            main(["--script", str(f), "--max-steps", value])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: repl ")
+        assert "argument --max-steps" in captured.err
+
+    def test_zero_max_steps_is_accepted(self, tmp_path, capsys):
+        f = tmp_path / "queries.txt"
+        f.write_text("succeed.\n")
+        assert main(["--script", str(f), "--max-steps", "0"]) == 2
+        assert capsys.readouterr().out == "error: step budget exhausted.\n"
+
     def test_max_steps_bounds_integer_literals(self, tmp_path, capsys):
         f = tmp_path / "queries.txt"
         f.write_text("isSuc(500000, X).\n")

@@ -86,6 +86,46 @@ class TestSolve:
             assert answers(g) == eager_answers(g)
 
 
+class TestSolution:
+    # An answer is an immutable value with the fields, constructors,
+    # equality and text it had as a frozen dataclass.
+    B = VarId("B", NAT)
+
+    def test_positional_and_keyword_construction(self):
+        sol = Solution({self.B: nat(1)}, 4)
+        assert sol == Solution(bindings={self.B: nat(1)}, counter_at_yield=4)
+        assert (sol.bindings, sol.counter_at_yield) == ({self.B: nat(1)}, 4)
+
+    def test_answers_compare_by_value(self):
+        (sol,) = solve(plus(2, "B", 3))
+        assert sol == Solution({self.B: nat(1)}, 4)
+        assert sol != Solution({self.B: nat(1)}, 5)
+        assert sol != Solution({self.B: nat(2)}, 4)
+
+    def test_repr(self):
+        (sol,) = solve(plus(2, "B", 3))
+        assert repr(sol) == "Solution(bindings={B:nat: suc(zero)}, counter_at_yield=4)"
+
+    def test_fields_cannot_be_assigned(self):
+        sol = Solution({}, 0)
+        with pytest.raises(AttributeError):
+            sol.counter_at_yield = 1
+        with pytest.raises(AttributeError):
+            sol.extra = 1
+
+    def test_unhashable_since_bindings_is_a_dict(self):
+        with pytest.raises(TypeError):
+            hash(Solution({}, 0))
+
+    def test_replace_returns_a_new_answer(self):
+        sol = Solution({self.B: nat(1)}, 4)
+        new = sol._replace(counter_at_yield=0)
+        assert new == Solution({self.B: nat(1)}, 0)
+        assert sol.counter_at_yield == 4
+        assert new.bindings is sol.bindings
+        assert sol._asdict() == {"bindings": {self.B: nat(1)}, "counter_at_yield": 4}
+
+
 class TestFindAll:
     def test_member_enumeration(self):
         assert [nat_value(t) for t in find_all(X, member(X, [1, 2, 3]))] == [1, 2, 3]
