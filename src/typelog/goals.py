@@ -18,32 +18,18 @@ guarded `__setattr__` per field.  No code assigns a field of a goal
 node after construction.
 
 A predicate defined with `@predicate` is compiled once per key (its
-arguments' types) into a `Template`: its body is run once on
-placeholders, each `exists` in it is expanded into a numbered slot of
-an environment, and each term that mentions a parameter or a slot
-becomes a pattern (`terms.pattern`).  An argument that is not a term,
-such as a comparison function, is a slot too, and is called when the
-search reaches the call the body makes of it.  Calling the predicate
-converts the arguments and builds one `Call` node; the solver runs a
-`Call` by reading its argument patterns into a fresh environment
+arguments' types) into a `Template`, under the contract `predicate`
+states: its body is run once on placeholders, each `exists` in it is
+expanded into a numbered slot of an environment (see the `terms` module
+docstring), and each term that mentions a parameter or a slot becomes
+a pattern (`terms.pattern`).  Calling the predicate converts the
+arguments and builds one `Call` node; the solver runs a `Call` by
+reading its argument patterns into a fresh environment
 (`terms.terms_of`) and jumping to the template's root, so no goal node
 and no closure is built per unfolding (Warren, "An abstract Prolog
 instruction set", SRI TN 309, 1983, renames clause templates the same
-way).  An `exists` slot's variable is made only when a read needs it,
-and a slot may instead take the compound it meets: the `terms` module
-docstring says when.  The contract that makes compiling sound: a predicate's body may
-depend on its arguments' types, not on their values.  A body that
-cannot be compiled, such as one that calls a plain function recursing
-under `exists`, is run on each call instead.
-
-Compiling also indexes a template's disjunctions on their first
-argument, as the WAM's `switch_on_term` does: a `Disj` whose left
-branch opens, through `Conj` and `exists`, with a unification of a slot
-against a constructor records that slot, that constructor and what the
-opening costs in steps and counter values (`Disj`, `_index`).  The
-solver skips the branch when the slot holds another constructor and
-charges those costs instead, so no step count, counter or answer
-changes (see the `solve` module docstring).
+way).  Compiling also indexes a template's disjunctions on their first
+argument (see `Disj`).
 """
 
 from __future__ import annotations
@@ -129,17 +115,28 @@ class Conj(Goal):
 class Disj(Goal):
     """Try `g1`, then `g2`.
 
-    In a template, `index` may be ``(slot, ctor, steps, ticks)``: `g1`
-    runs, through `Conj` left sides and slot `Exists`, to a first
-    `Unify` of `slot`, which none of those `Exists` introduced, against
-    a pattern or compound of constructor `ctor`, and the nodes up to it
-    cost `steps` steps and `ticks` counter values (see `_index`).  When
-    `slot` follows to a compound of another constructor, `g1` must clash
-    there, binding nothing, so the solver charges those steps and
-    counter values and goes on at `g2` without a choicepoint: every
-    count is the one the run of `g1` would have left.  The index is not
-    part of equality, hashing or `repr`; a `Disj` built outside a
-    template has none."""
+    In a template, `index` may be ``(slot, ctor, steps, ticks)``, the
+    first-argument index that `_index` finds at compile time, as the
+    WAM's `switch_on_term` does (Warren, SRI TN 309, 1983): `g1` runs,
+    through `Conj` left sides and slot `Exists`, to a first `Unify` of
+    `slot`, which none of those `Exists` introduced, against a pattern
+    or compound of constructor `ctor`, and the nodes up to that `Unify`,
+    both included, cost `steps` steps and `ticks` counter values.  When
+    `slot` follows to a compound of another constructor, that `Unify`
+    must clash, so the solver adds `steps` to its steps and `ticks` to
+    its counter and goes on at `g2` with no choicepoint.
+
+    No count changes: `g1` would have cost exactly those steps and
+    counter values, its `Unify` would have clashed in read mode at the
+    top constructor, before any bind or take, nothing outside `g1` reads
+    the slots its `Exists` set, and the pop that followed would have
+    restored the store length, fence, barrier, environment and
+    continuation the search still has.  `g2`'s own step checks the
+    budget at once, so a search runs out exactly when it would have run
+    out in or after `g1`.  So answers, names, `counter_at_yield`, raw
+    stores and the budget a search needs are those of the same search
+    without indexes.  The index is not part of equality, hashing or
+    `repr`; a `Disj` built outside a template has none."""
 
     __slots__ = ("g1", "g2", "index")
     _fields = ("g1", "g2")
@@ -156,10 +153,7 @@ class Exists(Goal):
     call them again during backtracking.
 
     In a template, `slot` is an index into the environment and `body`
-    is the compiled goal itself: the solver stores the number the fresh
-    variable's name would carry in the slot, and a read makes the
-    variable or takes a term in its place (see the `terms` module
-    docstring)."""
+    is the compiled goal itself (see the `terms` module docstring)."""
 
     __slots__ = _fields = ("ltype", "body", "slot")
 
@@ -200,7 +194,8 @@ class Call(Goal):
     """Run a compiled predicate: `template` on argument terms or, inside
     a template, on argument patterns.  Inside a template, `template` may
     instead be the environment index of a function argument, which is
-    called on the arguments.  Costs no solver step."""
+    called on the arguments.  Its step cost: see the `solve` module
+    docstring."""
 
     __slots__ = _fields = ("template", "args")
 
@@ -282,17 +277,10 @@ def is_ground(t: Term) -> Goal:
 
 
 class Template:
-    """One predicate body compiled for one key.
-
-    The environment of a call holds the arguments at 0..n-1, then one
-    slot per `exists` of the body, then the list of the slots' types
-    (`pad` is what follows the arguments).  An
-    argument that is not a term, such as the relation of `map_p`, is
-    kept in the environment and called when the search reaches the call
-    the body makes of it, as a body built of closures would call it.
-    `root` stays None when the body cannot be compiled (see
-    `_translate`); a call then runs the body on its arguments when the
-    search reaches it, as a plain function would."""
+    """One predicate body compiled for one key.  `pad` is what a call's
+    environment holds after the arguments (see the `terms` module
+    docstring), and `root` stays None when the body cannot be compiled
+    (see `predicate`)."""
 
     __slots__ = ("name", "body", "root", "pad")
 
@@ -358,16 +346,20 @@ def predicate(boundary: Callable[..., tuple]):
     converted)``: `key` names the template to use and must determine the
     types of the term arguments and which arguments are not terms, and
     `converted` is the tuple of converted arguments the body receives.
-    An argument that is not a term must be a function that builds a
-    goal, such as a comparison; the body may only call it or pass it on.
     The body runs once per key, on placeholders; each call afterwards
-    costs one boundary conversion and one `Call` node.  A body may
-    depend on its arguments' types, not on their values, and must be
-    pure.  A body that compiling cannot finish (it recurses through
-    `exists` closures of a plain function) or that passes on a function
-    that may refer to its variables is run on each call instead, as a
-    plain function.  `templates` on the predicate is its cache of
-    templates."""
+    costs one boundary conversion and one `Call` node.  `templates` on
+    the predicate is its cache of templates.
+
+    The contract that makes compiling sound: a body may depend on its
+    arguments' types, not on their values, and must be pure.  An
+    argument that is not a term must be a function that builds a goal,
+    such as a comparison; the body may only call it or pass it on.  It
+    is kept in a slot and called when the search reaches the call the
+    body makes of it, as a body built of closures would call it.  A body
+    that compiling cannot finish (it recurses through `exists` closures
+    of a plain function) or that passes on a function that may refer to
+    its variables (`_closed`) is run on each call instead, when the
+    search reaches the call, as a plain function."""
 
     def decorate(body: Callable[..., Goal]):
         arity = body.__code__.co_argcount
@@ -437,19 +429,14 @@ def _closed(f) -> bool:
 
 def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     """The template form of `goal`: each closure `Exists` expanded into
-    a new slot (see the `terms` module docstring), terms turned into
-    patterns (`terms.pattern`) over `slots` (placeholder VarId or
-    `_Function` -> environment index).  Post-order over an explicit
-    stack, so each node is built once, final.
-
-    Each `Disj` gets the index `_index` finds for its left branch, which
-    is final when the `Disj` is assembled.
-
-    Raises `_Uncompilable` where the template cannot stand for the goal:
-    at an `Exists` whose closure's code already runs on the path of
-    expansions above it, since a plain function that recurses under
-    `exists` would expand forever, and at a call argument that is a
-    function which may refer to the body's variables."""
+    a new slot, terms turned into patterns (`terms.pattern`) over
+    `slots` (placeholder VarId or `_Function` -> environment index), and
+    each `Disj` given the index `_index` finds for its left branch.
+    Post-order over an explicit stack, so each node is built once,
+    final.  Raises `_Uncompilable` where the template cannot stand for
+    the goal (see `predicate`): at an `Exists` whose closure's code
+    already runs on the path of expansions above it, which would expand
+    forever, and at a call argument that `_closed` rejects."""
 
     def slot_of(v):
         k = slots.get(v.vid if type(v) is Var else v)
@@ -520,8 +507,7 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
 
 def _index(goal: Goal) -> Optional[tuple]:
     """The index of a template `Disj` whose left branch is `goal`, or
-    None (see `Disj`).  `steps` counts the nodes from `goal` to the
-    `Unify`, both included, and `ticks` the `Exists` among them."""
+    None (see `Disj`); `ticks` counts the `Exists` on the way."""
     steps = ticks = 0
     introduced = set()
     while True:

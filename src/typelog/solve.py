@@ -1,83 +1,41 @@
 """Goal evaluation: lazy depth-first search with chronological
 backtracking and scoped cut.
 
-One loop runs every query.  It keeps a continuation, a linked list of
-(goal, barrier, env) frames still to prove after the current goal, and a
-choicepoint stack of (goal, barrier, env, mark, continuation) entries to
-resume on failure.  A conjunction pushes its right goal onto the
-continuation, a disjunction pushes its right goal as a choicepoint, and
-failure resumes the newest choicepoint.  The search keeps the
-environments and the term layer reads them: a `Call` of a compiled
-predicate builds a fresh environment `env`, its arguments' terms
-(`terms.terms_of`) followed by the template's `pad`, and continues at
-the template's root.  In a template, a slot `Exists` stores its counter
-value in `env`, and every goal hands its operands (slot indexes,
-patterns or terms) and `env` to `terms`: `Unify` to `unify`, which
-reads its left side and matches its right side in place, building it
-only to bind a variable (see `terms.unify`), and `IsGround` and a
-`Call`'s arguments to `terms_of`.  A `Call` of a function argument
-continues at the goal the function in its slot builds, and a `Call` of
-a body that could not be compiled at the goal the body builds on the
-call's arguments.  Frames and choicepoints keep the environment their
-goal runs in.  A slot is set in place, which is safe: within one call,
-a slot's `Exists` runs again only after backtracking to a choicepoint
-older than its last run, and that discards every frame and choicepoint
-that could read the old value.
-
-A slot `Exists` costs a step and a counter value but makes no variable,
-and each choicepoint saves and replaces the store's `fence`, as the
-`terms` module docstring describes with slots and takes.  Answers,
-names and counters are those of an eager `Exists`.
-
-A template `Disj` may carry an index ``(slot, ctor, steps, ticks)``
-(`goals.Disj`): its left branch runs, through `Conj` left sides and slot
-`Exists`, to a first `Unify` of `slot`, which the branch did not
-introduce, against a pattern or compound of constructor `ctor`.  When
-the slot follows to a compound of another constructor, that `Unify`
-must clash, so the search adds `steps` to its steps and `ticks` to its
-counter and goes on at the right branch with no choicepoint, as the
-WAM's `switch_on_term` does (Warren, SRI TN 309, 1983).  The right
-branch's own step checks the budget at once, so a search that runs out
-does so exactly when it would have run out in or after the skipped
-branch.  No count changes: the branch would have cost exactly those
-steps and counter values, its `Unify` would have clashed in read mode
-at the top constructor, before any bind or take, nothing outside the
-branch reads the slots its `Exists` set, and the pop that followed
-would have restored the store length, fence, barrier, environment and
-continuation the search still has.  So answers, names,
-`counter_at_yield`, raw stores and the budget a search needs are those
-of the same search without indexes.
-
-A `Call` costs no step.  Under a step budget a run of step-free `Call`s
-is bounded too (see `_search`), so a budgeted search ends even when it
-loops through a function argument.
+One loop, `_search`, runs every query.  It keeps a continuation, a
+linked list of (goal, barrier, env) frames still to prove after the
+current goal, and a choicepoint stack of (goal, barrier, env, mark,
+continuation, fence) entries to resume on failure.  A conjunction
+pushes its right goal onto the continuation, a disjunction pushes its
+right goal as a choicepoint, and failure resumes the newest
+choicepoint, popping the search store back to its mark (see the
+`terms` module docstring for the store, the environment and the
+fence).  A `Call` of a compiled predicate continues at the template's
+root in a fresh environment, and every goal hands its operands and
+`env` to `terms`: `Unify` to `unify`, and `IsGround` and a `Call`'s
+arguments to `terms_of`.  A `Call` of a function argument, or of a
+body that could not be compiled, continues at the goal it builds.  An
+indexed `Disj` may skip its left branch (see `goals.Disj`).
 
 A Scope sets the barrier to the height of the choicepoint stack; a cut
 truncates the stack to the barrier of its scope, discarding every
 alternative opened since the scope was entered.  Answers are yielded as
 they are found, so taking the first n solutions performs only the
-search needed to find them.  Each step dispatches on the exact type of
-its goal node (`type(goal) is ...`), not on `isinstance`: the node
-classes of `goals` are the whole goal language, and an instance of a
-subclass of one is not a goal.
+search needed to find them (`solve` says what each costs).  Each step
+dispatches on the exact type of its goal node (`type(goal) is ...`),
+not on `isinstance`: the node classes of `goals` are the whole goal
+language, and an instance of a subclass of one is not a goal.
 
-Each search binds in one store of its own (`terms._SearchStore`), in
-place, so a bind costs O(1) however long the store.  Its dict is the
-trail: `unify` adds entries at the end, a choicepoint's mark is the
-dict's length when it was pushed, and resuming it pops every entry added
-since (`dict.popitem`), the bindings of a clashing `unify` included.
-The live store never leaves the search: `solve`, `find_all` and
-`find_all_n` read each answer from it before the search resumes, and
-`solve_stores` yields a copy of each answer's store.
-
-An answer costs what changed since the previous one, not the whole
-store.  With each answer the search reports the lowest store length it
-resumed since the previous answer: the entries below that mark are as
-they were then.  `solve` keeps the positions of the bound user-named
-variables and reads only the entries above the mark, from the dict's
-end, so an answer from `solve` or `find_all` costs O(bindings since the
-last answer + answer size).  `solve_stores` pays an O(store) copy per
-answer, the price of its immutable stores.
+Step accounting.  Every goal node evaluated is one step against the
+budget `max_steps`, except a `Call` and the cut of a `CutThen` (a
+continuation frame whose goal is None), which cost none: a predicate
+costs the steps its body's nodes cost, as if its goal tree were built
+in place.  A slot `Exists` costs a step and a counter value, as an
+eager one does, though it makes no variable.  Under a budget, a run of
+step-free `Call`s of function arguments and uncompiled bodies is
+bounded too: more than `max_steps` of them with no step between raise
+`StepBudgetExceeded`.  Such a run is the only loop without steps, since
+`goals` rejects one made of templates alone, so a budgeted search ends
+even when it loops through a function argument.
 """
 
 from __future__ import annotations
@@ -123,18 +81,9 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     previous solution (0 for the first): the store's first `low` entries,
     in insertion order, are as they were at the previous solution.
 
-    The store yielded is the live search store: read it before resuming
-    the search.  Every goal node evaluated is one step against
-    `max_steps`, except a `Call`, which is none: a predicate costs the
-    steps its body's nodes cost, as if its goal tree were built in place.
-    Under a budget, a run of step-free `Call`s of function arguments and
-    uncompiled bodies is bounded too: more than `max_steps` of them with
-    no step between raise `StepBudgetExceeded`.  Such a run is the only
-    loop without steps, since `goals` rejects one made of templates alone.
-    A continuation frame whose goal is None is the cut of a CutThen; it
-    costs no step.  An indexed `Disj` may skip its left branch at that
-    branch's cost (see the module docstring).  The frequent node types
-    are tested first.
+    The store yielded is the live search store (see the `terms` module
+    docstring).  Steps are counted as the module docstring says.  The
+    frequent node types are tested first.
     """
     Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
     new_tuple = tuple.__new__  # skips VarId's Python-level __new__
@@ -245,8 +194,8 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
 def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[BindingStore]:
     """Lazy stream of raw binding stores for `goal`, starting from the
     empty store.  Each is a copy of the search store at that answer, an
-    immutable `BindingStore` that later answers do not change, so each
-    answer costs O(store).  A top-level cut simply ends the stream.
+    immutable `BindingStore` that later answers do not change (see
+    `solve` for its cost).  A top-level cut simply ends the stream.
 
     A raw store holds the bindings the search made, not one per engine
     variable: a slot that took a subterm has no variable and no entry
@@ -261,11 +210,17 @@ def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:
 
     Each solution restricts the final store to user-named variables
     (engine-generated "_" names are dropped) with all values fully
-    resolved, in the order they were bound.  An answer costs O(bindings
-    since the last answer + answer size): the store positions of the
-    bound user-named variables are kept between answers, and only the
-    entries above the search's low mark are read for new ones.  Diverges
-    when the search tree has an infinite leftmost path, like Prolog.
+    resolved, in the order they were bound.  Diverges when the search
+    tree has an infinite leftmost path, like Prolog.
+
+    An answer costs what changed since the previous one, not the whole
+    store: O(bindings since the last answer + answer size).  With the
+    low mark `_search` yields, the store positions of the bound
+    user-named variables are kept between answers, and only the entries
+    above the mark are read, from the dict's end.  `find_all` and
+    `find_all_n` resolve one variable per answer and read no more of the
+    store; `solve_stores` pays an O(store) copy per answer, the price of
+    its immutable stores.
     """
     shown = []  # (store position, vid) of each bound user-named variable
     for store, counter, low in _search(goal, max_steps):
@@ -285,11 +240,12 @@ def find_all(v: Var, goal: g.Goal, max_steps: Optional[int] = None) -> List[Term
     use find_all_n to truncate.  Values may be non-ground."""
     if not isinstance(v, Var):
         raise TypeError("find_all expects a variable term")
-    return [resolve(v, store) for store, _, _ in _search(goal, max_steps)]
+    return find_all_n(v, goal, None, max_steps)
 
 
 def find_all_n(v: Var, goal: g.Goal, n: int, max_steps: Optional[int] = None) -> List[Term]:
-    """Like find_all, truncated after the first `n` solutions."""
+    """Like find_all, truncated after the first `n` solutions; an `n`
+    of None truncates nothing."""
     if not isinstance(v, Var):
         raise TypeError("find_all_n expects a variable term")
     stream = _search(goal, max_steps)

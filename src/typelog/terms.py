@@ -2,74 +2,13 @@
 
 A term is either a variable or a constructor application whose children
 are themselves terms.  Every term belongs to exactly one logical type;
-variables of the same name but different types are distinct.  A public
-`BindingStore` is an immutable value: extending it returns a new one, and
-any number of holders may share it.  Each search instead owns one
-`_SearchStore`, bound in place, whose dict is its own trail: a dict
-keeps insertion order, so a choicepoint's mark is the dict's length and
-backtracking pops back to it (Warren, "An abstract Prolog instruction
-set", SRI TN 309, 1983); a bind costs O(1) however long the store.
-`unify` binds at one site for both kinds: a public store is copied at
-a call's first bind, and the copy returned.  The structural operations
-work over `Compound.args`: one definition for every type.
-
-A compiled predicate (`goals.predicate`) holds its terms as patterns
-over an environment of slots: a slot index, a tuple ``(ltype, ctor,
-subpatterns)``, or a term that mentions no slot.  This module alone
-builds and reads them: `pattern` makes one, `instantiate` builds the
-compound a pattern denotes, `terms_of` reads a tuple of goal operands,
-and `unify` reads one on its left and takes one on its right, as the
-WAM unifies a clause head with a call's argument (Aït-Kaci, "Warren's
-Abstract Machine: A Tutorial Reconstruction", 1991): a pattern met by
-a compound is matched in read mode, constructor against constructor
-and child against subpattern, building nothing; a pattern met by an
-unbound variable is matched in write mode, built only to be bound.
-`pattern` and `instantiate` keep shared subterms shared, so their cost
-is linear in the distinct nodes.
-
-The commonest unification of a search is a clause head such as
-``eq(x, suc(x1))``: a slot that holds a compound against a pattern
-whose children are fresh slots.  `unify` matches it at its entry, the
-head match (the WAM's ``get_structure`` in read mode, then
-``unify_variable``): it follows the slot's bindings, checks the type,
-compares constructors, lets each fresh slot take the compound child it
-meets, and unifies each other child by a nested call.  That call has a
-term on its left, so it runs the general path and never nests again.
-The pair loop also finishes each child before the next, so bindings,
-their order, takes, names and verdicts are the same either way; the
-head match only skips the loop's operand dispatch and pair list.
-
-Slots, takes and the fence.  An environment holds a call's arguments,
-then one slot per `exists` of the body, then the list of the slots'
-types.  An `exists` stores the fresh-variable counter's value n in its
-slot.  The slot's first read makes its variable ``_n``, typed by that
-list (`_fresh`), so names are those of an eager `exists`, except where
-`unify` meets the slot on its right side with a compound: the slot
-takes the compound, and no variable is made or bound, as the WAM's
-``unify_variable`` loads a clause variable's first occurrence in a head
-structure.  A take sets the slot off the trail, so it needs that no
-choicepoint pushed since the `exists` is live: resuming one would read
-what an undone branch took (a made variable's bindings are trailed, so
-making one needs no such test).  So a take needs ``n >= fence``, where
-a search store's `fence` is the counter value when the newest live
-choicepoint was pushed, 0 with none: each choicepoint saves the fence it
-replaces, a pop restores that value, and a cut restores the value the
-first entry it removes saved (`solve._search`).  A public store has no
-choicepoints, and its `fence` is always 0.  A take changes no answer,
-name or counter, and a raw store only lacks the entries of variables
-never made.
-
-Every walk over a term runs over an explicit stack, so terms of any depth
-are accepted: `unify`, `instantiate`, `Compound` equality
-and hashing, the occurs/groundness walk (`_free_vids`), the rebuild
-behind `resolve`, `substitute` and `pattern` (`_rebuild`), and the
-prefix renderer behind `repr` and `pretty` (`_render`).  The rebuild
-projects every answer, and the answers of one query can hold nodes
-quadratic in its size (`append(X, Y, xs)` answers with every prefix
-of `xs`), so it keeps one frame per node, with an iterator over the
-node's children and a flag for whether all of them kept their
-identity: a node costs one frame and one allocation, and one pass over
-its new children for its `ground` flag.
+variables of the same name but different types are distinct.  The
+structural operations work over `Compound.args`: one definition for
+every type.  Every walk over a term runs over an explicit stack, so
+terms of any depth are accepted: `unify`, `instantiate`, `Compound`
+equality and hashing, `_free_vids` (behind `occurs_in` and
+`is_ground_term`, which build nothing), `_rebuild` (behind `resolve`,
+`substitute` and `pattern`) and `_render` (behind `repr` and `pretty`).
 
 Terms are immutable by contract: `VarId` is a tuple, and `Var` and
 `Compound` are slotted classes whose attributes no code assigns once
@@ -79,25 +18,64 @@ and a guarded (frozen) constructor costs more than twice as much.
 Code that mutates a term breaks sharing between search branches, the
 `ground` flag and hashing.
 
-Groundness invariant: every `Compound` carries a `ground` flag, computed
-once at construction from its children's flags (O(arity), no recursion),
-and true iff the term contains no variable as written.  One rule sets
-it in three places: `Compound.__init__`, and the two builders that
-allocate a compound without calling its class and set every slot in
-place, which costs less than the call into `__init__`: `_rebuild`
-(behind `resolve`, `substitute` and the REPL's renaming) and
-`instantiate` (write mode).  A ground term
-cannot change under any store, so `resolve`, `occurs_in`,
-`is_ground_term` and `substitute` return at a ground subterm without
-entering it, and their cost is linear in the part of the term that is
-not yet ground.  `occurs_in` and `is_ground_term` walk the store with an
-explicit stack (`_free_vids`) instead of building `resolve(t, store)`.
-The occurs check in `unify` walks only a non-ground compound: a ground
-one holds no variable, and an unbound variable distinct from the one
-being bound cannot contain it.  Before walking, it looks one level down
-(`_may_occur`): a compound whose children are all ground or unbound
-variables other than the one being bound, like `suc(_x)` with `_x`
-fresh, cannot contain it either, and is not walked.
+The ground rule.  Every `Compound` carries a `ground` flag, true iff
+the term contains no variable as written, set once at construction
+from its children's flags: true iff every child is a ground compound
+(O(arity), no recursion).  Four builders set it by this rule:
+`Compound.__init__`, and `_rebuild`, `instantiate` and `_cons_chain`,
+which allocate a compound without calling its class (`_new`) and set
+every slot in place, since that costs less than the call into
+`__init__`.  A ground term cannot change under any store, so
+`resolve`, `occurs_in`, `is_ground_term` and `substitute` return at a
+ground subterm without entering it, and their cost is linear in the
+part of the term that is not yet ground.  For the same reason the
+occurs check in `unify` walks only a non-ground compound, and looks one
+level down first (`_may_occur`).
+
+The search store is its own trail.  Where a public `BindingStore` is
+an immutable value, each search owns one `_SearchStore`, bound in
+place, whose dict is its trail: a dict keeps insertion order, so a
+choicepoint's mark is the dict's length, and backtracking pops every
+entry added since, the bindings of a clashing `unify` included (Warren,
+"An abstract Prolog instruction set", SRI TN 309, 1983); a bind costs
+O(1) however long the store.  `unify` writes every binding
+at one site for both kinds: into the search store's dict, or into a
+copy of a public store's dict, made at the call's first bind and
+returned, so a public store never changes.  The search store never
+leaves its search: `solve._search` yields it live, and its callers read
+each answer from it before the search resumes.
+
+The environment.  A compiled predicate (`goals.predicate`) holds its
+terms as patterns over an environment of slots: a slot index, a tuple
+``(ltype, ctor, subpatterns)``, or a term that mentions no slot.  A
+call's environment holds its arguments, then one slot per `exists` of
+the body, then the list of the slots' types.  This module alone builds
+and reads patterns: `pattern` makes one, `instantiate` builds the compound one
+denotes, `terms_of` reads a tuple of goal operands, and `unify` reads
+one on its left and matches one on its right (Aït-Kaci, "Warren's
+Abstract Machine: A Tutorial Reconstruction", 1991).  `pattern` and
+`instantiate` keep shared subterms shared, so their cost is linear in
+the distinct nodes.
+
+An `exists` stores the fresh-variable counter's value n in its slot.
+The slot's first read makes its variable ``_n``, typed by that list
+(`_fresh`), so names are those of an eager `exists`, except where
+`unify` meets the slot on its right side with a compound: the slot
+takes the compound, and no variable is made or bound, as the WAM's
+``unify_variable`` loads a clause variable's first occurrence in a head
+structure.  A take sets the slot off the trail, so it needs that no
+choicepoint pushed since the `exists` is live: resuming one would read
+what an undone branch took (a made variable's bindings are trailed, so
+making one needs no such test).  So a take needs ``n >= fence``, where
+a search store's `fence` is the counter value when the newest live
+choicepoint was pushed, 0 with none: each choicepoint saves the fence
+it replaces, a pop restores that value, and a cut restores the value
+the first entry it removes saved (`solve._search`).  A take changes no
+answer, name or counter, and a raw store only lacks the entries of
+variables never made.  The solver sets a slot in place, which is safe:
+within one call, a slot's `exists` runs again only after backtracking
+to a choicepoint older than its last run, and that discards every
+frame and choicepoint that could read the old value.
 """
 
 from __future__ import annotations
@@ -159,13 +137,10 @@ class Var:
 class Compound:
     """A constructor application: `ctor` of type `ltype` over `args`.
 
-    `ground` is true iff no variable occurs in the term; it is set from
-    the children's flags, here and by the same rule in `_rebuild` and
-    `instantiate` (see the module docstring), and is not part of
-    equality.  Equality and hashing are structural and walk the term
-    over an explicit stack, so terms of any depth compare and hash.
-    Each enters a node, or a pair of nodes, once, so terms that share
-    subterms cost their distinct nodes, not their paths.
+    `ground` follows the module docstring's ground rule and is not part
+    of equality.  Equality and hashing are structural, and each enters a
+    node, or a pair of nodes, once, so terms that share subterms cost
+    their distinct nodes, not their paths.
     """
 
     __slots__ = ("ltype", "ctor", "args", "ground")
@@ -225,8 +200,7 @@ class Compound:
 
 Term = Union[Var, Compound]
 
-# Allocates a term without calling its class; `_rebuild`, `instantiate`
-# and `_cons_chain` then set every slot in place.
+# Allocates a term without calling its class (the ground rule's builders).
 _new = object.__new__
 
 
@@ -294,11 +268,9 @@ EMPTY_STORE = BindingStore()
 
 
 class _SearchStore(BindingStore):
-    """The store of one search, which `unify` binds in place.  Its dict
-    is its trail: `unify` adds at the end and backtracking pops from the
-    end, so its length is a mark to backtrack to.  `fence` bounds the
-    slots `unify` may take into (see the module docstring).  Mutable, so
-    not hashable; the solver never hands it out."""
+    """The store of one search, bound in place, its dict its trail, and
+    its `fence` the bound on takes (see the module docstring).  Mutable,
+    so not hashable."""
 
     __slots__ = ("fence",)
     __hash__ = None
@@ -336,20 +308,21 @@ def _rebuild(t: Term, store: BindingStore, leaf, make=Compound):
     variable `v` replaced by `leaf(v)`, called left to right, depth first,
     once per occurrence the walk enters.
 
-    Post-order over an explicit stack of frames, one per compound being
-    rebuilt: the node, an iterator over its children, the children
-    rebuilt so far, whether every one of them kept its identity, and the
-    child being entered, which its rebuilt form is compared with.  So a
-    node costs one frame, one pass over its children and at most one
-    `make`.  What `leaf` returns is not entered.  Ground subterms, and
-    nodes none of whose children change, are kept as they are; any
-    other node becomes ``make(ltype, ctor, children)``.  When `make` is
-    `Compound`, the node is allocated without the class call and its
-    slots set in place, `ground` by `Compound.__init__`'s rule: true iff
-    every child is a ground compound.  Each entered compound is rebuilt
-    once, keyed by `id` (all stay reachable during the walk), so
-    bindings and subterms that are shared cost time linear in the
-    distinct nodes, and the result keeps their sharing."""
+    It projects every answer, and the answers of one query can hold
+    nodes quadratic in its size (`append(X, Y, xs)` answers with every
+    prefix of `xs`), so it is post-order over an explicit stack of
+    frames, one per compound being rebuilt: the node, an iterator over
+    its children, the children rebuilt so far, whether every one of
+    them kept its identity, and the child being entered, which its
+    rebuilt form is compared with.  So a node costs one frame, one pass
+    over its children and at most one `make`.  What `leaf` returns is
+    not entered.  Ground subterms, and nodes none of whose children
+    change, are kept as they are; any other node becomes ``make(ltype,
+    ctor, children)``, built in place when `make` is `Compound` (the
+    ground rule).  Each entered compound is rebuilt once, keyed by `id`
+    (all stay reachable during the walk), so bindings and subterms that
+    are shared cost time linear in the distinct nodes, and the result
+    keeps their sharing."""
     bindings = store._bindings
     while type(t) is Var:
         bound = bindings.get(t.vid)
@@ -384,7 +357,7 @@ def _rebuild(t: Term, store: BindingStore, leaf, make=Compound):
         else:
             if same:
                 new = node
-            elif make is Compound:  # built in place: see the docstring
+            elif make is Compound:  # built in place: the ground rule
                 new = _new(Compound)
                 new.ltype, new.ctor, new.args = node.ltype, node.ctor, tuple(out)
                 for b in out:
@@ -473,49 +446,47 @@ def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[Bin
     """Compute the least extension of `store` making `a` and `b` equal.
 
     Returns None on clash (constructor mismatch or occurs-check
-    violation).  Every binding is written at one site, into a dict: a
-    `_SearchStore`'s own, in place (the solver pops a failed branch's
-    bindings), or else a copy of the public store's, made at the first
-    bind and returned, so a public store never changes.  After following
-    both sides' bindings, a left-side variable is bound to the right,
-    then a right-side variable to the left, then constructor payloads are
-    matched, children left to right and depth first, over an explicit
-    stack of pairs.  Bindings are followed in the dict directly, as
-    `walk` would.  Types are checked here, at entry, once per call: the
-    children of matching constructors of one type have matching types by
-    construction (`LogicType.make`).  A variable is bound only while
-    unbound, since both sides are followed first, and only after the
-    occurs check, so `BindingStore.bind`'s checks are not needed.
+    violation).  Each binding is written where the module docstring's
+    search store paragraph says.  After following both sides' bindings, a
+    left-side variable is bound to the right, then a right-side variable
+    to the left, then constructor payloads are matched, children left to
+    right and depth first, over an explicit stack of pairs.  Bindings
+    are followed in the dict directly, as `walk` would.  Types are
+    checked here, at entry, once per call: the children of matching
+    constructors of one type have matching types by construction
+    (`LogicType.make`).  A variable is bound only while unbound, since
+    both sides are followed first, and only after the occurs check, so
+    `BindingStore.bind`'s checks are not needed.
 
-    With an environment `env`, `b` may also be a template pattern (see
-    `instantiate`): a slot index, whose term is `env[b]`, or a tuple
-    ``(ltype, ctor, subpatterns)``.  A pattern's type is `b[0]`.  A
-    pattern met by a compound is matched in read mode: the constructors
-    are compared and the children paired with the subpatterns, building
-    nothing.  A pattern met by an unbound variable is matched in write
-    mode: it is instantiated, and the variable is bound to the compound
-    after the occurs check.  So the bindings, their order and the verdict
-    are those of ``unify(a, instantiate(b, env), store)``.
-
-    A slot that still holds the number of its `exists` takes the
-    compound it meets, if the fence allows, and otherwise gets its
-    variable (the module docstring says when and why).  The bindings
+    With an environment `env`, `b` may also be a pattern, and so may
+    `a`, read first, as ``terms_of((a,), env)[0]``: a slot on the left
+    never takes.  A pattern met by a compound is matched in read mode:
+    the constructors are compared and the children paired with the
+    subpatterns, building nothing.  A pattern met by an unbound variable
+    is matched in write mode: it is instantiated, and the variable is
+    bound to the compound after the occurs check.  So the bindings,
+    their order and the verdict are those of ``unify(a, instantiate(b,
+    env), store)``.  A slot that still holds the number of its `exists`
+    takes the compound it meets if the fence allows, and otherwise gets
+    its variable (see the module docstring's environment).  The bindings
     of variables other than the slots' own are those made with each
     slot's variable made beforehand and bound to what it meets.
 
-    With `env`, `a` may be a slot index or a pattern too, read first, as
-    ``terms_of((a,), env)[0]``: a slot on the left never takes.
-
-    A left slot whose term, its bindings followed, is a compound, met by
-    a pattern, is matched at entry (the head match of the module
-    docstring): the type and constructor are checked as above, a child
-    that is a compound is taken by a subpattern slot that still holds
-    its number if the fence allows, and each other child, a variable
-    bound to a compound too, is unified by a nested call, left to right,
-    whose store the next child gets.  The pair loop
-    would do the same in the same order, so every binding, take, name,
-    verdict and step count is unchanged; with a public store, each
-    nested call copies at its own first bind.
+    The head match.  The commonest unification of a search is a clause
+    head such as ``eq(x, suc(x1))``: a left slot whose term, its
+    bindings followed, is a compound, met by a pattern whose children
+    are often fresh slots.  It is matched at entry, as the WAM's
+    ``get_structure`` in read mode, then ``unify_variable``: the type
+    and constructor are checked as above, a child that is a compound is
+    taken by a subpattern slot that still holds its number if the fence
+    allows, and each other child, a variable bound to a compound too, is
+    unified by a nested call, left to right, whose store the next child
+    gets.  That call has a term on its left, so it runs the general path
+    and never nests again.  The pair loop also finishes each child
+    before the next, so every binding, take, name, verdict and step
+    count is the same either way; the head match only skips the loop's
+    operand dispatch and pair list.  With a public store, each nested
+    call copies at its own first bind.
     """
     if type(a) is int:  # a slot: its term, or its variable made now
         t = env[a]
@@ -637,13 +608,11 @@ def instantiate(p: tuple, env: list) -> Compound:
     `env`: a subpattern that is an int is the term in that slot, its
     variable made now if the slot still holds a number (`_fresh`, and
     see the module docstring), a tuple is instantiated in turn, and
-    anything else is a term as it is.  No
-    type check is needed: `make` checked every position when the
-    template was built.  Post-order over an explicit stack.  Each
+    anything else is a term as it is.  No type check is needed: `make`
+    checked every position when the template was built.  Each
     subpattern object is built once, keyed by `id` (the pattern keeps
     all of them alive), so the compound keeps the pattern's sharing.
-    As in `_rebuild`, each compound is allocated without the class call
-    and its slots set in place, `ground` by `Compound.__init__`'s rule."""
+    Each compound is built in place (the ground rule)."""
     built = {}
     frames = []
     ltype, ctor, subs = p
@@ -667,7 +636,7 @@ def instantiate(p: tuple, env: list) -> Compound:
             else:
                 out.append(s)
             continue
-        t = _new(Compound)  # built in place: see the docstring
+        t = _new(Compound)  # built in place: the ground rule
         t.ltype, t.ctor, t.args = ltype, ctor, tuple(out)
         for b in out:
             if type(b) is not Compound or not b.ground:
@@ -686,13 +655,11 @@ def _cons_chain(ltype, tail: Term, heads) -> Term:
     """The right-nested chain of `ltype`'s "cons" cells ending in
     `tail`, over `heads` given from the last one back.  The caller has
     checked that `ltype` is a list type and each head and the tail are
-    of its types.  As in `_rebuild`, each cell is allocated without the
-    class call and its slots set in place, `ground` by
-    `Compound.__init__`'s rule."""
+    of its types.  Each cell is built in place (the ground rule)."""
     ground = type(tail) is Compound and tail.ground
     for head in heads:
         ground = ground and type(head) is Compound and head.ground
-        cell = _new(Compound)  # built in place: see the docstring
+        cell = _new(Compound)  # built in place: the ground rule
         cell.ltype, cell.ctor, cell.args, cell.ground = ltype, "cons", (head, tail), ground
         tail = cell
     return tail

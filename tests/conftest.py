@@ -11,6 +11,11 @@ _CRITERIA = {
 }
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "seeded: a property that CI reruns under fixed hypothesis seeds")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance criterion, keyed off the
     test_criterion_<n>_* tests in test_acceptance.py."""

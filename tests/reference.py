@@ -4,12 +4,14 @@ Deliberately simple and eager: the interpreter here materializes every
 solution of a goal up front with plain recursion, sharing nothing with
 the lazy solver except the goal and term datatypes it interprets.  A
 predicate call runs the predicate's undecorated body on the call's
-arguments, so the compiled templates are not part of the oracle.
-Answers are projected, and the hand-written substitutions rebuild
-terms, through the oracle's own resolver (`replace_vars`), which calls
-no `terms` function but the constructors, so a fault in the engine's
-rebuild cannot hide in both.  The hand-written per-type operations
-mirror what derivation is supposed to produce for naturals and lists.
+arguments, so the compiled templates are not part of the oracle.  The
+interpreter and the hand-written capabilities unify through the
+oracle's own unifier (`unify`), and answers are projected, and the
+hand-written substitutions rebuild terms, through its own resolver
+(`replace_vars`).  Both call no `terms` function but the constructors,
+so a fault in the engine's `unify` or rebuild cannot hide in both.
+The hand-written per-type operations mirror what derivation is
+supposed to produce for naturals and lists.
 The query tokenizer is kept here as it was before tokens became plain
 strings.
 """
@@ -29,9 +31,57 @@ from typelog.terms import (
     Var,
     VarId,
     is_ground_term,
-    unify,
 )
 from typelog import prelude
+
+
+def unify(a: Term, b: Term, store: BindingStore):
+    """The most general extension of `store` making `a` and `b` equal,
+    as a new `BindingStore`, or None on a clash.
+
+    Rule-based (Martelli and Montanari, "An efficient unification
+    algorithm", TOPLAS 1982) over an explicit worklist of pairs and a
+    plain dict, with the occurs check always on.  Bindings are made as
+    `terms.unify` documents: both sides' bindings are followed, a left
+    variable is bound to the right side, else a right variable to the
+    left, and children are paired left to right."""
+    bindings = dict(store.items())
+
+    def follow(t):
+        while isinstance(t, Var) and t.vid in bindings:
+            t = bindings[t.vid]
+        return t
+
+    def occurs(vid, t):
+        todo = [t]
+        while todo:
+            u = follow(todo.pop())
+            if isinstance(u, Var):
+                if u.vid == vid:
+                    return True
+            else:
+                todo.extend(u.args)
+        return False
+
+    work = [(a, b)]
+    while work:
+        s, t = work.pop()
+        s, t = follow(s), follow(t)
+        if isinstance(s, Var):
+            if isinstance(t, Var) and t.vid == s.vid:
+                continue  # delete
+            if occurs(s.vid, t):
+                return None  # check
+            bindings[s.vid] = t  # eliminate
+        elif isinstance(t, Var):
+            if occurs(t.vid, s):
+                return None
+            bindings[t.vid] = s
+        elif s.ctor != t.ctor or len(s.args) != len(t.args):
+            return None  # conflict
+        else:  # decompose, so that children are popped left to right
+            work.extend(reversed(list(zip(s.args, t.args))))
+    return BindingStore(bindings)
 
 
 class EagerEngine:

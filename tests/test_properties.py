@@ -93,6 +93,7 @@ from typelog.terms import (
 )
 
 from reference import eager_answers
+from reference import unify as reference_unify
 
 NAT_VARS = ("x", "y", "z")
 LIST_VARS = ("xs", "ys")
@@ -215,6 +216,18 @@ def test_ground_results_are_variable_free(pair):
         assert resolve(t1, store) == resolve(t2, store)
 
 
+@pytest.mark.seeded
+@settings(max_examples=300)
+@given(either_pair())
+def test_unify_matches_the_reference_unifier(pair):
+    t1, t2 = pair
+    ours = unify(t1, t2, EMPTY_STORE)
+    theirs = reference_unify(t1, t2, EMPTY_STORE)
+    assert (ours is None) == (theirs is None)
+    if ours is not None:
+        assert list(ours.items()) == list(theirs.items())
+
+
 NAT_SLOT_TERMS, LIST_SLOT_TERMS = nat_terms(3), list_terms(2)
 
 
@@ -268,6 +281,7 @@ def pattern_cases(draw):
     return a, b, env, draw(PREBOUND)
 
 
+@pytest.mark.seeded
 @settings(max_examples=500)
 @given(pattern_cases())
 def test_pattern_unify_matches_unify_of_the_instantiated_pattern(case):
@@ -333,6 +347,7 @@ def taking_cases(draw):
     return a, b, env, draw(PREBOUND), fence
 
 
+@pytest.mark.seeded
 @settings(max_examples=500)
 @given(taking_cases())
 def test_takes_match_unify_with_the_fresh_variables_made_first(case):
@@ -538,6 +553,7 @@ def test_equality_of_shared_trees_matches_a_path_by_path_comparison(t1, t2):
             assert hash(a) == hash(b)
 
 
+@pytest.mark.seeded
 @settings(max_examples=300)
 @given(st.one_of(either_pair(), st.tuples(shade_terms(), shade_terms())))
 def test_resolve_matches_recursive_definition(pair):
@@ -641,6 +657,7 @@ SUBSTITUTIONS = {
 }
 
 
+@pytest.mark.seeded
 @settings(max_examples=300)
 @given(rebuild_cases())
 def test_rebuild_keeps_its_contract(case):
@@ -699,6 +716,7 @@ def instantiate_cases(draw):
     return nodes[-1], operands, env
 
 
+@pytest.mark.seeded
 @settings(max_examples=300)
 @given(instantiate_cases())
 def test_instantiate_builds_what_the_constructor_builds(case):
@@ -774,6 +792,7 @@ def make_list_cases(draw):
     return draw(st.lists(MADE_LISTS, max_size=4)), NAT_LIST_LIST, draw(st.sampled_from([None, "T"]))
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(make_list_cases(), st.none() | st.tuples(st.sampled_from([True, False, -1, -3]), st.integers(0, 6)))
 def test_make_list_builds_what_the_constructor_builds(case, bad):
@@ -865,6 +884,7 @@ def renamed(answers):
     return out
 
 
+@pytest.mark.seeded
 @settings(max_examples=1000, deadline=None)
 @given(goal_trees())
 def test_solver_matches_eager_reference_on_goal_trees(goal):
@@ -952,6 +972,7 @@ def prelude_calls():
     )
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(prelude_calls())
 def test_compiled_calls_match_their_expanded_form(goal):
@@ -1121,6 +1142,7 @@ def shape_goal(shape, vs):
 SHAPE_ARGS = st.sampled_from([0, 1, 2, "A", "B", "B", suc(NAT.var("A"))])
 
 
+@pytest.mark.seeded
 @settings(max_examples=400, deadline=None)
 @given(body_shapes(), SHAPE_ARGS, SHAPE_ARGS)
 def test_generated_bodies_match_their_expanded_form(shape, x, y):
@@ -1196,6 +1218,7 @@ def guarded_shapes(draw):
     return ("exists", shape) if draw(st.booleans()) else shape
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(body_shapes(), guarded_shapes(), guarded_shapes()), SHAPE_ARGS, SHAPE_ARGS)
 def test_indexed_bodies_match_their_unindexed_form(shape, x, y):
@@ -1256,6 +1279,7 @@ def template_root(call):
     return call.template.root if call.template.root is not None else call
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(goal_trees(), prelude_calls().map(template_root)), st.integers(0, 20))
 def test_goal_nodes_are_values(goal, which):

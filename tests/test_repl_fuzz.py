@@ -140,6 +140,7 @@ def run_cli(text):
     return code, out.getvalue()
 
 
+@pytest.mark.seeded
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scripts())
 def test_fuzzed_scripts(text):
@@ -162,6 +163,7 @@ def test_fuzzed_scripts(text):
                 assert parse_term(value_text, vid.ltype) == value
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(queries(atoms(ground_terms)))
 def test_ground_queries_match_the_eager_reference(text):
@@ -172,6 +174,7 @@ def test_ground_queries_match_the_eager_reference(text):
     assert run_script_text(text, REGISTRY) == (0, "true.\n" if count else "false.\n")
 
 
+@pytest.mark.seeded
 @settings(max_examples=500, deadline=None)
 @given(st.text(TOKEN_TEXT, max_size=30) | queries().flatmap(mutated))
 def test_tokenizer_matches_the_reference(text):
