@@ -9,7 +9,7 @@ An interactive session answers an interrupt during a query with
 ``error: interrupted.`` and prompts again; at the prompt, it ends the
 session with exit 0.  Term size and search depth are bounded only by
 memory and the step budget.  With no budget, the interactive default,
-a literal's numeral is built in full, at about 112 bytes a node, so
+a literal's numeral is built in full, at about 120 bytes a node, so
 ``isSuc(100000000000, X).`` runs out of memory; ``--max-steps`` refuses
 a query whose literals sum to more than it before building anything.
 """

@@ -234,16 +234,21 @@ def cut_then(g1: Goal, g2: Goal) -> Goal:
 
 
 def eq(a: Term, b: Term) -> Goal:
-    """Unification constraint.  Both terms must have the same logical
-    type; that is checked here, at construction."""
-    ta = a.vid.ltype if type(a) is Var else a.ltype
-    tb = b.vid.ltype if type(b) is Var else b.ltype
+    """Unification constraint.  Both operands must be terms of the same
+    logical type; that is checked here, at construction, and either
+    failure raises TypeMismatchError."""
+    ta = a.vid.ltype if type(a) is Var else a.ltype if type(a) is Compound else _not_a_term(a)
+    tb = b.vid.ltype if type(b) is Var else b.ltype if type(b) is Compound else _not_a_term(b)
     if ta is not tb:
         raise TypeMismatchError(
             f"eq: terms have different logical types "
             f"({getattr(ta, 'name', '?')} vs {getattr(tb, 'name', '?')})"
         )
     return Unify(a, b)
+
+
+def _not_a_term(x):
+    raise TypeMismatchError(f"eq: expected a term, got {type(x).__name__} {x!r}")
 
 
 def exists(ltype, body: Callable[[Term], Goal]) -> Goal:
@@ -265,7 +270,8 @@ def neg(g: Goal) -> Goal:
 
 
 def neq(a: Term, b: Term) -> Goal:
-    """Holds iff `a` and `b` do not unify (negation as failure)."""
+    """Holds iff `a` and `b` do not unify (negation as failure).  Its
+    operands are checked as `eq` checks them."""
     return neg(eq(a, b))
 
 

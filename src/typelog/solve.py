@@ -243,11 +243,15 @@ def find_all(v: Var, goal: g.Goal, max_steps: Optional[int] = None) -> List[Term
     return find_all_n(v, goal, None, max_steps)
 
 
-def find_all_n(v: Var, goal: g.Goal, n: int, max_steps: Optional[int] = None) -> List[Term]:
+def find_all_n(v: Var, goal: g.Goal, n: Optional[int],
+               max_steps: Optional[int] = None) -> List[Term]:
     """Like find_all, truncated after the first `n` solutions; an `n`
-    of None truncates nothing."""
+    of None truncates nothing.  An `n` that is neither None nor an int
+    of at least 0 raises ValueError before the search starts."""
     if not isinstance(v, Var):
         raise TypeError("find_all_n expects a variable term")
+    if n is not None and (not isinstance(n, int) or n < 0):
+        raise ValueError("find_all_n expects n to be None or an int >= 0")
     stream = _search(goal, max_steps)
     return [resolve(v, store) for store, _, _ in itertools.islice(stream, n)]
 

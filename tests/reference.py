@@ -347,23 +347,40 @@ def ground_nat_lists(max_len: int, elems=(0, 1, 2)):
 # --- one-way matching (is `ground` an instance of `general`?) -------------
 
 
-def matches(general: Term, instance: Term, mapping=None) -> bool:
+def matches(general: Term, instance: Term) -> bool:
     """True iff `instance` can be obtained from `general` by a
-    consistent substitution of general's variables."""
-    if mapping is None:
-        mapping = {}
-    if isinstance(general, Var):
-        if general.vid in mapping:
-            return mapping[general.vid] == instance
-        mapping[general.vid] = instance
-        return True
-    if isinstance(instance, Var):
-        return False
-    return (
-        general.ctor == instance.ctor
-        and len(general.args) == len(instance.args)
-        and all(matches(a, b, mapping) for a, b in zip(general.args, instance.args))
-    )
+    consistent substitution of general's variables.  Over an explicit
+    worklist, so terms of any depth work; a variable met again is
+    checked by `same_term`, not by the engine's `==`."""
+    mapping = {}
+    work = [(general, instance)]
+    while work:
+        g, i = work.pop()
+        if isinstance(g, Var):
+            if g.vid not in mapping:
+                mapping[g.vid] = i
+            elif not same_term(mapping[g.vid], i):
+                return False
+        elif isinstance(i, Var) or g.ctor != i.ctor or len(g.args) != len(i.args):
+            return False
+        else:
+            work.extend(zip(g.args, i.args))
+    return True
+
+
+def same_term(a: Term, b: Term) -> bool:
+    """Syntactic equality, path by path over an explicit worklist."""
+    work = [(a, b)]
+    while work:
+        s, t = work.pop()
+        if isinstance(s, Var) or isinstance(t, Var):
+            if not (isinstance(s, Var) and isinstance(t, Var) and s.vid == t.vid):
+                return False
+        elif s.ltype is not t.ltype or s.ctor != t.ctor or len(s.args) != len(t.args):
+            return False
+        else:
+            work.extend(zip(s.args, t.args))
+    return True
 
 
 def instantiate(t: Term, assignment: dict) -> Term:

@@ -118,6 +118,12 @@ class TestEq:
         with pytest.raises(TypeMismatchError):
             eq(X, nat_list([]))
 
+    @pytest.mark.parametrize("a, b", [(1, nat(1)), (nat(1), "X"), (X, None), (X.vid, X)])
+    def test_operand_that_is_not_a_term(self, a, b):
+        for goal in (eq, neq):
+            with pytest.raises(TypeMismatchError, match="eq: expected a term"):
+                goal(a, b)
+
 
 class TestExists:
     def test_fresh_binding_is_hidden(self):

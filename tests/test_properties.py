@@ -92,11 +92,13 @@ from typelog.terms import (
     walk,
 )
 
-from reference import eager_answers
+from reference import eager_answers, matches, resolve_in
 from reference import unify as reference_unify
 
 NAT_VARS = ("x", "y", "z")
 LIST_VARS = ("xs", "ys")
+TREE = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+TREE_VARS = [TREE.var(n) for n in ("a", "b", "c", "d")]
 
 
 def nat_terms(max_depth=5):
@@ -226,6 +228,125 @@ def test_unify_matches_the_reference_unifier(pair):
     assert (ours is None) == (theirs is None)
     if ours is not None:
         assert list(ours.items()) == list(theirs.items())
+
+
+# Deep terms: numerals of 500-5000, lists of them, and trees up to 16
+# deep that share their subterms.  A strategy draws a shape, and the
+# test builds each side from its own shape, so equal subterms of the two
+# sides are seldom one object; the right side is often the left's shape
+# or one near it, so that pairs unify as often as they clash.
+
+def numeral_shapes():
+    """``(n, d, v)``: `d` layers of ``suc`` built anew over the kept
+    numeral ``nat(n - d)``, or over the variable named `v`."""
+    return st.integers(500, 5000).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.none() | st.sampled_from(NAT_VARS)))
+
+
+@st.composite
+def near_numeral_shapes(draw, shape):
+    """`shape` again, one of the same value built another way, one of a
+    value close by, or any other."""
+    n, d, v = shape
+    way = draw(st.integers(0, 5))
+    if way <= 1:
+        return shape
+    if way == 2:
+        return n, draw(st.integers(0, n)), v
+    if way <= 4:
+        d = max(0, d + draw(st.integers(-2, 2)))
+        return max(d, n + draw(st.integers(-2, 2))), d, v
+    return draw(numeral_shapes())
+
+
+def build_numeral(shape):
+    n, d, v = shape
+    t = nat(n - d) if v is None else NAT.var(v)
+    for _ in range(d):
+        t = NAT.make("suc", t)
+    return t
+
+
+@st.composite
+def deep_numeral_pairs(draw):
+    a = draw(numeral_shapes())
+    return "nat", a, draw(near_numeral_shapes(a))
+
+
+@st.composite
+def deep_list_pairs(draw):
+    """``(elements, tail)`` shapes: numeral shapes, then nil (None) or
+    the list variable of that name."""
+    elems = draw(st.lists(numeral_shapes(), min_size=1, max_size=4))
+    tail = draw(st.none() | st.sampled_from(LIST_VARS))
+    other = [draw(near_numeral_shapes(e)) for e in elems]
+    if draw(st.integers(0, 3)) == 0:
+        other = other[:draw(st.integers(0, len(other)))]
+    other_tail = draw(st.just(tail) | st.none() | st.sampled_from(LIST_VARS))
+    return "list", (elems, tail), (other, other_tail)
+
+
+def build_list(shape):
+    elems, tail = shape
+    t = nil(NAT_LIST) if tail is None else NAT_LIST.var(tail)
+    for e in reversed(elems):
+        t = cons(build_numeral(e), t)
+    return t
+
+
+TREE_LEAVES = st.sampled_from(["leaf", "leaf", "a", "b"])
+
+
+@st.composite
+def deep_tree_pairs(draw):
+    """``(leaves, edges)``: two leaves, each the leaf or a variable's
+    name, then node k is ``node(node i, node j)`` for the k-th
+    ``(i, j)`` of `edges`, and the last node is the tree.  Children are
+    drawn mostly from the newest nodes, so trees are deep and shared;
+    at most 16 nodes are added, so no tree is deeper than 16.  The right
+    side may change one leaf or one child."""
+    def child(k):
+        return max(0, k - 1 - draw(st.integers(0, 3)))
+
+    leaves = [draw(TREE_LEAVES), draw(TREE_LEAVES)]
+    edges = [(child(k), child(k)) for k in range(2, 2 + draw(st.integers(1, 16)))]
+    other_leaves, other_edges = list(leaves), list(edges)
+    way = draw(st.integers(0, 2))
+    if way == 1:
+        other_leaves[draw(st.integers(0, 1))] = draw(TREE_LEAVES)
+    elif way == 2:
+        k = draw(st.integers(0, len(edges) - 1))
+        other_edges[k] = (draw(st.integers(0, k + 1)), edges[k][1])
+    return "tree", (leaves, edges), (other_leaves, other_edges)
+
+
+def build_tree(shape):
+    leaves, edges = shape
+    nodes = [TREE.make("leaf") if leaf == "leaf" else TREE.var(leaf) for leaf in leaves]
+    for i, j in edges:
+        nodes.append(TREE.make("node", nodes[i], nodes[j]))
+    return nodes[-1]
+
+
+DEEP_BUILDERS = {"nat": build_numeral, "list": build_list, "tree": build_tree}
+
+
+@pytest.mark.seeded
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(deep_numeral_pairs(), deep_list_pairs(), deep_tree_pairs()))
+def test_unify_matches_the_reference_unifier_on_deep_terms(case):
+    # Correctness must not rest on distinct fingerprints: a `unify` that
+    # took equal fingerprints for equality fails here once they collide.
+    kind, left, right = case
+    build = DEEP_BUILDERS[kind]
+    a, b = build(left), build(right)
+    ours = unify(a, b, EMPTY_STORE)
+    theirs = reference_unify(a, b, EMPTY_STORE)
+    assert (ours is None) == (theirs is None)
+    if ours is not None:
+        for t in (a, b):
+            r1, r2 = resolve_in(t, ours), resolve_in(t, theirs)
+            assert matches(r1, r2) and matches(r2, r1)
 
 
 NAT_SLOT_TERMS, LIST_SLOT_TERMS = nat_terms(3), list_terms(2)
@@ -382,10 +503,6 @@ def test_takes_match_unify_with_the_fresh_variables_made_first(case):
             assert type(env[k]) is Compound and made[k].vid not in s1
             assert fence is None or n >= fence
             assert resolve(env[k], s1) == resolve(made[k], s2)
-
-
-TREE = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
-TREE_VARS = [TREE.var(n) for n in ("a", "b", "c", "d")]
 
 
 @st.composite

@@ -1,13 +1,15 @@
 """Growth guards: queries at sizes where a cost that grows faster than
 the work (a store copied at every bind, answers projected from the
-whole store, a quadratic parser, a term walked path by path) takes far
-longer than the bound.  Each check times its whole body, building its
-input included, against a 10 s bound; on a 2-core host they take
-0.03-1.4 s.  That bound is checked once the work returns, so each check
-also has a hard deadline of three times the bound, at which a timer
-signal fails it: a cost gone exponential fails the check instead of
-hanging the run."""
+whole store, a quadratic parser, a term walked path by path, ground
+terms compared down to where they differ) takes far longer than the
+bound.  Each check times its whole body, building its input included,
+against a 10 s bound; on a 2-core host they take 0.001-1.4 s.  That
+bound is checked once the work returns, so each check also has a hard
+deadline of three times the bound, at which a timer signal fails it: a
+cost gone exponential fails the check instead of hanging the run."""
 
+import functools
+import operator
 import signal
 import time
 
@@ -15,9 +17,9 @@ import pytest
 
 from typelog.derive import TypeRegistry
 from typelog.goals import eq, predicate
-from typelog.prelude import NAT, member, nat_list
+from typelog.prelude import NAT, member, nat, nat_list, not_member
 from typelog.repl import run_script_text
-from typelog.solve import find_all, solve
+from typelog.solve import find_all, holds, solve
 from typelog.terms import EMPTY_STORE, unify
 
 BOUND_S = 10
@@ -101,4 +103,51 @@ def test_body_that_shares_its_subterms():
         assert r.args[0] is r.args[1]
         r = r.args[0]
     assert r.ctor == "leaf"
+    assert time.perf_counter() - start < BOUND_S
+
+
+# Ground numerals compared down to the layer where they differ made each
+# of the next three quadratic: about 20 s at 8000 elements.
+
+def test_member_of_the_last_element():
+    start = time.perf_counter()
+    n = 8000
+    assert holds(member(n - 1, list(range(n))))
+    assert time.perf_counter() - start < BOUND_S
+
+
+def test_not_member_of_a_long_list():
+    start = time.perf_counter()
+    n = 8000
+    assert holds(not_member(n, list(range(n))))
+    assert time.perf_counter() - start < BOUND_S
+
+
+def test_last_fact_of_a_compiled_fact_table():
+    start = time.perf_counter()
+    n = 8000
+
+    @predicate(lambda x: (NAT, (x,)))
+    def fact(x):
+        return functools.reduce(operator.or_, [eq(x, nat(i)) for i in range(n)])
+
+    assert holds(fact(nat(n - 1)))
+    assert not holds(fact(nat(n)))
+    assert time.perf_counter() - start < BOUND_S
+
+
+def test_unify_of_separately_built_shared_trees():
+    # Walked path by path, two equal 40-deep trees take 2**40 steps.
+    start = time.perf_counter()
+    tree = TypeRegistry().declare("tree", [("leaf", []), ("node", ["tree", "tree"])])
+
+    def full(leaf):
+        t = leaf
+        for _ in range(40):
+            t = tree.make("node", t, t)
+        return t
+
+    leaf = tree.make("leaf")
+    assert unify(full(leaf), full(leaf), EMPTY_STORE) == EMPTY_STORE
+    assert unify(full(leaf), full(tree.make("node", leaf, leaf)), EMPTY_STORE) is None
     assert time.perf_counter() - start < BOUND_S

@@ -353,6 +353,16 @@ class TestFindAllN:
         with pytest.raises(TypeError):
             find_all_n(nat(1), succeed(), 1)
 
+    @pytest.mark.parametrize("n", [-1, 1.5, "2"])
+    def test_rejects_a_count_before_searching(self, n):
+        # A budget of 0 steps would stop any search that started.
+        with pytest.raises(ValueError, match=r"^find_all_n expects n to be None or an int >= 0$"):
+            find_all_n(X, member(X, [1, 2]), n, max_steps=0)
+
+    def test_accepts_none_and_zero(self):
+        assert find_all_n(X, member(X, [1, 2]), 0) == []
+        assert find_all_n(X, member(X, [1, 2]), None) == [nat(1), nat(2)]
+
 
 @predicate(lambda f, x: ((), (f, as_nat(x))))
 def apply(f, x):

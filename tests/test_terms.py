@@ -677,6 +677,35 @@ class TestSharedTermEquality:
         assert time.perf_counter() - start < 1
 
 
+class TestFingerprint:
+    def test_builders_leave_it_unset_and_hashing_caches_it(self):
+        env = [None, suc(zero()), [NAT, NAT]]
+        built = [
+            Compound(NAT, "suc", (zero(),)),
+            resolve(suc(suc(X)), store_of((X, zero()))),
+            terms.instantiate((NAT, "suc", ((NAT, "suc", (1,)),)), env),
+            nat_list([1, 2]),
+        ]
+        for t in built:
+            assert not hasattr(t, "_fp")  # its children may be kept numerals
+            hash(t)
+            assert hasattr(t, "_fp") and hasattr(t.args[0], "_fp")
+
+    def test_equal_fingerprints_never_accept(self):
+        # Built anew, not from the numeral cache, so that every node can
+        # be given one fingerprint, as if all of them collided.
+        nodes = [Compound(NAT, "zero", ())]
+        for _ in range(6):
+            nodes.append(Compound(NAT, "suc", (nodes[-1],)))
+        for t in nodes:
+            t._fp = 0
+        assert hash(nodes[6]) == hash(nodes[5])
+        assert nodes[6] != nodes[5] and unify(nodes[6], nodes[5], EMPTY_STORE) is None
+        # The head match: the child nodes[5] against a slot that holds nodes[4].
+        env = [nodes[6], nodes[4], [NAT, NAT]]
+        assert unify(0, (NAT, "suc", (1,)), EMPTY_STORE, env) is None
+
+
 class _CountingDict(dict):
     lookups = 0
 
