@@ -54,27 +54,25 @@ from .terms import (
 
 class Goal:
     """Base class for goal-tree nodes: values over the fields each class
-    lists in `_fields`.  Equality (same class, equal fields), hashing and
-    `repr` are a dataclass's, written once here, since `@dataclass` runs
-    generated source for each class at import."""
+    lists in `_fields`.  Equality (same class, equal fields) and `repr`
+    are a dataclass's, and equal goals hash equal, written once here,
+    since `@dataclass` runs generated source for each class at import.
+    All three read the tree through `_flat`, over an explicit stack, so
+    a goal tree of any depth is a value."""
 
     __slots__ = ()
     _fields: tuple = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return _flat(self, False) == _flat(other, False)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(_flat(self, False)))
 
     def __repr__(self):
-        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
-        return f"{type(self).__name__}({shown})"
+        return "".join(_flat(self, True))
 
     def __and__(self, other: "Goal") -> "Goal":
         return Conj(self, other)
@@ -84,6 +82,38 @@ class Goal:
 
     def __xor__(self, other: "Goal") -> "Goal":
         return CutThen(self, other)
+
+
+def _flat(goal: Goal, text: bool) -> list:
+    """`goal` as a flat list in prefix order, built over an explicit
+    stack.  A node gives its class, then each field's value: a goal node
+    is entered in turn, unless its class has a `repr` of its own (a
+    `Call`), and any other value gives ``(value,)``.  Each class fixes
+    its field count, so two goals of one class are equal iff their lists
+    are.  With `text`, the list is the dataclass `repr` in pieces:
+    ``Name(``, then ``field=`` and the value's `repr` for each field,
+    separated by ``, ``, then ``)``."""
+    out = []
+    stack = [goal]
+    while stack:
+        g = stack.pop()
+        if not isinstance(g, Goal):  # a value or a piece of text
+            out.append(g)
+            continue
+        fields = g._fields
+        if text:
+            out.append(f"{type(g).__name__}(")
+            stack.append(")")
+        else:
+            out.append(type(g))
+        for i in range(len(fields) - 1, -1, -1):
+            x = getattr(g, fields[i])
+            if not isinstance(x, Goal) or type(x).__repr__ is not Goal.__repr__:
+                x = repr(x) if text else (x,)
+            stack.append(x)
+            if text:
+                stack.append(f", {fields[i]}=" if i else f"{fields[i]}=")
+    return out
 
 
 class Succeed(Goal):
@@ -354,34 +384,45 @@ def predicate(boundary: Callable[..., tuple]):
     `converted` is the tuple of converted arguments the body receives.
     The body runs once per key, on placeholders; each call afterwards
     costs one boundary conversion and one `Call` node.  `templates` on
-    the predicate is its cache of templates.
+    the predicate is its cache of templates, and ``enter(args)`` does a
+    call's work without the node: it checks the arity, runs the
+    boundary, looks up or compiles the template and returns ``(template,
+    converted)``; the predicate itself returns ``Call(*enter(args))``.
 
     The contract that makes compiling sound: a body may depend on its
     arguments' types, not on their values, and must be pure.  An
     argument that is not a term must be a function that builds a goal,
     such as a comparison; the body may only call it or pass it on.  It
     is kept in a slot and called when the search reaches the call the
-    body makes of it, as a body built of closures would call it.  A body
-    that compiling cannot finish (it recurses through `exists` closures
-    of a plain function) or that passes on a function that may refer to
-    its variables (`_closed`) is run on each call instead, when the
-    search reaches the call, as a plain function."""
+    body makes of it, as a body built of closures would call it.  When
+    it is itself a compiled predicate, the search calls its `enter` and
+    goes on at the template's root, as for a `Call` of it, but builds
+    no node and dispatches once; every step, counter value and run of
+    step-free calls is the same (see the `solve` module docstring).  A
+    body that compiling cannot finish (it recurses through `exists`
+    closures of a plain function) or that passes on a function that may
+    refer to its variables (`_closed`) is run on each call instead, when
+    the search reaches the call, as a plain function."""
 
     def decorate(body: Callable[..., Goal]):
         arity = body.__code__.co_argcount
         cache: dict = {}
 
-        @functools.wraps(body)
-        def call(*args):
+        def enter(args) -> tuple:
             if len(args) != arity:
                 raise TypeError(f"{body.__name__}() takes {arity} arguments ({len(args)} given)")
             key, args = boundary(*args)
             template = cache.get(key)
             if template is None:
                 template = _template(body, cache, key, args)
-            return Call(template, args)
+            return template, args
+
+        @functools.wraps(body)
+        def call(*args):
+            return Call(*enter(args))
 
         call.templates = cache
+        call.enter = enter
         return call
 
     return decorate

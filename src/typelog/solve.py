@@ -12,7 +12,10 @@ choicepoint, popping the search store back to its mark (see the
 fence).  A `Call` of a compiled predicate continues at the template's
 root in a fresh environment, and every goal hands its operands and
 `env` to `terms`: `Unify` to `unify`, and `IsGround` and a `Call`'s
-arguments to `terms_of`.  A `Call` of a function argument, or of a
+arguments to `terms_of`.  A `Call` of a function argument that is a
+compiled predicate enters it (`goals.predicate`) and continues at its
+template's root, or, if its body could not be compiled, at the `Call`
+its `enter` gives.  A `Call` of any other function argument, or of a
 body that could not be compiled, continues at the goal it builds.  An
 indexed `Disj` may skip its left branch (see `goals.Disj`).
 
@@ -33,9 +36,15 @@ in place.  A slot `Exists` costs a step and a counter value, as an
 eager one does, though it makes no variable.  Under a budget, a run of
 step-free `Call`s of function arguments and uncompiled bodies is
 bounded too: more than `max_steps` of them with no step between raise
-`StepBudgetExceeded`.  Such a run is the only loop without steps, since
-`goals` rejects one made of templates alone, so a budgeted search ends
-even when it loops through a function argument.
+`StepBudgetExceeded`.  A compiled predicate entered as a function
+argument counts once in such a run, and the `Call` of an uncompiled
+body that its `enter` gives counts again, as when the argument built
+that `Call` and the search ran it.  Such a run is the only loop
+without steps, since `goals` rejects one made of templates alone, so a
+budgeted search ends even when it loops through a function argument.
+`max_steps` is None or an int of at least 0: each entry point raises
+ValueError for any other value before the search starts (`solve` and
+`solve_stores`, which are generators, at their first `next`).
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from .terms import (
     Var,
     VarId,
     _SearchStore,
+    fresh_var,
     is_ground_term,
     resolve,
     terms_of,
@@ -86,7 +96,6 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     frequent node types are tested first.
     """
     Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
-    new_tuple = tuple.__new__  # skips VarId's Python-level __new__
     counter = steps = 0
     run = run_at = 0  # step-free Calls of a function or body since step `run_at`
     store = _SearchStore()
@@ -133,7 +142,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
             elif t is Exists:
                 k = goal.slot
                 if k is None:
-                    goal = goal.body(Var(new_tuple(VarId, (f"_{counter}", goal.ltype))))
+                    goal = goal.body(fresh_var(counter, goal.ltype))
                 else:  # the slot's variable is made when a read needs it
                     env[k] = counter
                     goal = goal.body
@@ -143,10 +152,11 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 steps -= 1  # a Call costs no step
                 new = terms_of(goal.args, env)
                 template = goal.template
-                if type(template) is int:  # a function argument builds its goal
+                if type(template) is int:  # a function argument
                     build = env[template]
+                    enter = getattr(build, "enter", None)  # a compiled predicate's
                 elif template.root is None:  # a body that is not compiled
-                    build = template.body
+                    build, enter = template.body, None
                 else:
                     new += template.pad
                     env = new
@@ -158,7 +168,15 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                     run += 1
                     if run > max_steps:
                         raise StepBudgetExceeded(f"step budget of {max_steps} exhausted")
-                goal = build(*new)
+                if enter is None:  # builds its goal
+                    goal = build(*new)
+                    continue
+                template, new = enter(new)  # no Call node, unless not compiled
+                if template.root is None:
+                    goal = Call(template, new)
+                    continue
+                env = [*new, *template.pad]
+                goal = template.root
                 continue
             elif t is g.CutThen:
                 cont = (None, barrier, env, (goal.g2, barrier, env, cont))
@@ -191,6 +209,16 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
             bindings.popitem()
 
 
+def _check_count(value, message: str) -> None:
+    """Raise ValueError(message) unless `value` is None or an int of at
+    least 0.  A bool is not a count."""
+    if value is not None and (type(value) is bool or not isinstance(value, int) or value < 0):
+        raise ValueError(message)
+
+
+_MAX_STEPS = "max_steps must be None or an int >= 0"
+
+
 def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[BindingStore]:
     """Lazy stream of raw binding stores for `goal`, starting from the
     empty store.  Each is a copy of the search store at that answer, an
@@ -201,6 +229,7 @@ def solve_stores(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Bind
     variable: a slot that took a subterm has no variable and no entry
     (see the `terms` module docstring), so ``plus(20000, "B", 40000)``'s
     first store has one entry."""
+    _check_count(max_steps, _MAX_STEPS)
     for store, _, _ in _search(goal, max_steps):
         yield BindingStore(dict(store._bindings))
 
@@ -222,6 +251,7 @@ def solve(goal: g.Goal, max_steps: Optional[int] = None) -> Iterator[Solution]:
     store; `solve_stores` pays an O(store) copy per answer, the price of
     its immutable stores.
     """
+    _check_count(max_steps, _MAX_STEPS)
     shown = []  # (store position, vid) of each bound user-named variable
     for store, counter, low in _search(goal, max_steps):
         while shown and shown[-1][0] >= low:
@@ -246,12 +276,13 @@ def find_all(v: Var, goal: g.Goal, max_steps: Optional[int] = None) -> List[Term
 def find_all_n(v: Var, goal: g.Goal, n: Optional[int],
                max_steps: Optional[int] = None) -> List[Term]:
     """Like find_all, truncated after the first `n` solutions; an `n`
-    of None truncates nothing.  An `n` that is neither None nor an int
-    of at least 0 raises ValueError before the search starts."""
+    of None truncates nothing.  An `n` or a `max_steps` that is neither
+    None nor an int of at least 0 raises ValueError before the search
+    starts."""
     if not isinstance(v, Var):
         raise TypeError("find_all_n expects a variable term")
-    if n is not None and (not isinstance(n, int) or n < 0):
-        raise ValueError("find_all_n expects n to be None or an int >= 0")
+    _check_count(n, "find_all_n expects n to be None or an int >= 0")
+    _check_count(max_steps, _MAX_STEPS)
     stream = _search(goal, max_steps)
     return [resolve(v, store) for store, _, _ in itertools.islice(stream, n)]
 

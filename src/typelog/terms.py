@@ -57,9 +57,10 @@ choicepoint's mark is the dict's length, and backtracking pops every
 entry added since, the bindings of a clashing `unify` included (Warren,
 "An abstract Prolog instruction set", SRI TN 309, 1983); a bind costs
 O(1) however long the store.  `unify` writes every binding
-at one site for both kinds: into the search store's dict, or into a
-copy of a public store's dict, made at the call's first bind and
-returned, so a public store never changes.  The search store never
+the same way for both kinds, at the end of its pair loop or of a
+write-mode head match: into the search store's dict, or into a copy of
+a public store's dict, made at the call's first bind and returned, so a
+public store never changes.  The search store never
 leaves its search: `solve._search` yields it live, and its callers read
 each answer from it before the search resumes.
 
@@ -94,6 +95,13 @@ variables never made.  The solver sets a slot in place, which is safe:
 within one call, a slot's `exists` runs again only after backtracking
 to a choicepoint older than its last run, and that discards every
 frame and choicepoint that could read the old value.
+
+Both kinds of `exists`, eager and slot, get ``_n`` from `fresh_var`,
+which keeps it for n below a bound per type, as `prelude.nat` keeps
+small numerals, so a variable costs a lookup, not three constructors.
+Sharing one between searches changes nothing: terms compare by
+`VarId`, and a search's counter never repeats, so it makes ``_n``
+once.
 """
 
 from __future__ import annotations
@@ -454,24 +462,51 @@ def substitute(vid: VarId, replacement: Term, t: Term) -> Term:
     return _rebuild(t, EMPTY_STORE, lambda v: replacement if v.vid == vid else v)
 
 
+# Compares two `VarId`s in C, skipping `VarId.__eq__`'s type test.
+_tuple_eq = tuple.__eq__
+
+
 def _may_occur(vid: VarId, t: Compound, bindings: dict) -> bool:
     """False when no child of `t` can contain `vid`: each is ground or an
     unbound variable other than `vid`.  One level deep; True only means
     that the full walk (`occurs_in`) must decide."""
     for c in t.args:
         if type(c) is Var:
-            if c.vid in bindings or c.vid == vid:
+            if c.vid in bindings or _tuple_eq(c.vid, vid):
                 return True
         elif not c.ground:
             return True
     return False
 
 
+# ltype -> {n: the variable ``_n``} for n below _KEPT_FRESH, the bound
+# of the numeral cache (`prelude.NUMERAL_CACHE_SIZE`).
+_KEPT_FRESH = 10_000
+_kept_fresh: dict = {}
+
+
+def fresh_var(n: int, ltype) -> Var:
+    """The engine variable ``_n`` of `ltype`, kept below `_KEPT_FRESH`
+    (see the module docstring); a racing insert only makes a second,
+    equal variable.  Above the bound it is made each time, without
+    calling `Var`, and not kept."""
+    kept = _kept_fresh.get(ltype)
+    if kept is None:
+        kept = _kept_fresh.setdefault(ltype, {})
+    v = kept.get(n)
+    if v is None:
+        v = _new(Var)
+        v.vid = tuple.__new__(VarId, (f"_{n}", ltype))  # skips VarId's Python __new__
+        if n < _KEPT_FRESH:
+            kept[n] = v
+    return v
+
+
 def _fresh(env: list, k: int) -> Var:
     """Make the variable of slot `k`, which holds the number n of its
     `exists`: ``_n``, of the type `env[-1]` gives the slot, stored in
     the slot (see the module docstring)."""
-    v = env[k] = Var(tuple.__new__(VarId, (f"_{env[k]}", env[-1][k])))
+    v = env[k] = fresh_var(env[k], env[-1][k])
     return v
 
 
@@ -528,7 +563,14 @@ def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[Bin
     before the next, so every binding, take, name, verdict and step
     count is the same either way; the head match only skips the loop's
     operand dispatch and pair list.  With a public store, each nested
-    call copies at its own first bind.
+    call copies at its own first bind.  When the slot's term follows to
+    an unbound variable instead, the head is matched in write mode, as
+    ``get_structure`` on an unbound variable: the types are checked,
+    the pattern is instantiated, and the variable is bound to it after
+    the occurs check, with the binding, verdict and names the pair loop
+    would give, without entering it.  The mirror case, a pattern on the
+    left met by an unbound variable, runs the general path: a branch of
+    its own measured within noise.
     """
     if type(a) is int:  # a slot: its term, or its variable made now
         t = env[a]
@@ -555,7 +597,16 @@ def unify(a, b, store: BindingStore, env: Optional[list] = None) -> Optional[Bin
                     if store is None:
                         return None
                 return store
-            a = t  # an unbound variable: write mode
+            vid = t.vid  # an unbound variable: write mode, bound here
+            if vid.ltype is not b[0]:
+                raise _type_clash(vid.ltype, b[0])
+            t = instantiate(b, env)
+            if not t.ground and _may_occur(vid, t, bindings) and occurs_in(vid, t, store):
+                return None
+            if type(store) is not _SearchStore:  # a public store is copied
+                store = BindingStore(dict(bindings))
+            store._bindings[vid] = t
+            return store
         else:
             a = t
     elif type(a) is tuple:

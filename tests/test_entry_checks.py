@@ -1,13 +1,15 @@
 """Types are checked where terms enter the engine, not in every step of
 the search: each public entry still rejects ill-typed input."""
 
+import sys
+
 import pytest
 
 from typelog import goals
 from typelog.derive import TypeRegistry
 from typelog.prelude import NAT, NAT_LIST, as_term, member, nat, nat_list, plus, zero
 from typelog.repl import default_registry, run_script_text
-from typelog.solve import solve
+from typelog.solve import StepBudgetExceeded, find_all, find_all_n, holds, solve, solve_stores
 from typelog.terms import (
     EMPTY_STORE,
     Compound,
@@ -75,3 +77,34 @@ UNCONVERTIBLE = {
 def test_boundary_rejects_what_it_cannot_convert(entry):
     with pytest.raises(TypeMismatchError):
         entry()
+
+
+BAD_BUDGETS = [-1, 2.5, True, "x"]
+BUDGETED = {
+    "solve": lambda g, m: next(solve(g, max_steps=m)),
+    "solve_stores": lambda g, m: next(solve_stores(g, max_steps=m)),
+    "holds": lambda g, m: holds(g, max_steps=m),
+    "find_all": lambda g, m: find_all(X, g, max_steps=m),
+    "find_all_n": lambda g, m: find_all_n(X, g, 1, max_steps=m),
+}
+
+
+@pytest.mark.parametrize("max_steps", BAD_BUDGETS)
+@pytest.mark.parametrize("entry", BUDGETED.values(), ids=BUDGETED.keys())
+def test_a_budget_is_checked_before_any_search(entry, max_steps, monkeypatch):
+    # Checked by the entry point, so the search never starts.
+    def no_search(goal, max_steps):
+        raise AssertionError("the search started")
+        yield
+    monkeypatch.setattr(sys.modules["typelog.solve"], "_search", no_search)
+    with pytest.raises(ValueError, match=r"^max_steps must be None or an int >= 0$"):
+        entry(member(X, [1]), max_steps)
+
+
+@pytest.mark.parametrize("entry", BUDGETED.values(), ids=BUDGETED.keys())
+def test_budgets_of_none_and_ints_from_zero_are_taken(entry):
+    goal = member(X, [1])
+    entry(goal, None)
+    entry(goal, 100)
+    with pytest.raises(StepBudgetExceeded):
+        entry(goal, 0)

@@ -157,6 +157,51 @@ class TestGoalNodes:
         assert not hasattr(eq(X, zero()) & succeed(), "__dict__")
 
 
+class TestGoalValuesAtAnyDepth:
+    """`==`, `hash` and `repr` walk a goal tree over an explicit stack."""
+
+    def test_reprs_of_nested_nodes_are_pinned(self):
+        # Pinned before the walk was rewritten, from the recursive form.
+        cases = [
+            (eq(X, nat(1)) | (succeed() & fail_goal()),
+             "Disj(g1=Unify(left=Var(x:nat), right=suc(zero)), g2=Conj(g1=Succeed(), g2=Fail()))"),
+            (neg(eq(X, zero())),
+             "Scope(g=Disj(g1=CutThen(g1=Unify(left=Var(x:nat), right=zero), g2=Fail()), "
+             "g2=Succeed()))"),
+            (is_ground(X) ^ succeed(), "CutThen(g1=IsGround(term=Var(x:nat)), g2=Succeed())"),
+            (Exists(NAT, Unify(0, (NAT, "suc", (1,))), 1),
+             "Exists(ltype=LogicType(nat), body=Unify(left=0, right=(LogicType(nat), 'suc', (1,))), "
+             "slot=1)"),
+            (Disj(Succeed(), Call(plus(0, 0, 0).template, (3, 1, 4))),
+             "Disj(g1=Succeed(), g2=Call(plus, (3, 1, 4)))"),
+        ]
+        for goal, shown in cases:
+            assert repr(goal) == shown
+
+    @staticmethod
+    def chain(depth, last=0):
+        g = eq(X, nat(last))
+        for i in range(1, depth):
+            g = g | eq(X, nat(i % 5))
+        return g
+
+    def test_a_left_nested_chain_20_000_deep(self):
+        a, b = self.chain(20_000), self.chain(20_000)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert repr(a).startswith("Disj(g1=" * 19_999 + "Unify(left=Var(x:nat), right=zero), g2=")
+        assert a != self.chain(20_000, last=1) and a != self.chain(19_999)
+
+    def test_equal_goals_hash_equal_however_they_share(self):
+        leaf = eq(X, nat(2))
+        assert leaf | leaf == eq(X, nat(2)) | eq(NAT.var("x"), nat(2))
+        assert hash(leaf | leaf) == hash(eq(X, nat(2)) | eq(NAT.var("x"), nat(2)))
+        assert Conj(Call(plus(0, 0, 0).template, (nat(1),)), Succeed()) == Conj(
+            Call(plus(0, 0, 0).template, (nat(1),)), Succeed())
+        assert Disj(Succeed(), Fail()) != Disj(Succeed(), Succeed())
+
+
 # Every goal node class: its field names, a function returning fresh
 # field values (equal, not identical, on each call where the values allow
 # it), and the repr of the node built from them.

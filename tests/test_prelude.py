@@ -5,6 +5,7 @@ import pytest
 
 from typelog import prelude
 from typelog.derive import TypeRegistry
+from typelog.goals import eq, exists, predicate
 from typelog.prelude import (
     NAT,
     NAT_LIST,
@@ -18,11 +19,13 @@ from typelog.prelude import (
     list_of,
     list_plus_one,
     lt,
+    make_list,
     map_p,
     member,
     nat,
     nat_list,
     nat_value,
+    nats,
     nil,
     not_member,
     plus,
@@ -33,7 +36,7 @@ from typelog.prelude import (
     zero,
 )
 from typelog.repl import parse_term
-from typelog.solve import find_all, holds, solve
+from typelog.solve import StepBudgetExceeded, find_all, holds, solve
 from typelog.terms import TypeMismatchError, pretty
 
 from reference import ground_nat_lists
@@ -313,3 +316,79 @@ class TestTemplates:
         assert g1.template is g2.template is member.templates[list_of(trees)]
         assert g3.template is member.templates[NAT_LIST] is not g1.template
         assert holds(g1) and holds(g3)
+
+
+# A compiled predicate passed as an argument is entered at its template
+# by the search, with no `Call` node built for it.  Answers, counters and
+# the least budget each search completes in are pinned at their values
+# from before that change: none of them moves.
+
+def _plain_leq(x, y):  # recurses under exists, so a body using it is not compiled
+    return eq(x, zero()) | exists(NAT, lambda x1: exists(NAT, lambda y1: (
+        eq(x, suc(x1)) & eq(y, suc(y1)) & _plain_leq(x1, y1))))
+
+
+@predicate(nats)
+def _leq_uncompiled(x, y):
+    return _plain_leq(x, y)
+
+
+@predicate(lambda f, xs: ((NAT_LIST,), (f, prelude.as_term(xs, NAT_LIST))))
+def _apply_to(f, xs):
+    return f(xs)
+
+
+@predicate(lambda xs: (NAT_LIST, (prelude.as_term(xs, NAT_LIST),)))
+def _is_itself(xs):
+    return _apply_to(lambda ys: eq(ys, xs), xs)  # passes on a closure: not compiled
+
+
+def _completes(goal, max_steps):
+    try:
+        list(solve(goal, max_steps=max_steps))
+    except StepBudgetExceeded:
+        return False
+    return True
+
+
+def _least_budget(goal):
+    steps = 1
+    while not _completes(goal, steps):
+        steps += 1
+    return steps
+
+
+LISTS = list_of(NAT_LIST)
+
+PINNED_ARGUMENT_CALLS = {
+    # name: (goal, answers shown, counter at each answer, least budget)
+    "sorted_nat": (lambda: sorted_nat([0, "A", 2]),
+                   [{"A": "0"}, {"A": "1"}, {"A": "2"}], [13, 19, 25], 86),
+    "list_plus_one": (lambda: sorted_with(list_plus_one, make_list(
+                          [nat_list([0, 1]), "M", nat_list([2, 3])], LISTS)),
+                      [{"M": "[1, 2]"}], [25], 109),
+    "an uncompiled predicate": (lambda: sorted_with(_leq_uncompiled, [0, "A", 2]),
+                                [{"A": "0"}, {"A": "1"}, {"A": "2"}], [9, 15, 21], 86),
+    # Two step-free calls in a row: of the argument, then of its body.
+    "an uncompiled predicate, called first": (lambda: _apply_to(_is_itself, [1]),
+                                              [{}], [0], 3),
+}
+
+
+@pytest.mark.parametrize("goal, shown, counters, budget",
+                         PINNED_ARGUMENT_CALLS.values(), ids=PINNED_ARGUMENT_CALLS.keys())
+def test_predicate_arguments_keep_answers_counters_and_budgets(goal, shown, counters, budget):
+    sols = list(solve(goal()))
+    assert [{vid.name: pretty(t) for vid, t in s.bindings.items()} for s in sols] == shown
+    assert [s.counter_at_yield for s in sols] == counters
+    assert _least_budget(goal()) == budget
+
+
+def test_uncompiled_predicates_are_uncompiled():
+    assert _leq_uncompiled(1, 2).template.root is None
+    assert _is_itself([1]).template.root is None
+
+
+def test_a_predicate_argument_of_the_wrong_arity_raises_type_error():
+    with pytest.raises(TypeError, match=r"^plus\(\) takes 3 arguments \(2 given\)$"):
+        holds(sorted_with(plus, [1, 2]))

@@ -7,7 +7,8 @@ import pytest
 from typelog import terms
 from typelog.derive import TypeRegistry
 from typelog.goals import Conj, CutThen, Disj, Exists, Scope, Unify, eq, exists, predicate
-from typelog.prelude import NAT, NAT_LIST, as_term, cons, nat, nat_list, nil, suc, zero
+from typelog.prelude import NAT, NAT_LIST, as_term, cons, nat, nat_list, nil, plus, suc, zero
+from typelog.solve import holds, solve
 from typelog.terms import (
     EMPTY_STORE,
     BindingStore,
@@ -16,6 +17,7 @@ from typelog.terms import (
     TypeMismatchError,
     Var,
     VarId,
+    fresh_var,
     is_ground_term,
     occurs_in,
     pattern,
@@ -796,3 +798,43 @@ class TestVarNames:
         assert NAT.var("a").vid == NAT.var("a").vid
         assert NAT.var("a").vid != NAT.var("b").vid
         assert NAT.var("a").vid != NAT_LIST.var("a").vid
+
+
+class TestFreshVar:
+    """`fresh_var(n, T)` is the engine variable ``_n`` of type T, kept
+    and shared below a bound per type, as small numerals are."""
+
+    def test_name_and_type(self):
+        v = fresh_var(7, NAT_LIST)
+        assert type(v) is Var and type(v.vid) is VarId
+        assert v.vid == VarId("_7", NAT_LIST) and v == Var(VarId("_7", NAT_LIST))
+
+    def test_kept_below_the_bound_only(self):
+        below, at = terms._KEPT_FRESH - 1, terms._KEPT_FRESH
+        assert fresh_var(below, NAT) is fresh_var(below, NAT)
+        assert fresh_var(0, NAT) is not fresh_var(0, NAT_LIST)
+        assert fresh_var(at, NAT) == fresh_var(at, NAT)
+        assert fresh_var(at, NAT) is not fresh_var(at, NAT)
+        assert at not in terms._kept_fresh[NAT]
+
+    def test_the_kept_table_stays_bounded(self):
+        holds(plus(20000, "B", 40000))
+        next(solve(plus(20000, "B", "C")))  # makes _1, _3, ..., _39999
+        assert terms._kept_fresh[NAT]
+        for kept in terms._kept_fresh.values():
+            assert len(kept) <= terms._KEPT_FRESH
+            assert all(n < terms._KEPT_FRESH for n in kept)
+
+    def test_bytes_per_kept_variable(self):
+        t = TypeRegistry().declare("t", [("a", [])])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(terms._KEPT_FRESH + 100):
+                fresh_var(n, t)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            kept = terms._kept_fresh.pop(t, {})
+        assert len(kept) == terms._KEPT_FRESH
+        assert used / terms._KEPT_FRESH <= 300
