@@ -72,6 +72,7 @@ class LogicType:
         self._children: Optional[dict] = None
         self._nullaries: dict = {}
         self._element: Optional[LogicType] = None
+        self._fresh: dict = {}  # n -> the engine variable _n (`terms.fresh_var`)
         self.pretty_override = pretty_override
         self.from_int = from_int
 

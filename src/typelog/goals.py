@@ -57,22 +57,63 @@ class Goal:
     lists in `_fields`.  Equality (same class, equal fields) and `repr`
     are a dataclass's, and equal goals hash equal, written once here,
     since `@dataclass` runs generated source for each class at import.
-    All three read the tree through `_flat`, over an explicit stack, so
-    a goal tree of any depth is a value."""
+    Each walks the tree over an explicit stack, so a goal tree of any
+    depth is a value."""
 
     __slots__ = ()
     _fields: tuple = ()
 
     def __eq__(self, other):
+        """Compared pair by pair, as tuples of fields compare: a pair of
+        one object is equal without being entered, and the first
+        difference decides."""
         if type(other) is not type(self):
             return NotImplemented
-        return _flat(self, False) == _flat(other, False)
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for f in a._fields:
+                x, y = getattr(a, f), getattr(b, f)
+                if x is y:
+                    continue
+                if isinstance(x, Goal) and type(x) is type(y):
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __hash__(self):
-        return hash(tuple(_flat(self, False)))
+        """The hash of each node's class and non-goal field values."""
+        values = []
+        stack = [self]
+        while stack:
+            g = stack.pop()
+            values.append(type(g))
+            for f in g._fields:
+                x = getattr(g, f)
+                if isinstance(x, Goal):
+                    stack.append(x)
+                else:
+                    values.append(x)
+        return hash(tuple(values))
 
     def __repr__(self):
-        return "".join(_flat(self, True))
+        out = []
+        stack = [self]  # goals still to show, and text already made
+        while stack:
+            g = stack.pop()
+            if type(g) is str:
+                out.append(g)
+                continue
+            out.append(f"{type(g).__name__}(")
+            stack.append(")")
+            fields = g._fields
+            for i in range(len(fields) - 1, -1, -1):
+                x = getattr(g, fields[i])
+                walked = isinstance(x, Goal) and type(x).__repr__ is Goal.__repr__  # not a Call
+                stack.append(x if walked else repr(x))
+                stack.append(f", {fields[i]}=" if i else f"{fields[i]}=")
+        return "".join(out)
 
     def __and__(self, other: "Goal") -> "Goal":
         return Conj(self, other)
@@ -82,38 +123,6 @@ class Goal:
 
     def __xor__(self, other: "Goal") -> "Goal":
         return CutThen(self, other)
-
-
-def _flat(goal: Goal, text: bool) -> list:
-    """`goal` as a flat list in prefix order, built over an explicit
-    stack.  A node gives its class, then each field's value: a goal node
-    is entered in turn, unless its class has a `repr` of its own (a
-    `Call`), and any other value gives ``(value,)``.  Each class fixes
-    its field count, so two goals of one class are equal iff their lists
-    are.  With `text`, the list is the dataclass `repr` in pieces:
-    ``Name(``, then ``field=`` and the value's `repr` for each field,
-    separated by ``, ``, then ``)``."""
-    out = []
-    stack = [goal]
-    while stack:
-        g = stack.pop()
-        if not isinstance(g, Goal):  # a value or a piece of text
-            out.append(g)
-            continue
-        fields = g._fields
-        if text:
-            out.append(f"{type(g).__name__}(")
-            stack.append(")")
-        else:
-            out.append(type(g))
-        for i in range(len(fields) - 1, -1, -1):
-            x = getattr(g, fields[i])
-            if not isinstance(x, Goal) or type(x).__repr__ is not Goal.__repr__:
-                x = repr(x) if text else (x,)
-            stack.append(x)
-            if text:
-                stack.append(f", {fields[i]}=" if i else f"{fields[i]}=")
-    return out
 
 
 class Succeed(Goal):
@@ -395,7 +404,8 @@ def predicate(boundary: Callable[..., tuple]):
     such as a comparison; the body may only call it or pass it on.  It
     is kept in a slot and called when the search reaches the call the
     body makes of it, as a body built of closures would call it.  When
-    it is itself a compiled predicate, the search calls its `enter` and
+    it is itself a compiled predicate (its code is `PREDICATE_CODE`; a
+    wrapper of one is a plain function), the search calls its `enter` and
     goes on at the template's root, as for a `Call` of it, but builds
     no node and dispatches once; every step, counter value and run of
     step-free calls is the same (see the `solve` module docstring).  A
@@ -417,15 +427,23 @@ def predicate(boundary: Callable[..., tuple]):
                 template = _template(body, cache, key, args)
             return template, args
 
-        @functools.wraps(body)
-        def call(*args):
-            return Call(*enter(args))
-
+        call = functools.wraps(body)(_predicate_call(enter))
         call.templates = cache
         call.enter = enter
         return call
 
     return decorate
+
+
+def _predicate_call(enter):
+    def call(*args):
+        return Call(*enter(args))
+    return call
+
+
+# The code of every compiled predicate, by which `solve._search` knows
+# one: not by its `enter`, which `functools.wraps` copies to a wrapper.
+PREDICATE_CODE = _predicate_call(None).__code__
 
 
 def _template(body, cache: dict, key, args: tuple) -> Template:

@@ -96,6 +96,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     frequent node types are tested first.
     """
     Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
+    predicate_code = g.PREDICATE_CODE  # a compiled predicate's (see `goals.predicate`)
     counter = steps = 0
     run = run_at = 0  # step-free Calls of a function or body since step `run_at`
     store = _SearchStore()
@@ -154,7 +155,8 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 template = goal.template
                 if type(template) is int:  # a function argument
                     build = env[template]
-                    enter = getattr(build, "enter", None)  # a compiled predicate's
+                    compiled = getattr(build, "__code__", None) is predicate_code
+                    enter = build.enter if compiled else None
                 elif template.root is None:  # a body that is not compiled
                     build, enter = template.body, None
                 else:

@@ -97,8 +97,10 @@ to a choicepoint older than its last run, and that discards every
 frame and choicepoint that could read the old value.
 
 Both kinds of `exists`, eager and slot, get ``_n`` from `fresh_var`,
-which keeps it for n below a bound per type, as `prelude.nat` keeps
-small numerals, so a variable costs a lookup, not three constructors.
+which keeps it for n below a bound in a table on its type, as
+`prelude.nat` keeps small numerals and a type its nullary terms, so a
+variable costs a lookup, not three constructors, and is freed with
+its type.
 Sharing one between searches changes nothing: terms compare by
 `VarId`, and a search's counter never repeats, so it makes ``_n``
 once.
@@ -479,20 +481,18 @@ def _may_occur(vid: VarId, t: Compound, bindings: dict) -> bool:
     return False
 
 
-# ltype -> {n: the variable ``_n``} for n below _KEPT_FRESH, the bound
-# of the numeral cache (`prelude.NUMERAL_CACHE_SIZE`).
+# The bound below which `fresh_var` keeps ``_n``: the numeral cache's
+# (`prelude.NUMERAL_CACHE_SIZE`).
 _KEPT_FRESH = 10_000
-_kept_fresh: dict = {}
 
 
 def fresh_var(n: int, ltype) -> Var:
     """The engine variable ``_n`` of `ltype`, kept below `_KEPT_FRESH`
+    in the type's own table ``ltype._fresh``, so it goes with the type
     (see the module docstring); a racing insert only makes a second,
     equal variable.  Above the bound it is made each time, without
     calling `Var`, and not kept."""
-    kept = _kept_fresh.get(ltype)
-    if kept is None:
-        kept = _kept_fresh.setdefault(ltype, {})
+    kept = ltype._fresh
     v = kept.get(n)
     if v is None:
         v = _new(Var)

@@ -201,6 +201,16 @@ class TestGoalValuesAtAnyDepth:
             Call(plus(0, 0, 0).template, (nat(1),)), Succeed())
         assert Disj(Succeed(), Fail()) != Disj(Succeed(), Succeed())
 
+    def test_equality_does_not_enter_a_shared_subgoal(self):
+        # 2**30 paths through 30 distinct nodes: `==` compares a shared
+        # subgoal by identity, and stops at the first difference.
+        g = eq(X, nat(1))
+        for _ in range(30):
+            g = Disj(g, g)
+        assert Disj(g, Succeed()) == Disj(g, Succeed())
+        assert Disj(g, Succeed()) != Disj(g, Fail())
+        assert Conj(Fail(), g) != Conj(Succeed(), g)
+
 
 # Every goal node class: its field names, a function returning fresh
 # field values (equal, not identical, on each call where the values allow

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -392,3 +393,17 @@ def test_uncompiled_predicates_are_uncompiled():
 def test_a_predicate_argument_of_the_wrong_arity_raises_type_error():
     with pytest.raises(TypeError, match=r"^plus\(\) takes 3 arguments \(2 given\)$"):
         holds(sorted_with(plus, [1, 2]))
+
+
+def test_a_wrapper_of_a_compiled_predicate_is_called_not_entered():
+    # `functools.wraps` copies the predicate's attributes, `enter` among
+    # them, to the wrapper; the search must still call the wrapper.
+    @functools.wraps(leq)
+    def geq(x, y):
+        return leq(y, x)
+
+    assert geq.enter is leq.enter
+    assert holds(sorted_with(geq, [3, 2, 2, 0]))
+    assert not holds(sorted_with(geq, [0, 1]))
+    a = NAT.var("A")
+    assert [nat_value(t) for t in find_all(a, sorted_with(geq, [2, a, 1]))] == [1, 2]

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -815,15 +817,15 @@ class TestFreshVar:
         assert fresh_var(0, NAT) is not fresh_var(0, NAT_LIST)
         assert fresh_var(at, NAT) == fresh_var(at, NAT)
         assert fresh_var(at, NAT) is not fresh_var(at, NAT)
-        assert at not in terms._kept_fresh[NAT]
+        assert at not in NAT._fresh
 
     def test_the_kept_table_stays_bounded(self):
         holds(plus(20000, "B", 40000))
         next(solve(plus(20000, "B", "C")))  # makes _1, _3, ..., _39999
-        assert terms._kept_fresh[NAT]
-        for kept in terms._kept_fresh.values():
-            assert len(kept) <= terms._KEPT_FRESH
-            assert all(n < terms._KEPT_FRESH for n in kept)
+        assert NAT._fresh
+        for t in (NAT, NAT_LIST):
+            assert len(t._fresh) <= terms._KEPT_FRESH
+            assert all(n < terms._KEPT_FRESH for n in t._fresh)
 
     def test_bytes_per_kept_variable(self):
         t = TypeRegistry().declare("t", [("a", [])])
@@ -835,6 +837,15 @@ class TestFreshVar:
             used = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-            kept = terms._kept_fresh.pop(t, {})
-        assert len(kept) == terms._KEPT_FRESH
+        assert len(t._fresh) == terms._KEPT_FRESH
         assert used / terms._KEPT_FRESH <= 300
+
+    def test_a_dropped_type_is_freed_with_its_variables(self):
+        registry = TypeRegistry()
+        t = registry.declare("t", [("a", []), ("b", [])])
+        assert holds(exists(t, lambda x: eq(x, t.make("b"))))
+        assert t._fresh
+        gone = weakref.ref(t)
+        del registry, t
+        gc.collect()
+        assert gone() is None
