@@ -18,11 +18,12 @@ guarded `__setattr__` per field.  No code assigns a field of a goal
 node after construction.
 
 A predicate defined with `@predicate` is compiled once per key (its
-arguments' types) into a `Template`, under the contract `predicate`
-states: its body is run once on placeholders, each `exists` in it is
-expanded into a numbered slot of an environment (see the `terms` module
-docstring), and each term that mentions a parameter or a slot becomes
-a pattern (`terms.pattern`).  Calling the predicate converts the
+arguments' types), and once per key and compiled predicates passed to
+it, into a `Template`, under the contract `predicate` states: its body
+is run once on placeholders, each `exists` in it is expanded into a
+numbered slot of an environment (see the `terms` module docstring), and
+each term that mentions a parameter or a slot becomes a pattern
+(`terms.pattern`).  Calling the predicate converts the
 arguments and builds one `Call` node; the solver runs a `Call` by
 reading its argument patterns into a fresh environment
 (`terms.terms_of`) and jumping to the template's root, so no goal node
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
+import weakref
 from types import FunctionType
 from typing import Callable, Optional
 
@@ -58,18 +60,21 @@ class Goal:
     are a dataclass's, and equal goals hash equal, written once here,
     since `@dataclass` runs generated source for each class at import.
     Each walks the tree over an explicit stack, so a goal tree of any
-    depth is a value."""
+    depth is a value; `==` and `hash` enter a shared subgoal once, and
+    `repr` prints it at each place it occurs."""
 
     __slots__ = ()
     _fields: tuple = ()
 
     def __eq__(self, other):
         """Compared pair by pair, as tuples of fields compare: a pair of
-        one object is equal without being entered, and the first
-        difference decides."""
+        one object is equal without being entered, a pair already
+        entered is not entered again, and the first difference decides.
+        So two goal DAGs compare in time linear in their distinct pairs."""
         if type(other) is not type(self):
             return NotImplemented
         stack = [(self, other)]
+        entered = set()  # (id, id) of the pairs on or off the stack
         while stack:
             a, b = stack.pop()
             for f in a._fields:
@@ -77,25 +82,35 @@ class Goal:
                 if x is y:
                     continue
                 if isinstance(x, Goal) and type(x) is type(y):
-                    stack.append((x, y))
+                    pair = (id(x), id(y))
+                    if pair not in entered:
+                        entered.add(pair)
+                        stack.append((x, y))
                 elif not x == y:
                     return False
         return True
 
     def __hash__(self):
-        """The hash of each node's class and non-goal field values."""
-        values = []
+        """Merkle-style: the hash of the node's class, its non-goal field
+        values and its goal fields' hashes, each distinct node hashed
+        once.  So equal goals hash equal however they share subgoals, in
+        time linear in their distinct nodes."""
+        hashes = {}  # id(node) -> its hash
         stack = [self]
         while stack:
-            g = stack.pop()
-            values.append(type(g))
-            for f in g._fields:
-                x = getattr(g, f)
-                if isinstance(x, Goal):
-                    stack.append(x)
-                else:
-                    values.append(x)
-        return hash(tuple(values))
+            g = stack[-1]
+            if id(g) in hashes:
+                stack.pop()
+                continue
+            values = [getattr(g, f) for f in g._fields]
+            todo = [x for x in values if isinstance(x, Goal) and id(x) not in hashes]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            hashes[id(g)] = hash((type(g), *[
+                hashes[id(x)] if isinstance(x, Goal) else x for x in values]))
+        return hashes[id(self)]
 
     def __repr__(self):
         out = []
@@ -322,8 +337,9 @@ def is_ground(t: Term) -> Goal:
 
 
 class Template:
-    """One predicate body compiled for one key.  `pad` is what a call's
-    environment holds after the arguments (see the `terms` module
+    """One predicate body compiled for one key, or for one key and the
+    compiled predicates passed to it (see `predicate`).  `pad` is what a
+    call's environment holds after the arguments (see the `terms` module
     docstring), and `root` stays None when the body cannot be compiled
     (see `predicate`)."""
 
@@ -335,7 +351,11 @@ class Template:
         self.root: Optional[Goal] = None
         self.pad: list = []
 
-    def compile(self, args: tuple) -> None:
+    def compile(self, args: tuple, specialise: bool = False) -> None:
+        """Run the body on a placeholder for each term in `args`, and for
+        each function on a `_Function` or, with `specialise`, on the
+        compiled predicate itself (at its first place only), which keeps
+        its slot."""
         slots = {}
         params = []
         for a in args:
@@ -343,7 +363,7 @@ class Template:
                 p = _placeholder(term_type(a))
                 slots[p.vid] = len(slots)
             else:
-                p = _Function()
+                p = a if specialise and _is_predicate(a) and a not in slots else _Function()
                 slots[p] = len(slots)
             params.append(p)
         arity = len(slots)
@@ -351,7 +371,7 @@ class Template:
             self.root = _translate(self.body(*params), self.name, slots)
         except _Uncompilable:
             return
-        types = [getattr(key, "ltype", None) for key in slots]
+        types = [key.ltype if type(key) is VarId else None for key in slots]
         self.pad = [None] * (len(slots) - arity) + [types]
 
 
@@ -392,36 +412,75 @@ def predicate(boundary: Callable[..., tuple]):
     types of the term arguments and which arguments are not terms, and
     `converted` is the tuple of converted arguments the body receives.
     The body runs once per key, on placeholders; each call afterwards
-    costs one boundary conversion and one `Call` node.  `templates` on
-    the predicate is its cache of templates, and ``enter(args)`` does a
-    call's work without the node: it checks the arity, runs the
-    boundary, looks up or compiles the template and returns ``(template,
-    converted)``; the predicate itself returns ``Call(*enter(args))``.
+    costs one boundary conversion, one type test per converted argument
+    and one `Call` node.  `templates` on the predicate is its cache of
+    templates by key, and ``enter(args)`` does a call's work without the
+    node: it checks the arity, runs the boundary, looks up or compiles
+    the template and returns ``(template, converted)``; the predicate
+    itself returns ``Call(*enter(args))``.
 
     The contract that makes compiling sound: a body may depend on its
     arguments' types, not on their values, and must be pure.  An
     argument that is not a term must be a function that builds a goal,
     such as a comparison; the body may only call it or pass it on.  It
     is kept in a slot and called when the search reaches the call the
-    body makes of it, as a body built of closures would call it.  When
-    it is itself a compiled predicate (its code is `PREDICATE_CODE`; a
-    wrapper of one is a plain function), the search calls its `enter` and
-    goes on at the template's root, as for a `Call` of it, but builds
-    no node and dispatches once; every step, counter value and run of
-    step-free calls is the same (see the `solve` module docstring).  A
-    body that compiling cannot finish (it recurses through `exists`
-    closures of a plain function) or that passes on a function that may
-    refer to its variables (`_closed`) is run on each call instead, when
-    the search reaches the call, as a plain function."""
+    body makes of it, as a body built of closures would call it.  A body
+    that compiling cannot finish (it recurses through `exists` closures
+    of a plain function) or that passes on a function that may refer to
+    its variables (`_closed`) is run on each call instead, when the
+    search reaches the call, as a plain function.
+
+    Specialisation.  When some converted arguments are compiled
+    predicates (their code is `PREDICATE_CODE`; a wrapper of one is a
+    plain function), the template is looked up under the key and those
+    predicates, one per key and predicate arguments, and compiled by
+    running the body on the predicates themselves, so a call the body
+    makes of one is a `Call` of its template, as a direct call in a
+    body is, and passing one on reaches the callee's template for it
+    (Mercury specialises higher-order predicates on known closures the
+    same way: Somogyi, Henderson & Conway, "The execution algorithm of
+    Mercury", JLP 1996).  The predicates stay in their slots, and the
+    specialised templates are kept by weak reference to them: a
+    template goes when one of its predicates is collected.  The key's
+    template (with `_Function` placeholders) is kept under the key and
+    predicates in its place when specialising could change a count of
+    the search (see the `solve` module docstring), that is when
+      1. compiling the specialised body raises, as a call of a predicate
+         on placeholders of the wrong types or number does: the search
+         raises where it reaches the call;
+      2. its root is a `Call`, so no step would separate the run of
+         step-free calls before it from the calls it makes;
+      3. a call of one of the predicates reaches, through template
+         `Call`s only, a `Call` of a function argument or of a body that
+         is not compiled (or one still being compiled), which would then
+         count once less in its run."""
 
     def decorate(body: Callable[..., Goal]):
         arity = body.__code__.co_argcount
-        cache: dict = {}
+        cache: dict = {}  # key -> Template
+        specialised: dict = {}  # (key, a weak reference or None per argument) -> Template
+
+        def specialised_key(key, args) -> tuple:
+            """The key in `specialised` of `key` and the predicates in
+            `args`; its entry goes when one of them is collected."""
+            def drop(_):
+                specialised.pop(entry, None)
+            entry = (key, tuple([weakref.ref(p, drop) if _is_predicate(p) else None
+                                 for p in args]))
+            return entry
 
         def enter(args) -> tuple:
             if len(args) != arity:
                 raise TypeError(f"{body.__name__}() takes {arity} arguments ({len(args)} given)")
             key, args = boundary(*args)
+            for a in args:
+                if type(a) is FunctionType and a.__code__ is PREDICATE_CODE:
+                    refs = tuple([weakref.ref(p) if _is_predicate(p) else None for p in args])
+                    template = specialised.get((key, refs))
+                    if template is None:
+                        template = _template(body, specialised, specialised_key(key, args), args,
+                                             (cache, key))
+                    return template, args
             template = cache.get(key)
             if template is None:
                 template = _template(body, cache, key, args)
@@ -441,12 +500,20 @@ def _predicate_call(enter):
     return call
 
 
-# The code of every compiled predicate, by which `solve._search` knows
-# one: not by its `enter`, which `functools.wraps` copies to a wrapper.
+# The code of every compiled predicate, by which one is known: not by an
+# attribute, which `functools.wraps` copies to a wrapper.
 PREDICATE_CODE = _predicate_call(None).__code__
 
 
-def _template(body, cache: dict, key, args: tuple) -> Template:
+def _is_predicate(f) -> bool:
+    return type(f) is FunctionType and f.__code__ is PREDICATE_CODE
+
+
+def _template(body, cache: dict, key, args: tuple, generic: Optional[tuple] = None) -> Template:
+    """The template under `key` in `cache`: published, pending, or
+    compiled now.  `generic`, the ``(cache, key)`` of the key's template,
+    is given for a specialised key, and is compiled and kept in its place
+    if the specialised one may not be (see `predicate`)."""
     with _LOCK:
         entry = _pending.get((id(cache), key))
         if entry is not None:
@@ -458,14 +525,67 @@ def _template(body, cache: dict, key, args: tuple) -> Template:
         template = Template(body)
         _pending[(id(cache), key)] = (cache, key, template)
         try:
-            template.compile(args)
+            if generic is None:
+                template.compile(args)
+            elif not _specialised(template, args):
+                _forget(before)  # it, and the templates since, which may call it
+                template = _template(body, *generic, args)
+                _pending[(id(cache), key)] = (cache, key, template)
             if not before:
                 _publish()
         except BaseException:
-            for k in set(_pending) - before:
-                del _pending[k]
+            _forget(before)
             raise
         return template
+
+
+def _forget(before: set) -> None:
+    """Drop the templates pending since `before` was taken."""
+    for k in set(_pending) - before:
+        del _pending[k]
+
+
+def _specialised(template: Template, args: tuple) -> bool:
+    """Compile `template` on the compiled predicates in `args`, and say
+    whether it may stand for the key's template (see `predicate`)."""
+    try:
+        template.compile(args, specialise=True)
+    except Exception:  # rule 1; the key's template raises it again if the body is at fault
+        return False
+    root = template.root
+    if root is None or type(root) is Call:  # not compiled, or rule 2
+        return False
+    bodies = {p.__wrapped__ for p in args if _is_predicate(p)}  # their templates' bodies
+    todo = [root]  # rule 3
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is Conj or t is Disj or t is CutThen:
+            todo += (node.g1, node.g2)
+        elif t is Scope:
+            todo.append(node.g)
+        elif t is Exists:
+            todo.append(node.body)
+        elif (t is Call and type(node.template) is Template and node.template.body in bodies
+              and not _steps_first(node.template)):
+            return False
+    return True
+
+
+def _steps_first(template: Template) -> bool:
+    """Whether running `template` goes, through template `Call`s only,
+    to a node that costs a step, not to a `Call` of a function argument
+    or of a body that is not compiled (or is still being compiled)."""
+    seen = set()
+    while template not in seen:  # a loop of Calls, which `_publish` rejects
+        seen.add(template)
+        root = template.root
+        if type(root) is not Call:
+            return root is not None
+        template = root.template
+        if type(template) is not Template:
+            return False
+    return True
 
 
 def _publish() -> None:
@@ -487,21 +607,23 @@ def _publish() -> None:
 def _closed(f) -> bool:
     """Whether `f`, an argument of a call in a body that is not a term,
     can refer to no variable of the body: it is a compiled predicate, or
-    a plain function with no free variables and no defaults."""
-    return type(f) is FunctionType and (hasattr(f, "templates") or (
-        f.__closure__ is None and not f.__defaults__ and not f.__kwdefaults__))
+    a plain function with no free variables and no defaults.  A wrapper
+    of a compiled predicate is a plain function."""
+    return _is_predicate(f) or type(f) is FunctionType and (
+        f.__closure__ is None and not f.__defaults__ and not f.__kwdefaults__)
 
 
 def _translate(goal: Goal, name: str, slots: dict) -> Goal:
     """The template form of `goal`: each closure `Exists` expanded into
     a new slot, terms turned into patterns (`terms.pattern`) over
-    `slots` (placeholder VarId or `_Function` -> environment index), and
-    each `Disj` given the index `_index` finds for its left branch.
-    Post-order over an explicit stack, so each node is built once,
-    final.  Raises `_Uncompilable` where the template cannot stand for
-    the goal (see `predicate`): at an `Exists` whose closure's code
-    already runs on the path of expansions above it, which would expand
-    forever, and at a call argument that `_closed` rejects."""
+    `slots` (placeholder VarId, `_Function` or compiled predicate ->
+    environment index), and each `Disj` given the index `_index` finds
+    for its left branch.  Post-order over an explicit stack, so each
+    node is built once, final.  Raises `_Uncompilable` where the
+    template cannot stand for the goal (see `predicate`): at an `Exists`
+    whose closure's code already runs on the path of expansions above
+    it, which would expand forever, and at a call argument that
+    `_closed` rejects."""
 
     def slot_of(v):
         k = slots.get(v.vid if type(v) is Var else v)
@@ -518,8 +640,8 @@ def _translate(goal: Goal, name: str, slots: dict) -> Goal:
             return pattern(a, slot_of)
         if type(a) is _Function:
             return slot_of(a)
-        if _closed(a):
-            return a
+        if _closed(a):  # read from its slot if this template is specialised on it
+            return slots.get(a, a)
         raise _Uncompilable
 
     done: list = []

@@ -12,10 +12,7 @@ choicepoint, popping the search store back to its mark (see the
 fence).  A `Call` of a compiled predicate continues at the template's
 root in a fresh environment, and every goal hands its operands and
 `env` to `terms`: `Unify` to `unify`, and `IsGround` and a `Call`'s
-arguments to `terms_of`.  A `Call` of a function argument that is a
-compiled predicate enters it (`goals.predicate`) and continues at its
-template's root, or, if its body could not be compiled, at the `Call`
-its `enter` gives.  A `Call` of any other function argument, or of a
+arguments to `terms_of`.  A `Call` of a function argument, or of a
 body that could not be compiled, continues at the goal it builds.  An
 indexed `Disj` may skip its left branch (see `goals.Disj`).
 
@@ -36,12 +33,11 @@ in place.  A slot `Exists` costs a step and a counter value, as an
 eager one does, though it makes no variable.  Under a budget, a run of
 step-free `Call`s of function arguments and uncompiled bodies is
 bounded too: more than `max_steps` of them with no step between raise
-`StepBudgetExceeded`.  A compiled predicate entered as a function
-argument counts once in such a run, and the `Call` of an uncompiled
-body that its `enter` gives counts again, as when the argument built
-that `Call` and the search ran it.  Such a run is the only loop
-without steps, since `goals` rejects one made of templates alone, so a
-budgeted search ends even when it loops through a function argument.
+`StepBudgetExceeded`.  Such a run is the only loop without steps, since
+`goals` rejects one made of templates alone, so a budgeted search ends
+even when it loops through a function argument.  A template specialised
+on a compiled predicate calls its template with a step-free `Call` that
+is not counted, where that shortens no run (see `goals.predicate`).
 `max_steps` is None or an int of at least 0: each entry point raises
 ValueError for any other value before the search starts (`solve` and
 `solve_stores`, which are generators, at their first `next`).
@@ -96,7 +92,6 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
     frequent node types are tested first.
     """
     Conj, Unify, Disj, Exists, Call = g.Conj, g.Unify, g.Disj, g.Exists, g.Call
-    predicate_code = g.PREDICATE_CODE  # a compiled predicate's (see `goals.predicate`)
     counter = steps = 0
     run = run_at = 0  # step-free Calls of a function or body since step `run_at`
     store = _SearchStore()
@@ -153,12 +148,10 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                 steps -= 1  # a Call costs no step
                 new = terms_of(goal.args, env)
                 template = goal.template
-                if type(template) is int:  # a function argument
+                if type(template) is int:  # a function argument builds its goal
                     build = env[template]
-                    compiled = getattr(build, "__code__", None) is predicate_code
-                    enter = build.enter if compiled else None
                 elif template.root is None:  # a body that is not compiled
-                    build, enter = template.body, None
+                    build = template.body
                 else:
                     new += template.pad
                     env = new
@@ -170,15 +163,7 @@ def _search(goal: g.Goal, max_steps: Optional[int]) -> Iterator[Tuple[_SearchSto
                     run += 1
                     if run > max_steps:
                         raise StepBudgetExceeded(f"step budget of {max_steps} exhausted")
-                if enter is None:  # builds its goal
-                    goal = build(*new)
-                    continue
-                template, new = enter(new)  # no Call node, unless not compiled
-                if template.root is None:
-                    goal = Call(template, new)
-                    continue
-                env = [*new, *template.pad]
-                goal = template.root
+                goal = build(*new)
                 continue
             elif t is g.CutThen:
                 cont = (None, barrier, env, (goal.g2, barrier, env, cont))

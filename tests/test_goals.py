@@ -211,6 +211,31 @@ class TestGoalValuesAtAnyDepth:
         assert Disj(g, Succeed()) != Disj(g, Fail())
         assert Conj(Fail(), g) != Conj(Succeed(), g)
 
+    @staticmethod
+    def dag(depth, leaf):
+        g = eq(X, nat(leaf))
+        for _ in range(depth):
+            g = Disj(g, g)
+        return g
+
+    def test_separately_built_dags_compare_and_hash_in_linear_time(self):
+        # 2**40 paths through 41 distinct nodes on each side: `==` enters
+        # each pair of nodes once and `hash` each node once.
+        start = time.perf_counter()
+        a, b = self.dag(40, 1), self.dag(40, 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != self.dag(40, 2) and Disj(a, Succeed()) != Disj(b, Fail())
+        assert time.perf_counter() - start < 1
+
+    def test_a_shared_dag_hashes_as_the_equal_tree(self):
+        def tree(depth):
+            return eq(X, nat(1)) if depth == 0 else Disj(tree(depth - 1), tree(depth - 1))
+
+        shared, unshared = self.dag(8, 1), tree(8)
+        assert shared == unshared and hash(shared) == hash(unshared)
+        assert hash(Conj(shared, Succeed())) == hash(Conj(unshared, Succeed()))
+        assert hash(Disj(shared, Fail())) != hash(Disj(shared, Succeed()))
+
 
 # Every goal node class: its field names, a function returning fresh
 # field values (equal, not identical, on each call where the values allow

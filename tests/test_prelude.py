@@ -1,12 +1,14 @@
 import functools
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import pytest
 
 from typelog import prelude
 from typelog.derive import TypeRegistry
-from typelog.goals import eq, exists, predicate
+from typelog.goals import Call, Goal, eq, exists, predicate
 from typelog.prelude import (
     NAT,
     NAT_LIST,
@@ -38,7 +40,7 @@ from typelog.prelude import (
 )
 from typelog.repl import parse_term
 from typelog.solve import StepBudgetExceeded, find_all, holds, solve
-from typelog.terms import TypeMismatchError, pretty
+from typelog.terms import TypeMismatchError, pretty, term_type
 
 from reference import ground_nat_lists
 
@@ -307,7 +309,7 @@ class TestTemplates:
         before = set(sorted_with.templates)
         goals = [sorted_with(lambda a, b: leq(a, b), [1, 2]) for _ in range(10_000)]
         assert len({g.template for g in goals}) == 1
-        assert set(sorted_with.templates) <= before | {NAT_LIST}
+        assert set(sorted_with.templates) <= before | {(NAT_LIST,)}
         assert holds(goals[-1]) and not holds(sorted_with(lambda a, b: leq(b, a), [1, 2]))
 
     def test_one_template_per_list_type(self):
@@ -319,10 +321,11 @@ class TestTemplates:
         assert holds(g1) and holds(g3)
 
 
-# A compiled predicate passed as an argument is entered at its template
-# by the search, with no `Call` node built for it.  Answers, counters and
-# the least budget each search completes in are pinned at their values
-# from before that change: none of them moves.
+# A compiled predicate passed as an argument is compiled into the
+# callee's template (see `goals.predicate`).  Answers, counters and the
+# least budget each search completes in are pinned at their values from
+# before predicates passed as arguments were entered or compiled in:
+# none of them moves.
 
 def _plain_leq(x, y):  # recurses under exists, so a body using it is not compiled
     return eq(x, zero()) | exists(NAT, lambda x1: exists(NAT, lambda y1: (
@@ -407,3 +410,89 @@ def test_a_wrapper_of_a_compiled_predicate_is_called_not_entered():
     assert not holds(sorted_with(geq, [0, 1]))
     a = NAT.var("A")
     assert [nat_value(t) for t in find_all(a, sorted_with(geq, [2, a, 1]))] == [1, 2]
+
+
+def test_a_wrapper_over_a_body_variable_is_not_compiled_in():
+    # The wrapper refers to `x`, a variable of the body: it is a plain
+    # function with free variables, not a constant of a template over a
+    # placeholder `x`, so `all_leq` runs uncompiled.
+    @predicate(lambda x, xs: (NAT_LIST, (prelude.as_nat(x), prelude.as_term(xs, NAT_LIST))))
+    def all_leq(x, xs):
+        up_to_x = functools.wraps(leq)(lambda a, b: leq(b, x))
+        return sorted_with(up_to_x, xs)
+
+    def plain(x, xs):
+        return sorted_with(lambda a, b: leq(b, nat(x)), xs)
+
+    for x, xs in ((0, [0, 1]), (0, [5, 7]), (3, [5, 2]), (9, [5, 7]), (0, [0, 0])):
+        assert holds(all_leq(x, xs)) == holds(plain(x, xs)), (x, xs)
+    assert not holds(all_leq(0, [0, 1])) and not holds(all_leq(0, [5, 7]))
+    assert all_leq.templates[NAT_LIST].root is None
+
+
+@predicate(prelude._relation_lists)
+def _even_with(f, xs):
+    """`f` holds between each element of `xs` and itself, `xs` of even length."""
+    t = term_type(xs)
+    return eq(xs, nil(t)) | exists(t.element, lambda h: exists(t, lambda tl: (
+        eq(xs, cons(h, tl)) & f(h, h) & _odd_with(f, tl))))
+
+
+@predicate(prelude._relation_lists)
+def _odd_with(f, xs):
+    t = term_type(xs)
+    return exists(t.element, lambda h: exists(t, lambda tl: (
+        eq(xs, cons(h, tl)) & f(h, h) & _even_with(f, tl))))
+
+
+def _calls(goal):
+    """The `Call` nodes of a template root, not entering other templates."""
+    found, todo = [], [goal]
+    while todo:
+        n = todo.pop()
+        todo += [getattr(n, f) for f in n._fields if isinstance(getattr(n, f), Goal)]
+        if type(n) is Call:
+            found.append(n)
+    return found
+
+
+class TestSpecialisedTemplates:
+    """A compiled predicate passed to a predicate is compiled into the
+    callee's template (see `goals.predicate`)."""
+
+    def test_mutually_recursive_callees_are_both_specialised(self):
+        for xs in ([], [1], [1, 2], [0, 3, 3], [2, 2, 2, 2]):
+            g, plain = _even_with(leq, xs), _even_with(lambda a, b: leq(a, b), xs)
+            assert list(solve(g)) == list(solve(plain))
+            assert _least_budget(g) == _least_budget(plain)
+        (odd,) = [c.template for c in _calls(_even_with(leq, [1]).template.root)
+                  if c.template.name == "_odd_with"]
+        assert {c.template.name for c in _calls(odd.root)} == {"leq", "_even_with"}
+
+    def test_each_predicate_argument_has_its_own_template(self):
+        by_leq, by_lt = sorted_with(leq, [1, 2]), sorted_with(lt, [1, 2])
+        assert by_leq.template is sorted_with(leq, [3, 2, 1]).template
+        assert by_lt.template is not by_leq.template
+        lambdas = [sorted_with(lambda a, b: leq(a, b), [1, 2]) for _ in range(100)]
+        assert len({g.template for g in lambdas}) == 1
+        assert lambdas[0].template not in (by_leq.template, by_lt.template)
+        assert holds(by_leq) and holds(by_lt) and holds(lambdas[0])
+        assert holds(sorted_with(leq, [2, 2])) and not holds(sorted_with(lt, [2, 2]))
+
+    def test_a_predicate_made_at_run_time_is_freed(self):
+        def made():
+            @predicate(nats)
+            def at_least(x, y):
+                return leq(y, x)
+
+            assert holds(sorted_with(at_least, [3, 2, 2, 0]))
+            assert not holds(sorted_with(at_least, [0, 1]))
+            g = sorted_with(at_least, [1])
+            assert g.template is not sorted_with(lambda a, b: at_least(a, b), [1]).template
+            # The body stays alive while a template calls its template.
+            return weakref.ref(at_least), weakref.ref(at_least.__wrapped__)
+
+        predicate_ref, body_ref = made()
+        gc.collect()
+        assert predicate_ref() is None and body_ref() is None
+        assert holds(sorted_with(leq, [0, 1]))

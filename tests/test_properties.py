@@ -1056,8 +1056,9 @@ GROUND_LISTS = st.lists(st.integers(0, 3), max_size=4)
 
 def prelude_calls():
     """Calls of every prelude predicate on arguments that keep the search
-    finite, including function arguments created for each call and a
-    plain function that recurses under `exists`.  The
+    finite, including function arguments created for each call, compiled
+    predicates passed as arguments (specialised templates) and a plain
+    function that recurses under `exists`.  The
     comparisons get ground lists: leq(E, E) has infinitely many answers."""
     def sorted_desc(xs):
         return sorted_with(lambda a, b: leq(b, a), xs)
@@ -1084,6 +1085,8 @@ def prelude_calls():
         gs.map(sorted_desc),
         xs.map(lambda v: list_plus_one(v, "M")),
         st.tuples(gs, xs).map(lambda p: map_leq(*p)),
+        st.tuples(gs, xs).map(lambda p: map_p(leq, *p)),
+        gs.map(lambda v: sorted_with(lt, v)),
         gs.map(lambda v: sorted_with(plain_leq, v)),
         st.tuples(gs, xs).map(lambda p: map_p(plain_leq, *p)),
     )

@@ -374,13 +374,30 @@ def apply_self(x):
     return apply(apply_self, x)
 
 
-def nested(k):
+@predicate(nats)
+def is_one(x):
+    return eq(x, nat(1))
+
+
+def nested(k, innermost=None):
     """A function that reaches `eq(x, 1)` through k calls of `apply`:
-    k + 1 function Calls with no step between."""
-    f = lambda x: eq(x, nat(1))
+    k + 1 function Calls with no step between.  The innermost function
+    is `innermost`, if given."""
+    f = innermost or (lambda x: eq(x, nat(1)))
     for _ in range(k):
         f = (lambda inner: lambda x: apply(inner, x))(f)
     return f
+
+
+@predicate(nats)
+def far_one(x):
+    """`apply(nested(3), x)`: passes on a closure, so it is not compiled."""
+    return apply(nested(3), x)
+
+
+@predicate(lambda f, x: ((), (f, as_nat(x))))
+def after_a_step(f, x):
+    return succeed() & f(x)
 
 
 class TestStepFreeCalls:
@@ -409,3 +426,26 @@ class TestStepFreeCalls:
             holds(apply(nested(10), 1), max_steps=10)
         assert holds(apply(nested(2000), 1))
         assert not holds(apply(nested(2000), 2))
+
+    @pytest.mark.parametrize("k, budget", [(0, 1), (1, 2), (3, 4), (9, 10)])
+    def test_a_chain_ending_in_a_compiled_predicate_keeps_its_least_budget(self, k, budget):
+        # Each lambda calls `apply` on the next function, the last on
+        # `is_one`: k + 1 step-free Calls of function arguments in a run,
+        # whether or not `apply` is specialised on `is_one`.
+        def completes(max_steps):
+            try:
+                return holds(apply(nested(k, is_one), 1), max_steps=max_steps)
+            except StepBudgetExceeded:
+                return False
+
+        assert not completes(budget - 1) and completes(budget)
+
+    def test_a_call_of_an_uncompiled_predicate_argument_keeps_its_least_budget(self):
+        # Two steps, then a run of six step-free Calls: of `f`, of
+        # `far_one`'s body, and the four function Calls its goal makes.
+        for budget, done in ((5, False), (6, True)):
+            try:
+                assert holds(after_a_step(far_one, 1), max_steps=budget) is done
+            except StepBudgetExceeded:
+                assert not done
+        assert far_one.templates[NAT].root is None
